@@ -12,6 +12,7 @@ from .errors import (
     NonIntegralTrace,
     PeriodNotFound,
     RootNestingViolation,
+    SpanViolation,
     SplittingViolation,
 )
 from .galois import (
@@ -19,6 +20,7 @@ from .galois import (
     CycleType,
     NotFound,
     SquarefreeFailure,
+    certify,
     certify_full_symmetric,
     certify_irreducible,
     corollary_conclusion,
@@ -63,9 +65,11 @@ __all__ = [
     "PeriodNotFound",
     "QExpansion",
     "RootNestingViolation",
+    "SpanViolation",
     "SplittingViolation",
     "SquarefreeFailure",
     "cached_charpoly",
+    "certify",
     "certify_full_symmetric",
     "certify_irreducible",
     "charpoly",

@@ -26,8 +26,7 @@ from .errors import ComputationError, FalsificationError
 from .galois import (
     CLAIM_FULL_SYMMETRIC,
     Certificate,
-    certify_full_symmetric,
-    certify_irreducible,
+    certify,
     deduce,
 )
 from .gfpoly import factor, poly_str, reduce_mod
@@ -292,13 +291,7 @@ def cmd_certify(args) -> None:
     _require_prime(args.prime, "p")
     _require_even_weight(args.weight)
     cfg = _config(args)
-    cache = cfg.open_cache()
-    irr = certify_irreducible(
-        args.prime, args.weight, bound=args.bound, cache=cache, seed=cfg.seed
-    )
-    full = certify_full_symmetric(
-        args.prime, args.weight, bound=args.bound, cache=cache, seed=cfg.seed
-    )
+    irr, full = certify(args.prime, args.weight, bound=args.bound, cache=cfg.open_cache())
     if cfg.format == "text":
         print("T_%d at weight %d, degree %d" % (args.prime, args.weight, dim_cusp(args.weight)))
         print(_cert_text("irreducible", irr))
@@ -340,7 +333,6 @@ def cmd_deduce(args) -> None:
         anchor_n=args.anchor,
         bound=args.bound,
         cache=cfg.open_cache(),
-        seed=cfg.seed,
     )
     target = result.target
     p, k = args.target_prime, args.weight

@@ -8,9 +8,10 @@ to different exit codes:
   * internal computation errors (insufficient precision and the like):
     ComputationError;
   * falsification events: FalsificationError.  These fire when a value
-    the theory says must hold fails to hold (an inexact quotient where
-    divisibility is guaranteed, a polynomial that does not split where
-    complete splitting is guaranteed, a period that never appears).
+    the theory says must hold fails to hold (a Hecke image outside the
+    cusp space, an inexact quotient where divisibility is guaranteed, a
+    polynomial that does not split where complete splitting is
+    guaranteed, a period that never appears).
     They are never caught and papered over.
 """
 
@@ -27,6 +28,10 @@ class InsufficientPrecision(ComputationError):
 
 class FalsificationError(Exception):
     """A mathematically guaranteed property failed on concrete data."""
+
+
+class SpanViolation(FalsificationError):
+    """A Hecke image left the span of the cusp-form basis."""
 
 
 class Lemma1Violation(FalsificationError):

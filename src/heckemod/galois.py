@@ -1,10 +1,12 @@
-"""Galois-theoretic certificates from factorizations modulo primes.
+"""Galois-theoretic certificates from cycle types modulo primes.
 
 For a monic integer polynomial f whose reduction mod ell is squarefree,
 the factor degrees mod ell form the cycle type of a Frobenius element
-of the Galois group of f (Dedekind).  Collecting cycle types over many
-ell supports three kinds of sound deduction, each emitted as a
-Certificate listing exactly the evidence used:
+of the Galois group of f (Dedekind).  Only the degrees matter, so a
+cycle type costs a squarefree test, gcd(f, f') mod ell, and a
+distinct-degree split; no factor is ever split further.  Collecting
+cycle types over many ell supports three kinds of sound deduction,
+each emitted as a Certificate listing exactly the evidence used:
 
   * irreducibility by a single irreducible reduction
     (rule IrreducibleModEll);
@@ -19,6 +21,12 @@ Certificate listing exactly the evidence used:
     transposition when it has exactly one even part, equal to 2; it
     powers to a q-cycle when it contains q once and q exceeds d/2.
 
+Both verdicts come from one scan of the primes: the irreducibility
+verdict is handed out as soon as it is decided, and the scan resumes
+for the Jordan witnesses only when the caller asks, searching the cycle
+types already seen before reducing any new prime.  Each prime is
+reduced at most once per certificate.
+
 The second half of the module packages the deductions specific to
 Hecke polynomials: the shape filter (under "some T_n irreducible",
 T_p is an r-th power of an irreducible with r dividing every root
@@ -31,11 +39,12 @@ unconditional anchor certificate upgrades them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import gcd as _gcd
 
 from ._primes import divisors, is_prime, primes_up_to
 from .cache import cached_charpoly
-from .gfpoly import factor, reduce_mod, roots
+from .gfpoly import distinct_degree, factor, gcd, reduce_mod, roots
 from .hecke import dim_cusp
 from .modfactor import ROW_PRIMES, charpoly_mod, root_sequence
 
@@ -75,23 +84,25 @@ class SquarefreeFailure:
     """Reduction mod ell had a repeated factor; no cycle type there."""
 
     ell: int
-    repeated: tuple  # coefficients of one repeated factor
+    repeated: tuple  # coefficients of gcd(f, f') mod ell
 
 
-def cycle_type(f, ell: int, seed: int = 0):
+def cycle_type(f, ell: int):
     """CycleType of a monic integer polynomial mod ell, or SquarefreeFailure.
 
     The partition is the multiset of irreducible factor degrees mod
-    ell, valid as a Frobenius cycle type by Dedekind's theorem.
+    ell, valid as a Frobenius cycle type by Dedekind's theorem.  It is
+    read off the distinct-degree split of the squarefree reduction.
     """
     coeffs = tuple(getattr(f, "coeffs", f))
     if coeffs[-1] != 1:
         raise ValueError("cycle types need a monic polynomial")
-    fm = factor(reduce_mod(coeffs, ell), seed=seed)
-    for g, m in fm.factors:
-        if m > 1:
-            return SquarefreeFailure(ell=ell, repeated=g.coeffs)
-    return CycleType(ell=ell, partition=tuple(sorted(fm.degrees(), reverse=True)))
+    fm = reduce_mod(coeffs, ell)
+    repeated = gcd(fm, fm.derivative())
+    if repeated.degree >= 1:
+        return SquarefreeFailure(ell=ell, repeated=repeated.coeffs)
+    parts = [d for piece, d in distinct_degree(fm) for _ in range(piece.degree // d)]
+    return CycleType(ell=ell, partition=tuple(sorted(parts, reverse=True)))
 
 
 def proper_degree_sums(partition) -> frozenset:
@@ -168,22 +179,17 @@ def _type_evidence(ct: CycleType) -> dict:
     return {"kind": "cycle-type", "ell": ct.ell, "partition": list(ct.partition)}
 
 
-def _scan_types(coeffs, bound, skip, seed):
-    for ell in primes_up_to(bound):
-        if ell in skip:
-            continue
-        ct = cycle_type(coeffs, ell, seed=seed)
-        if isinstance(ct, CycleType):
-            yield ct
+def _verdicts(f, bound: int, skip, subject):
+    """Irreducibility verdict, then full-symmetric verdict, from one scan.
 
-
-def certify_irreducible_poly(f, bound: int, skip=(), seed: int = 0, subject=None):
-    """Certificate of irreducibility over Q for a monic integer polynomial.
-
-    Scans primes ell <= bound (skipping `skip`).  A single irreducible
-    reduction settles it; otherwise the subset-sum sieve runs until its
-    intersection of candidate factor degrees empties.  Returns NotFound
-    with the collected evidence when neither happens.
+    Walks the primes ell <= bound (skipping `skip`) once.  A single
+    irreducible reduction settles irreducibility; otherwise the
+    subset-sum sieve runs until its intersection of candidate factor
+    degrees empties.  The second verdict resumes the scan only when
+    asked: degree 1 is trivial and degree 2 needs only irreducibility;
+    beyond that it takes the first transposition witness and, unless the
+    degree is prime, the first primitivity witness (prime q-cycle,
+    d/2 < q < d) in scan order, earlier cycle types included.
     """
     coeffs = tuple(getattr(f, "coeffs", f))
     d = len(coeffs) - 1
@@ -191,104 +197,73 @@ def certify_irreducible_poly(f, bound: int, skip=(), seed: int = 0, subject=None
         subject = {"coeffs": [str(c) for c in coeffs]}
     if d < 1:
         raise ValueError("constant polynomial has no irreducibility question")
-    evidence = []
+    reductions = (cycle_type(coeffs, ell) for ell in primes_up_to(bound) if ell not in skip)
+    types = (ct for ct in reductions if isinstance(ct, CycleType))
+
+    seen = []
     surviving = None
-    for ct in _scan_types(coeffs, bound, skip, seed):
-        evidence.append(_type_evidence(ct))
+    rule = None
+    for ct in types:
+        seen.append(ct)
         if ct.partition == (d,):
-            return Certificate(
-                claim=CLAIM_IRREDUCIBLE,
-                subject=subject,
-                degree=d,
-                rule=RULE_IRREDUCIBLE_MOD_ELL,
-                evidence=(evidence[-1],),
-            )
+            rule, used = RULE_IRREDUCIBLE_MOD_ELL, [ct]
+            break
         sums = proper_degree_sums(ct.partition)
         surviving = sums if surviving is None else surviving & sums
         if not surviving:
-            return Certificate(
-                claim=CLAIM_IRREDUCIBLE,
-                subject=subject,
-                degree=d,
-                rule=RULE_DEGREE_SET_SIEVE,
-                evidence=tuple(evidence),
-            )
-    if surviving is None:
-        reason = "no squarefree reduction below %d" % bound
+            rule, used = RULE_DEGREE_SET_SIEVE, seen
+            break
+    if rule is not None:
+        irr = Certificate(CLAIM_IRREDUCIBLE, subject, d, rule, tuple(map(_type_evidence, used)))
     else:
-        reason = "degrees %s survive the sieve below %d" % (sorted(surviving), bound)
-    return NotFound(
-        claim=CLAIM_IRREDUCIBLE, subject=subject, reason=reason, evidence=tuple(evidence)
-    )
+        if surviving is None:
+            reason = "no squarefree reduction below %d" % bound
+        else:
+            reason = "degrees %s survive the sieve below %d" % (sorted(surviving), bound)
+        irr = NotFound(CLAIM_IRREDUCIBLE, subject, reason, tuple(map(_type_evidence, seen)))
+    yield irr
 
-
-def certify_full_symmetric_poly(f, bound: int, skip=(), seed: int = 0, subject=None):
-    """Certificate that the Galois group is the full symmetric group.
-
-    Degree 1 is trivial and degree 2 needs only irreducibility; beyond
-    that the scan hunts a transposition witness and, unless the degree
-    is prime, a primitivity witness (prime q-cycle, d/2 < q < d), on
-    top of an irreducibility certificate.
-    """
-    coeffs = tuple(getattr(f, "coeffs", f))
-    d = len(coeffs) - 1
-    if subject is None:
-        subject = {"coeffs": [str(c) for c in coeffs]}
-    if d < 1:
-        raise ValueError("constant polynomial has no Galois group")
     if d == 1:
-        return Certificate(
-            claim=CLAIM_FULL_SYMMETRIC,
-            subject=subject,
-            degree=d,
-            rule=RULE_JORDAN,
-            evidence=({"kind": "degree-1"},),
-        )
-    irr = certify_irreducible_poly(coeffs, bound, skip=skip, seed=seed, subject=subject)
-    if isinstance(irr, NotFound):
-        return NotFound(
-            claim=CLAIM_FULL_SYMMETRIC,
-            subject=subject,
-            reason="irreducibility not established: %s" % irr.reason,
-            evidence=irr.evidence,
-        )
-    irr_evidence = {"kind": "irreducibility", "certificate": irr.to_dict()}
-    if d == 2:
-        return Certificate(
-            claim=CLAIM_FULL_SYMMETRIC,
-            subject=subject,
-            degree=d,
-            rule=RULE_JORDAN,
-            evidence=(irr_evidence,),
-        )
-    transposition = None
-    primitivity = {"kind": "prime-degree", "degree": d} if is_prime(d) else None
-    for ct in _scan_types(coeffs, bound, skip, seed):
-        if transposition is None and powers_to_transposition(ct.partition):
-            transposition = dict(_type_evidence(ct), kind="transposition-witness")
-        if primitivity is None:
-            q = powers_to_prime_cycle(ct.partition, d)
-            if q is not None:
-                primitivity = dict(_type_evidence(ct), kind="q-cycle-witness", q=q)
-        if transposition is not None and primitivity is not None:
-            return Certificate(
-                claim=CLAIM_FULL_SYMMETRIC,
-                subject=subject,
-                degree=d,
-                rule=RULE_JORDAN,
-                evidence=(irr_evidence, primitivity, transposition),
-            )
-    missing = []
-    if transposition is None:
-        missing.append("transposition")
-    if primitivity is None:
-        missing.append("primitivity q-cycle")
-    return NotFound(
-        claim=CLAIM_FULL_SYMMETRIC,
-        subject=subject,
-        reason="no %s witness below %d" % (" or ".join(missing), bound),
-        evidence=(irr_evidence,),
-    )
+        evidence = ({"kind": "degree-1"},)
+    elif rule is None:
+        reason = "irreducibility not established: %s" % irr.reason
+        yield NotFound(CLAIM_FULL_SYMMETRIC, subject, reason, irr.evidence)
+        return
+    else:
+        evidence = ({"kind": "irreducibility", "certificate": irr.to_dict()},)
+    if d > 2:
+        transposition = None
+        primitivity = {"kind": "prime-degree", "degree": d} if is_prime(d) else None
+        for ct in chain(seen, types):
+            if transposition is None and powers_to_transposition(ct.partition):
+                transposition = dict(_type_evidence(ct), kind="transposition-witness")
+            if primitivity is None:
+                q = powers_to_prime_cycle(ct.partition, d)
+                if q is not None:
+                    primitivity = dict(_type_evidence(ct), kind="q-cycle-witness", q=q)
+            if transposition is not None and primitivity is not None:
+                break
+        else:
+            missing = []
+            if transposition is None:
+                missing.append("transposition")
+            if primitivity is None:
+                missing.append("primitivity q-cycle")
+            reason = "no %s witness below %d" % (" or ".join(missing), bound)
+            yield NotFound(CLAIM_FULL_SYMMETRIC, subject, reason, evidence)
+            return
+        evidence += (primitivity, transposition)
+    yield Certificate(CLAIM_FULL_SYMMETRIC, subject, d, RULE_JORDAN, evidence)
+
+
+def certify_irreducible_poly(f, bound: int, skip=(), subject=None):
+    """Certificate of irreducibility over Q for a monic integer polynomial."""
+    return next(_verdicts(f, bound, skip, subject))
+
+
+def certify_full_symmetric_poly(f, bound: int, skip=(), subject=None):
+    """Certificate that the Galois group is the full symmetric group."""
+    return tuple(_verdicts(f, bound, skip, subject))[1]
 
 
 def _hecke_subject(p, k):
@@ -304,20 +279,24 @@ def _hecke_poly(p, k, cache):
     return f
 
 
-def certify_irreducible(p: int, k: int, bound: int = 200, cache=None, seed: int = 0):
+def certify(p: int, k: int, bound: int = 200, cache=None):
+    """Unconditional certificates for T_p at weight k from one prime scan.
+
+    Returns a generator of two verdicts, irreducibility then full
+    symmetric group; taking only the first stops the scan where
+    irreducibility is decided.  Bad p or k raise at the call.
+    """
+    return _verdicts(_hecke_poly(p, k, cache), bound, (p,), _hecke_subject(p, k))
+
+
+def certify_irreducible(p: int, k: int, bound: int = 200, cache=None):
     """Unconditional irreducibility certificate for T_p at weight k."""
-    f = _hecke_poly(p, k, cache)
-    return certify_irreducible_poly(
-        f, bound, skip=(p,), seed=seed, subject=_hecke_subject(p, k)
-    )
+    return next(certify(p, k, bound, cache))
 
 
-def certify_full_symmetric(p: int, k: int, bound: int = 200, cache=None, seed: int = 0):
+def certify_full_symmetric(p: int, k: int, bound: int = 200, cache=None):
     """Unconditional full-symmetric-group certificate for T_p at weight k."""
-    f = _hecke_poly(p, k, cache)
-    return certify_full_symmetric_poly(
-        f, bound, skip=(p,), seed=seed, subject=_hecke_subject(p, k)
-    )
+    return tuple(certify(p, k, bound, cache))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +330,7 @@ class ShapeVerdict:
         return self.possible_r == (1,) and (self.linear_power_excluded or self.dim == 1)
 
 
-def prop2_shape_filter(p: int, k: int, ells=(5, 7), cache=None, seed: int = 0) -> ShapeVerdict:
+def prop2_shape_filter(p: int, k: int, ells=(5, 7), cache=None) -> ShapeVerdict:
     """Constrain the shape of T_p at weight k from its splittings mod ells."""
     if not is_prime(p):
         raise ValueError("p = %d is not prime" % p)
@@ -364,7 +343,7 @@ def prop2_shape_filter(p: int, k: int, ells=(5, 7), cache=None, seed: int = 0) -
     for ell in ells:
         if ell == p:
             continue
-        fm = factor(charpoly_mod(p, k, ell, cache), seed=seed)
+        fm = factor(charpoly_mod(p, k, ell, cache))
         counts = {}
         for g, m in fm.factors:
             if g.degree == 1:
@@ -668,7 +647,7 @@ class DeduceResult:
         return out
 
 
-def deduce(p: int, k: int, anchor_n: int = 2, bound: int = 200, cache=None, seed: int = 0):
+def deduce(p: int, k: int, anchor_n: int = 2, bound: int = 200, cache=None):
     """Table-backed verdict for T_p at weight k, upgraded when possible.
 
     Tries the residue-class deduction first, then the parity corollary.
@@ -683,11 +662,12 @@ def deduce(p: int, k: int, anchor_n: int = 2, bound: int = 200, cache=None, seed
     cert = verdict.certificate()
     if isinstance(cert, NotFound):
         return DeduceResult(target=cert)
-    anchor_irr = certify_irreducible(anchor_n, k, bound=bound, cache=cache, seed=seed)
+    anchor = certify(anchor_n, k, bound=bound, cache=cache)
+    anchor_irr = next(anchor)
     anchor_full = None
     discharged = isinstance(anchor_irr, Certificate)
     if need_full_anchor and discharged:
-        anchor_full = certify_full_symmetric(anchor_n, k, bound=bound, cache=cache, seed=seed)
+        anchor_full = next(anchor)
         discharged = isinstance(anchor_full, Certificate)
     if discharged:
         ev = cert.evidence + (

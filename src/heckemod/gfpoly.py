@@ -299,7 +299,7 @@ def _squarefree_parts(f: FpPoly):
     return parts
 
 
-def _distinct_degree(f: FpPoly):
+def distinct_degree(f: FpPoly):
     """Split squarefree monic f into (product of irreducibles of degree d, d)."""
     p = f.p
     x = x_poly(p)
@@ -378,7 +378,7 @@ def factor(f: FpPoly, seed: int = 0) -> FactorMultiset:
     rng = random.Random(seed)
     found = []
     for part, mult in _squarefree_parts(f.monic()):
-        for piece, d in _distinct_degree(part):
+        for piece, d in distinct_degree(part):
             for irr in _equal_degree(piece, d, rng):
                 found.append((irr, mult))
     found.sort(key=lambda gm: (gm[0].degree, gm[0].coeffs))

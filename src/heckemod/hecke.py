@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from . import qseries
-from .errors import InsufficientPrecision
+from .errors import InsufficientPrecision, SpanViolation
 from .gfpoly import poly_str
 
 
@@ -161,7 +161,7 @@ def hecke_matrix(n: int, k: int) -> tuple:
                 for m in range(i + 1, d + 1):
                     image[m] -= coord * basis[i].coeffs[m]
         if any(image[m] for m in range(d + 1)):
-            raise ArithmeticError(
+            raise SpanViolation(
                 "T_%d image of basis element %d not in the span at k=%d" % (n, j, k)
             )
     return tuple(tuple(r) for r in rows)

@@ -213,6 +213,22 @@ def test_computation_errors_exit_2(capsys, monkeypatch):
     assert code == 2 and "planted" in err
 
 
+def test_span_failure_exits_3(capsys, monkeypatch):
+    from heckemod import hecke
+
+    real = hecke.hecke_action
+
+    def off_span(f, n, k, out_prec):
+        image = real(f, n, k, out_prec)
+        return type(image)((1,) + image.coeffs[1:], image.prec)
+
+    monkeypatch.setattr(hecke, "hecke_action", off_span)
+    code, out, err = run_cli(capsys, "charpoly", "--prime", "2", "--weight", "24")
+    assert code == 3 and out == ""
+    assert "falsification" in err and "not in the span" in err
+    assert "Traceback" not in err
+
+
 def test_console_script_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "heckemod", "charpoly", "--prime", "2", "--weight", "12"],

@@ -4,6 +4,8 @@ from itertools import combinations
 
 import pytest
 
+from heckemod import galois
+from heckemod._primes import primes_up_to
 from heckemod.galois import (
     CLAIM_FULL_SYMMETRIC,
     CLAIM_IRREDUCIBLE,
@@ -11,6 +13,7 @@ from heckemod.galois import (
     CycleType,
     NotFound,
     SquarefreeFailure,
+    certify,
     certify_full_symmetric,
     certify_full_symmetric_poly,
     certify_irreducible,
@@ -26,7 +29,7 @@ from heckemod.galois import (
     residues_qualify,
     theorem1_conclusion,
 )
-from heckemod.gfpoly import roots
+from heckemod.gfpoly import factor, reduce_mod, roots
 from heckemod.modfactor import charpoly_mod
 
 X4_PLUS_1 = (1, 0, 0, 0, 1)
@@ -42,6 +45,62 @@ def test_cycle_type_examples():
     assert failure.repeated == (0, 1)
     with pytest.raises(ValueError):
         cycle_type((1, 0, 2), 5)  # not monic
+
+
+def _int_product(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def test_cycle_type_matches_full_factorization():
+    # the old path, a complete factorization, is the reference for the
+    # squarefree test and the distinct-degree partition
+    rng = random.Random(11)
+
+    def monic(degree):
+        return tuple(rng.randint(-9, 9) for _ in range(degree)) + (1,)
+
+    polys = [monic(rng.randint(1, 8)) for _ in range(40)]
+    # squares over Z, so every reduction has a repeated factor
+    polys += [_int_product(_int_product(g, g), monic(rng.randint(0, 4)))
+              for g in (monic(rng.randint(1, 2)) for _ in range(10))]
+    polys += [(1, 0, 0, 0, 1), (0, 0, 0, 1), (2, 0, 0, 0, 0, 0, 0, 1)]
+    failures = 0
+    for f in polys:
+        for ell in primes_up_to(31):
+            ct = cycle_type(f, ell)
+            fm = factor(reduce_mod(f, ell))
+            if fm.is_squarefree():
+                assert ct == CycleType(ell=ell, partition=tuple(sorted(fm.degrees(), reverse=True)))
+            else:
+                assert isinstance(ct, SquarefreeFailure) and ct.ell == ell
+                failures += 1
+    assert failures > 100
+
+
+def test_certify_reduces_each_prime_once(shared_cache, monkeypatch):
+    scanned = []
+    real = galois.cycle_type
+
+    def counted(f, ell):
+        scanned.append(ell)
+        return real(f, ell)
+
+    monkeypatch.setattr(galois, "cycle_type", counted)
+    for k in (12, 24, 36, 48, 200):
+        scanned.clear()
+        irr, full = certify(2, k, bound=200, cache=shared_cache)
+        assert len(scanned) == len(set(scanned)) and 2 not in scanned
+        assert isinstance(full, Certificate) == (k != 200)
+    assert isinstance(irr, NotFound) and set(scanned) == set(primes_up_to(200)) - {2}
+
+    scanned.clear()
+    irr = next(certify(2, 48, cache=shared_cache))
+    assert isinstance(irr, Certificate)
+    assert max(scanned) == max(e["ell"] for e in irr.evidence)
 
 
 def test_proper_degree_sums_against_subset_enumeration():
