@@ -2,8 +2,10 @@
 
 Subcommands wrap the library one-to-one: charpoly, table, trace,
 period, certify, deduce.  Every subcommand takes --format text|csv|json
-plus --cache-dir/--seed/--jobs; the environment variable
-HECKE_MOD_CACHE overrides --cache-dir when set.
+plus --cache-dir/--seed; the environment variable HECKE_MOD_CACHE
+overrides --cache-dir when set.  The cache holds integer polynomials
+for charpoly, certify and deduce's anchor; table and period compute
+mod ell and never open it.
 
 Exit codes: 0 success, 1 usage or invalid argument, 2 computation
 error, 3 falsification event (a checked mathematical invariant failed,
@@ -17,8 +19,6 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 from ._primes import is_prime
 from .cache import CharpolyCache, cached_charpoly
@@ -30,35 +30,20 @@ from .galois import (
     deduce,
 )
 from .gfpoly import factor, poly_str, reduce_mod
-from .hecke import IntPoly, charpoly, dim_cusp
+from .hecke import dim_cusp
 from .modfactor import (
     DEFAULT_MAX_WEIGHT,
     KCLASSES,
     ROW_PRIMES,
     SINGLE_PERIOD_MAX_WEIGHT,
-    first_weight_in_class,
     root_sequence,
     table_rows,
 )
 from .traceformula import trace
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    cache_dir: object
-    seed: int
-    jobs: int
-    format: str
-
-    def open_cache(self) -> CharpolyCache:
-        return CharpolyCache(self.cache_dir)
-
-
-def _config(args) -> RunConfig:
-    directory = os.environ.get("HECKE_MOD_CACHE") or args.cache_dir
-    return RunConfig(
-        cache_dir=directory, seed=args.seed, jobs=args.jobs, format=args.format
-    )
+def _open_cache(args) -> CharpolyCache:
+    return CharpolyCache(os.environ.get("HECKE_MOD_CACHE") or args.cache_dir)
 
 
 def factor_str(fm) -> str:
@@ -98,16 +83,15 @@ def cmd_charpoly(args) -> None:
         _require_prime(args.ell, "ell")
         if args.ell == args.prime:
             raise ValueError("p and ell must be distinct, both %d" % args.prime)
-    cfg = _config(args)
-    f = cached_charpoly(args.prime, args.weight, cfg.open_cache())
+    f = cached_charpoly(args.prime, args.weight, _open_cache(args))
     d = f.degree
     fm = None
     if args.ell is not None:
-        fm = factor(reduce_mod(f, args.ell), seed=cfg.seed)
-    if cfg.format == "text":
+        fm = factor(reduce_mod(f, args.ell), seed=args.seed)
+    if args.format == "text":
         body = str(f) if fm is None else factor_str(fm)
         print(body + (" (dim 0)" if d == 0 else ""))
-    elif cfg.format == "json":
+    elif args.format == "json":
         obj = {
             "p": args.prime,
             "k": args.weight,
@@ -133,44 +117,15 @@ def cmd_charpoly(args) -> None:
         _emit_csv(["p", "k", "dim", "coeffs", "ell", "factors"], [row])
 
 
-def _charpoly_task(task):
-    p, k = task
-    return charpoly(p, k).coeffs
-
-
-def _table_tasks(ell, max_weight):
-    tasks = set()
-    for p in ROW_PRIMES.get(ell, (2,)):
-        for kclass in KCLASSES[ell]:
-            k = first_weight_in_class(kclass, ell)
-            while k <= max_weight:
-                tasks.add((p, k))
-                k += ell - 1
-    return sorted(tasks)
-
-
 def cmd_table(args) -> None:
     if args.ell not in (5, 7, 13):
         raise ValueError("tables exist for ell in {5, 7, 13}")
-    cfg = _config(args)
-    cache = cfg.open_cache()
     max_weight = args.max_weight
     if max_weight is None:
         max_weight = SINGLE_PERIOD_MAX_WEIGHT if args.single_period else DEFAULT_MAX_WEIGHT[args.ell]
-    if cfg.jobs > 1:
-        tasks = [
-            t for t in _table_tasks(args.ell, max_weight) if cache.get(*t) is None
-        ]
-        # workers only compute; the parent is the sole cache writer, in
-        # sorted task order, so cache files come out byte-identical
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            for (p, k), coeffs in zip(tasks, pool.map(_charpoly_task, tasks)):
-                cache.put(p, k, IntPoly(tuple(coeffs)))
-    cells = table_rows(
-        args.ell, max_weight=max_weight, single_period=args.single_period, cache=cache
-    )
+    cells = table_rows(args.ell, max_weight=max_weight, single_period=args.single_period)
     unverified = any(c.sequence.period is None for c in cells)
-    if cfg.format == "text":
+    if args.format == "text":
         lines = [
             "roots of T_p mod %d along even weight classes (weights <= %d)"
             % (args.ell, max_weight)
@@ -193,7 +148,7 @@ def cmd_table(args) -> None:
         if unverified:
             lines.append("note: periods not verified in this window")
         print("\n".join(lines))
-    elif cfg.format == "json":
+    elif args.format == "json":
         _emit_json(
             {
                 "ell": args.ell,
@@ -230,33 +185,30 @@ def cmd_table(args) -> None:
 
 
 def cmd_trace(args) -> None:
-    cfg = _config(args)
     value = trace(args.n, args.weight)
-    if cfg.format == "text":
+    if args.format == "text":
         print(value)
-    elif cfg.format == "json":
+    elif args.format == "json":
         _emit_json({"n": args.n, "k": args.weight, "trace": str(value)})
     else:
         _emit_csv(["n", "k", "trace"], [[args.n, args.weight, value]])
 
 
 def cmd_period(args) -> None:
-    cfg = _config(args)
     seq = root_sequence(
         args.prime,
         args.ell,
         args.kclass,
         max_weight=args.max_weight,
         require_two_periods=not args.single_period,
-        cache=cfg.open_cache(),
-        seed=cfg.seed,
+        seed=args.seed,
     )
-    if cfg.format == "text":
+    if args.format == "text":
         if seq.period is None:
             print("no period verified up to weight %d (%d terms)" % (seq.max_weight, len(seq.terms)))
         else:
             print(seq.period)
-    elif cfg.format == "json":
+    elif args.format == "json":
         _emit_json(
             {
                 "p": seq.p,
@@ -290,13 +242,12 @@ def _cert_text(name, cert) -> str:
 def cmd_certify(args) -> None:
     _require_prime(args.prime, "p")
     _require_even_weight(args.weight)
-    cfg = _config(args)
-    irr, full = certify(args.prime, args.weight, bound=args.bound, cache=cfg.open_cache())
-    if cfg.format == "text":
+    irr, full = certify(args.prime, args.weight, bound=args.bound, cache=_open_cache(args))
+    if args.format == "text":
         print("T_%d at weight %d, degree %d" % (args.prime, args.weight, dim_cusp(args.weight)))
         print(_cert_text("irreducible", irr))
         print(_cert_text("full symmetric group", full))
-    elif cfg.format == "json":
+    elif args.format == "json":
         _emit_json(
             {
                 "p": args.prime,
@@ -326,17 +277,16 @@ def cmd_certify(args) -> None:
 def cmd_deduce(args) -> None:
     _require_prime(args.target_prime, "p")
     _require_even_weight(args.weight)
-    cfg = _config(args)
     result = deduce(
         args.target_prime,
         args.weight,
         anchor_n=args.anchor,
         bound=args.bound,
-        cache=cfg.open_cache(),
+        cache=_open_cache(args),
     )
     target = result.target
     p, k = args.target_prime, args.weight
-    if cfg.format == "text":
+    if args.format == "text":
         if not isinstance(target, Certificate):
             print("T_%d at weight %d: no deduction (%s)" % (p, k, target.reason))
             return
@@ -369,7 +319,7 @@ def cmd_deduce(args) -> None:
         ):
             if cert is not None:
                 print("  " + _cert_text(label + " (T_%d)" % args.anchor, cert))
-    elif cfg.format == "json":
+    elif args.format == "json":
         obj = dict(result.to_dict(), p=p, k=k, anchor_n=args.anchor)
         _emit_json(obj)
     else:
@@ -411,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="directory for charpoly cache files (HECKE_MOD_CACHE overrides)",
     )
     common.add_argument("--seed", type=int, default=0, help="seed for randomized factoring")
-    common.add_argument("--jobs", type=int, default=1, help="parallel workers (table)")
 
     parser = _Parser(prog="heckemod", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="command", parser_class=_Parser)

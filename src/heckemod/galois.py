@@ -330,7 +330,7 @@ class ShapeVerdict:
         return self.possible_r == (1,) and (self.linear_power_excluded or self.dim == 1)
 
 
-def prop2_shape_filter(p: int, k: int, ells=(5, 7), cache=None) -> ShapeVerdict:
+def prop2_shape_filter(p: int, k: int, ells=(5, 7)) -> ShapeVerdict:
     """Constrain the shape of T_p at weight k from its splittings mod ells."""
     if not is_prime(p):
         raise ValueError("p = %d is not prime" % p)
@@ -343,7 +343,7 @@ def prop2_shape_filter(p: int, k: int, ells=(5, 7), cache=None) -> ShapeVerdict:
     for ell in ells:
         if ell == p:
             continue
-        fm = factor(charpoly_mod(p, k, ell, cache))
+        fm = factor(charpoly_mod(p, k, ell))
         counts = {}
         for g, m in fm.factors:
             if g.degree == 1:
@@ -420,12 +420,12 @@ class TableVerdict:
         )
 
 
-def _row_first_terms(ell, class_prime, k, dim, cache):
-    seq = root_sequence(class_prime, ell, k % (ell - 1), cache=cache)
+def _row_first_terms(ell, class_prime, k, dim):
+    seq = root_sequence(class_prime, ell, k % (ell - 1))
     return seq.one_period(), seq.first_terms(dim)
 
 
-def theorem1_conclusion(p: int, k: int, cache=None) -> TableVerdict:
+def theorem1_conclusion(p: int, k: int) -> TableVerdict:
     """Residue-class deduction: for p not +-1 mod 5 or mod 7, T_p at
     weight k is irreducible with full symmetric group, assuming some
     T_n at weight k is.
@@ -463,7 +463,7 @@ def theorem1_conclusion(p: int, k: int, cache=None) -> TableVerdict:
             detail="degree 1 is irreducible with trivial S_1",
             **base,
         )
-    row_period, first = _row_first_terms(ell, class_prime, k, d, cache)
+    row_period, first = _row_first_terms(ell, class_prime, k, d)
     if len(set(first)) < 2:
         return TableVerdict(
             applicable=False,
@@ -493,7 +493,7 @@ def _multiplicity_gcd(terms) -> int:
     return g
 
 
-def corollary_conclusion(p: int, k: int, cache=None) -> TableVerdict:
+def corollary_conclusion(p: int, k: int) -> TableVerdict:
     """Dimension-parity deduction: T_p at weight k is irreducible,
     assuming some T_n at weight k is.
 
@@ -541,7 +541,7 @@ def corollary_conclusion(p: int, k: int, cache=None) -> TableVerdict:
             detail="degree 1 is irreducible",
             **base,
         )
-    row_period, first = _row_first_terms(ell, class_prime, k, d, cache)
+    row_period, first = _row_first_terms(ell, class_prime, k, d)
     g = _multiplicity_gcd(first)
     if g != 1:
         return TableVerdict(
@@ -568,7 +568,7 @@ def corollary_conclusion(p: int, k: int, cache=None) -> TableVerdict:
     )
 
 
-def remark_rule(k: int, cache=None) -> TableVerdict:
+def remark_rule(k: int) -> TableVerdict:
     """Dimension-vs-14 bookkeeping, flagged as a remark-grade rule.
 
     When dim is not a multiple of 14, the mod-13 root multiplicities of
@@ -588,7 +588,7 @@ def remark_rule(k: int, cache=None) -> TableVerdict:
             **base,
         )
     if d % 14:
-        rts = roots(charpoly_mod(2, k, 13, cache))
+        rts = roots(charpoly_mod(2, k, 13))
         g = _multiplicity_gcd(rts)
         return TableVerdict(
             applicable=g == 1,
@@ -604,7 +604,7 @@ def remark_rule(k: int, cache=None) -> TableVerdict:
             **base,
         )
     if d % 28:
-        inner = corollary_conclusion(3, k, cache=cache)
+        inner = corollary_conclusion(3, k)
         return TableVerdict(
             applicable=inner.applicable,
             rule=RULE_REMARK_28,
@@ -653,12 +653,14 @@ def deduce(p: int, k: int, anchor_n: int = 2, bound: int = 200, cache=None):
     Tries the residue-class deduction first, then the parity corollary.
     The standing assumption (some T_n irreducible / fully symmetric) is
     discharged by certifying T_anchor_n at the same weight outright; a
-    successful anchor turns the verdict unconditional.
+    successful anchor turns the verdict unconditional.  The cache serves
+    the anchor's integer polynomial only: table rows are computed mod
+    ell by the Hecke kernel.
     """
-    verdict = theorem1_conclusion(p, k, cache=cache)
+    verdict = theorem1_conclusion(p, k)
     need_full_anchor = verdict.applicable
     if not verdict.applicable:
-        verdict = corollary_conclusion(p, k, cache=cache)
+        verdict = corollary_conclusion(p, k)
     cert = verdict.certificate()
     if isinstance(cert, NotFound):
         return DeduceResult(target=cert)

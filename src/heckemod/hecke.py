@@ -14,6 +14,10 @@ The action of T_n on coefficients at level 1 reads
 so building the matrix needs n * dim + 1 coefficients of each basis
 element.  Characteristic polynomials come from the Berkowitz algorithm,
 which stays inside integer arithmetic (no divisions at all).
+
+Being division-free, the pipeline runs unchanged over Z/m: given an
+optional `modulus`, each kernel function reduces every series product,
+coordinate and Berkowitz intermediate mod it.
 """
 
 from __future__ import annotations
@@ -88,26 +92,41 @@ def monomial_basis(k: int) -> list:
     return triples
 
 
-def basis_expansions(k: int, prec: int) -> list:
-    """q-expansions of the monomial basis, each to `prec` coefficients."""
+def _mod(x: int, modulus) -> int:
+    return x if modulus is None else x % modulus
+
+
+def _reduce(f: qseries.QExpansion, modulus) -> qseries.QExpansion:
+    if modulus is None:
+        return f
+    return qseries.QExpansion(tuple(c % modulus for c in f.coeffs), f.prec)
+
+
+def basis_expansions(k: int, prec: int, modulus=None) -> list:
+    """q-expansions of the monomial basis to `prec` coefficients, mod `modulus` if given."""
     triples = monomial_basis(k)
     if not triples:
         return []
-    d = qseries.delta(prec)
-    e4 = qseries.eisenstein4(prec)
-    e6 = qseries.eisenstein6(prec)
-    # delta powers are consumed consecutively, so build them incrementally
+
+    def mul(a, b):
+        return _reduce(qseries.mul(a, b), modulus)
+
+    d = _reduce(qseries.delta(prec), modulus)
+    e4 = _reduce(qseries.eisenstein4(prec), modulus)
+    # c is fixed by k mod 4 and b drops by 3 per step in a, so the
+    # E4^b E6^c factors come from the last one by repeated E4^3 products
+    _, b_min, c = triples[-1]
+    tail = _reduce(qseries.power(e4, b_min), modulus)
+    if c:
+        tail = mul(tail, _reduce(qseries.eisenstein6(prec), modulus))
+    e4_cubed = mul(mul(e4, e4), e4)
+    tails = [tail]
+    for _ in triples[1:]:
+        tails.append(mul(tails[-1], e4_cubed))
     out = []
-    dpow = d
-    for i, (a, b, c) in enumerate(triples):
-        if i > 0:
-            dpow = qseries.mul(dpow, d)
-        f = dpow
-        if b:
-            f = qseries.mul(f, qseries.power(e4, b))
-        if c:
-            f = qseries.mul(f, e6)
-        out.append(f)
+    for i, tail in enumerate(reversed(tails)):
+        dpow = mul(dpow, d) if i else d
+        out.append(mul(dpow, tail) if triples[i][1] or c else dpow)
     return out
 
 
@@ -136,11 +155,12 @@ def hecke_action(f: qseries.QExpansion, n: int, k: int, out_prec: int) -> qserie
     return qseries.QExpansion(tuple(out), out_prec)
 
 
-def hecke_matrix(n: int, k: int) -> tuple:
+def hecke_matrix(n: int, k: int, modulus=None) -> tuple:
     """Matrix of T_n on the monomial basis, rows/columns 0-indexed.
 
     Entry [i][j] is the coefficient of basis element i in T_n applied
-    to basis element j.  Returns () when the space is trivial.
+    to basis element j; with a modulus, entries are reduced mod it.
+    Returns () when the space is trivial.
     """
     if n < 1:
         raise ValueError("Hecke index must be >= 1")
@@ -149,49 +169,51 @@ def hecke_matrix(n: int, k: int) -> tuple:
     d = dim_cusp(k)
     if d == 0:
         return ()
-    basis = basis_expansions(k, n * d + 1)
+    basis = basis_expansions(k, n * d + 1, modulus)
     rows = [[0] * d for _ in range(d)]
     for j in range(d):
-        image = list(hecke_action(basis[j], n, k, d + 1).coeffs)
+        image = list(_reduce(hecke_action(basis[j], n, k, d + 1), modulus).coeffs)
         # basis element i leads with q^(i+1), so peel coordinates upward
         for i in range(d):
-            coord = image[i + 1]
+            coord = _mod(image[i + 1], modulus)
             rows[i][j] = coord
             if coord:
                 for m in range(i + 1, d + 1):
                     image[m] -= coord * basis[i].coeffs[m]
-        if any(image[m] for m in range(d + 1)):
+        if any(_mod(image[m], modulus) for m in range(d + 1)):
             raise SpanViolation(
                 "T_%d image of basis element %d not in the span at k=%d" % (n, j, k)
             )
     return tuple(tuple(r) for r in rows)
 
 
-def berkowitz_charpoly(matrix) -> IntPoly:
+def berkowitz_charpoly(matrix, modulus=None) -> IntPoly:
     """det(xI - A) for a square integer matrix, division-free.
 
     Berkowitz iterates over principal minors: the characteristic vector
     of each minor is a lower-triangular Toeplitz product of the previous
     one, realized here as a short convolution.  Empty matrix gives the
-    constant 1.
+    constant 1.  With a modulus, every intermediate is reduced mod it
+    and so are the returned coefficients.
     """
+
     n = len(matrix)
     if n == 0:
         return IntPoly((1,))
     a = matrix
-    v = [1, -a[n - 1][n - 1]]  # descending coefficients, bottom-right minor
+    v = [1, _mod(-a[n - 1][n - 1], modulus)]  # descending coefficients, bottom-right minor
     for s in range(2, n + 1):
         i0 = n - s
         row = a[i0][i0 + 1 :]
         col = [a[r][i0] for r in range(i0 + 1, n)]
         m = s - 1
-        t = [1, -a[i0][i0]]
+        t = [1, _mod(-a[i0][i0], modulus)]
         w = list(col)
         for step in range(m):
-            t.append(-sum(row[j] * w[j] for j in range(m)))
+            t.append(_mod(-sum(row[j] * w[j] for j in range(m)), modulus))
             if step < m - 1:
                 w = [
-                    sum(a[i0 + 1 + r][i0 + 1 + j] * w[j] for j in range(m))
+                    _mod(sum(a[i0 + 1 + r][i0 + 1 + j] * w[j] for j in range(m)), modulus)
                     for r in range(m)
                 ]
         # v_new = conv(t, v) truncated to length s + 1
@@ -200,18 +222,18 @@ def berkowitz_charpoly(matrix) -> IntPoly:
             acc = 0
             for j in range(max(0, i - len(v) + 1), min(i, s) + 1):
                 acc += t[j] * v[i - j]
-            nv.append(acc)
+            nv.append(_mod(acc, modulus))
         v = nv
     return IntPoly(tuple(reversed(v)))
 
 
-def charpoly(n: int, k: int) -> IntPoly:
+def charpoly(n: int, k: int, modulus=None) -> IntPoly:
     """Characteristic polynomial of T_n on weight-k cusp forms.
 
     Monic of degree dim S_k; the constant polynomial 1 when the space
-    is trivial.
+    is trivial.  With a modulus, the coefficients are reduced mod it.
     """
-    return berkowitz_charpoly(hecke_matrix(n, k))
+    return berkowitz_charpoly(hecke_matrix(n, k, modulus), modulus)
 
 
 def trace_of_matrix(matrix) -> int:

@@ -16,6 +16,9 @@ periodic tables, and checks the companion congruences:
     T_p = T_q (mod ell) on every weight;
   * every root mod ell lies in {p^m + p^n mod ell}.
 
+Every polynomial comes from the Hecke kernel run mod ell, so neither
+the integer polynomial nor the disk cache is ever touched.
+
 Violations raise, they are never smoothed over: an inexact quotient is
 a Lemma1Violation, a polynomial with too few roots in F_ell is a
 SplittingViolation, a root multiset that fails to extend its
@@ -28,7 +31,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 from ._primes import is_prime, minimal_period
-from .cache import cached_charpoly
 from .errors import (
     Lemma1Violation,
     PeriodNotFound,
@@ -36,7 +38,7 @@ from .errors import (
     SplittingViolation,
 )
 from .gfpoly import FpPoly, InexactDivision, divide_exact, reduce_mod, roots
-from .hecke import dim_cusp
+from .hecke import charpoly, dim_cusp
 
 # Row labels of the published mod-5 and mod-7 tables: the smallest prime
 # in each nonzero residue class, in the printed order.
@@ -59,15 +61,15 @@ def _validate(p: int, ell: int):
         raise ValueError("p and ell must be distinct, both %d" % p)
 
 
-def charpoly_mod(p: int, k: int, ell: int, cache=None) -> FpPoly:
-    """Characteristic polynomial of T_p at weight k, reduced mod ell."""
+def charpoly_mod(p: int, k: int, ell: int) -> FpPoly:
+    """Characteristic polynomial of T_p at weight k mod ell, from the kernel mod ell."""
     _validate(p, ell)
     if k % 2:
         raise ValueError("weight must be even, got %d" % k)
-    return reduce_mod(cached_charpoly(p, k, cache), ell)
+    return reduce_mod(charpoly(p, k, ell), ell)
 
 
-def lemma1_check(p: int, ell: int, k: int, cache=None) -> FpPoly:
+def lemma1_check(p: int, ell: int, k: int) -> FpPoly:
     """Quotient T_p(k + ell - 1) / T_p(k) in F_ell[x].
 
     The divisibility is guaranteed for ell >= 5; an inexact division is
@@ -75,8 +77,8 @@ def lemma1_check(p: int, ell: int, k: int, cache=None) -> FpPoly:
     """
     if ell < 5:
         raise ValueError("divisibility step needs ell >= 5, got %d" % ell)
-    low = charpoly_mod(p, k, ell, cache)
-    high = charpoly_mod(p, k + ell - 1, ell, cache)
+    low = charpoly_mod(p, k, ell)
+    high = charpoly_mod(p, k + ell - 1, ell)
     try:
         return divide_exact(high, low)
     except InexactDivision as exc:
@@ -132,7 +134,6 @@ def root_sequence(
     kclass: int,
     max_weight=None,
     require_two_periods: bool = True,
-    cache=None,
     seed: int = 0,
 ) -> RootSequence:
     """Walk a weight class and collect the new root at each dimension jump.
@@ -163,7 +164,7 @@ def root_sequence(
                 "no period for p=%d ell=%d class %d within %d increments"
                 % (p, ell, kclass, _increment_cutoff(ell))
             )
-        f = charpoly_mod(p, k, ell, cache)
+        f = charpoly_mod(p, k, ell)
         d = dim_cusp(k)
         rts = roots(f, seed=seed)
         if len(rts) != d:
@@ -217,7 +218,7 @@ class QuotientSequence:
     period: object  # int or None
 
 
-def quotient_sequence(p, ell, kclass, max_weight=None, cache=None) -> QuotientSequence:
+def quotient_sequence(p, ell, kclass, max_weight=None) -> QuotientSequence:
     """The divisibility quotients along a weight class, with empirical period.
 
     Each quotient degree equals the dimension jump at its step; the
@@ -233,7 +234,7 @@ def quotient_sequence(p, ell, kclass, max_weight=None, cache=None) -> QuotientSe
     quotients = []
     k = k0
     while k + ell - 1 <= max_weight:
-        quotients.append(lemma1_check(p, ell, k, cache))
+        quotients.append(lemma1_check(p, ell, k))
         k += ell - 1
     return QuotientSequence(
         p=p,
@@ -258,7 +259,7 @@ class TableCell:
         return self.sequence.one_period()
 
 
-def table_rows(ell, max_weight=None, single_period=False, cache=None):
+def table_rows(ell, max_weight=None, single_period=False):
     """All cells of the periodic root table for ell in {5, 7, 13}.
 
     For ell in {5, 7} the rows run over the published representative
@@ -282,7 +283,6 @@ def table_rows(ell, max_weight=None, single_period=False, cache=None):
                 kclass,
                 max_weight=max_weight,
                 require_two_periods=not single_period,
-                cache=cache,
             )
             cells.append(TableCell(p=p, p_class=p % ell, ell=ell, kclass=kclass, sequence=seq))
     return cells
@@ -308,7 +308,7 @@ def small_ell_rule(p: int, k: int, ell: int) -> FpPoly:
     return out
 
 
-def congruence_class_invariance(p: int, q: int, ell: int, k: int, cache=None) -> bool:
+def congruence_class_invariance(p: int, q: int, ell: int, k: int) -> bool:
     """Whether T_p and T_q agree mod ell at weight k; requires p = q (mod ell).
 
     For ell <= 7 agreement is a theorem, so False from this function is
@@ -318,7 +318,7 @@ def congruence_class_invariance(p: int, q: int, ell: int, k: int, cache=None) ->
         raise ValueError("class invariance is only guaranteed for ell <= 7")
     if (p - q) % ell:
         raise ValueError("p=%d and q=%d are not congruent mod %d" % (p, q, ell))
-    return charpoly_mod(p, k, ell, cache) == charpoly_mod(q, k, ell, cache)
+    return charpoly_mod(p, k, ell) == charpoly_mod(q, k, ell)
 
 
 def serre_eigenvalue_set(p: int, ell: int) -> frozenset:
@@ -327,10 +327,10 @@ def serre_eigenvalue_set(p: int, ell: int) -> frozenset:
     return frozenset((a + b) % ell for a in powers for b in powers)
 
 
-def serre_classification_check(ell: int, p: int, k: int, cache=None, seed: int = 0) -> bool:
+def serre_classification_check(ell: int, p: int, k: int, seed: int = 0) -> bool:
     """Whether every root of T_p mod ell lies in {p^m + p^n mod ell}."""
     if ell not in (3, 5, 7):
         raise ValueError("classification check covers ell in {3, 5, 7}")
-    f = charpoly_mod(p, k, ell, cache)
+    f = charpoly_mod(p, k, ell)
     allowed = serre_eigenvalue_set(p, ell)
     return all(r in allowed for r in roots(f, seed=seed))

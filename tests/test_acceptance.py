@@ -13,7 +13,6 @@ See test_criterion_09_galois_engine.
 import time
 
 from heckemod._primes import primes_up_to
-from heckemod.cache import CharpolyCache
 from heckemod.galois import (
     CLAIM_FULL_SYMMETRIC,
     Certificate,
@@ -83,9 +82,9 @@ def report(num, ok, detail):
     print("[criterion %d] %s: %s" % (num, "PASS" if ok else "FAIL", detail))
 
 
-def test_criterion_01_table_mod5(shared_cache):
+def test_criterion_01_table_mod5():
     start = time.perf_counter()
-    cells = table_rows(5, cache=shared_cache)
+    cells = table_rows(5)
     ok = len(cells) == 8 and all(
         cell.display_terms == TABLE_5[(cell.p, cell.kclass)]
         and cell.sequence.period == len(cell.display_terms)
@@ -97,9 +96,9 @@ def test_criterion_01_table_mod5(shared_cache):
     assert ok
 
 
-def test_criterion_02_table_mod7(shared_cache):
+def test_criterion_02_table_mod7():
     start = time.perf_counter()
-    cells = table_rows(7, cache=shared_cache)
+    cells = table_rows(7)
     ok = len(cells) == 18 and all(
         cell.display_terms == TABLE_7[(cell.p, cell.kclass)]
         and cell.sequence.period == len(cell.display_terms)
@@ -111,9 +110,9 @@ def test_criterion_02_table_mod7(shared_cache):
     assert ok
 
 
-def test_criterion_03_table_mod13(shared_cache):
+def test_criterion_03_table_mod13():
     start = time.perf_counter()
-    cells = table_rows(13, cache=shared_cache)
+    cells = table_rows(13)
     ok = len(cells) == 6 and all(
         cell.sequence.period == 14
         and cell.display_terms == TABLE_13[cell.kclass]
@@ -122,9 +121,8 @@ def test_criterion_03_table_mod13(shared_cache):
     full_elapsed = time.perf_counter() - start
     ok = ok and full_elapsed < 1800
 
-    # single-period mode gets a fresh cache so its budget is honest
     start = time.perf_counter()
-    quick = table_rows(13, single_period=True, cache=CharpolyCache())
+    quick = table_rows(13, single_period=True)
     ok = ok and all(
         cell.sequence.period is None
         and cell.sequence.terms[:14] == TABLE_13[cell.kclass]
@@ -141,14 +139,14 @@ def test_criterion_03_table_mod13(shared_cache):
     assert ok
 
 
-def test_criterion_04_closed_forms(shared_cache):
+def test_criterion_04_closed_forms():
     start = time.perf_counter()
     checked = 0
     ok = True
     for ell, ps in ((2, (3, 5, 7, 11, 13)), (3, (2, 5, 7, 11, 13))):
         for p in ps:
             for k in range(2, 61, 2):
-                ok = ok and charpoly_mod(p, k, ell, shared_cache) == small_ell_rule(
+                ok = ok and charpoly_mod(p, k, ell) == small_ell_rule(
                     p, k, ell
                 )
                 checked += 1
@@ -172,7 +170,7 @@ def test_criterion_05_trace_formula_oracle():
     assert ok
 
 
-def test_criterion_06_divisibility(shared_cache):
+def test_criterion_06_divisibility():
     start = time.perf_counter()
     checked = 0
     for p in (2, 3, 5, 7, 11):
@@ -180,7 +178,7 @@ def test_criterion_06_divisibility(shared_cache):
             if p == ell:
                 continue
             for k in range(12, 121, 2):
-                lemma1_check(p, ell, k, cache=shared_cache)  # raises on failure
+                lemma1_check(p, ell, k)  # raises on failure
                 checked += 1
     elapsed = time.perf_counter() - start
     ok = checked == 13 * 55 and elapsed < 120
@@ -188,20 +186,20 @@ def test_criterion_06_divisibility(shared_cache):
     assert ok
 
 
-def test_criterion_07_congruence_classes(shared_cache):
+def test_criterion_07_congruence_classes():
     start = time.perf_counter()
     ok = True
     checked = 0
     for p, q, ell in ((2, 7, 5), (3, 13, 5), (2, 23, 7), (3, 17, 7)):
         for k in range(2, 61, 2):
-            ok = ok and congruence_class_invariance(p, q, ell, k, cache=shared_cache)
+            ok = ok and congruence_class_invariance(p, q, ell, k)
             checked += 1
     elapsed = time.perf_counter() - start
     report(7, ok, "congruence-class invariance, %d cases, %.1fs" % (checked, elapsed))
     assert ok
 
 
-def test_criterion_08_root_classification(shared_cache):
+def test_criterion_08_root_classification():
     start = time.perf_counter()
     ok = True
     checked = 0
@@ -210,7 +208,7 @@ def test_criterion_08_root_classification(shared_cache):
             if p == ell:
                 continue
             for k in range(2, 61, 2):
-                ok = ok and serre_classification_check(ell, p, k, cache=shared_cache)
+                ok = ok and serre_classification_check(ell, p, k)
                 checked += 1
     elapsed = time.perf_counter() - start
     report(8, ok, "eigenvalue classification, %d cases, %.1fs" % (checked, elapsed))
@@ -291,7 +289,7 @@ def test_criterion_10_deduction_end_to_end(shared_cache):
             and cert.claim == CLAIM_FULL_SYMMETRIC
         )
         row = next(e for e in cert.evidence if e.get("kind") == "table-row")
-        direct = roots(charpoly_mod(row["class_prime"], 24, row["ell"], shared_cache))
+        direct = roots(charpoly_mod(row["class_prime"], 24, row["ell"]))
         ok = ok and good and sorted(row["first_terms"]) == sorted(direct)
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 60

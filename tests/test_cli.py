@@ -6,8 +6,10 @@ import sys
 
 import pytest
 
+from heckemod.cache import CharpolyCache, record_line
 from heckemod.cli import main
 from heckemod.errors import ComputationError
+from heckemod.hecke import charpoly
 
 
 @pytest.fixture(autouse=True)
@@ -95,13 +97,6 @@ def test_table_json_and_csv_mod5(capsys):
     assert ["5", "2", "2", "0", "2", "110", "1;4"] in rows
 
 
-def test_table_jobs_output_identical(capsys):
-    args = ["table", "--ell", "5", "--max-weight", "60", "--format", "csv"]
-    _, single, _ = run_cli(capsys, *args, "--jobs", "1")
-    _, double, _ = run_cli(capsys, *args, "--jobs", "2")
-    assert single == double
-
-
 def test_period_output(capsys):
     code, out, _ = run_cli(capsys, "period", "--prime", "2", "--ell", "5", "--kclass", "0")
     assert code == 0 and out == "2\n"
@@ -175,6 +170,60 @@ def test_cache_round_trip_byte_identical(tmp_path, capsys):
     _, out3, _ = run_cli(capsys, *args)
     assert (tmp_path / "cache" / "p2.jsonl").read_bytes() == blob1
     assert out1 == out2 == out3
+
+
+def test_torn_cache_line_is_recomputed(tmp_path, capsys):
+    d = tmp_path / "cache"
+    for k in ("24", "36"):
+        run_cli(capsys, "charpoly", "--prime", "2", "--weight", k, "--cache-dir", str(d))
+    path = d / "p2.jsonl"
+    torn = path.read_bytes()[:-20]  # a crash in the middle of the last append
+    path.write_bytes(torn)
+
+    code, out, err = run_cli(
+        capsys, "certify", "--prime", "2", "--weight", "36", "--cache-dir", str(d)
+    )
+    assert (code, err) == (0, "")
+    assert out == (
+        "T_2 at weight 36, degree 3\n"
+        "irreducible: yes (rule IrreducibleModEll)\n"
+        "full symmetric group: yes (rule JordanCriterion)\n"
+    )
+    # the recomputed record starts on its own line after the torn one
+    assert path.read_bytes() == torn + b"\n" + record_line(2, 36, charpoly(2, 36)).encode()
+    assert CharpolyCache(str(d)).get(2, 36) == charpoly(2, 36)
+
+
+def test_wrong_degree_cache_record_is_recomputed(tmp_path, capsys):
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    (bad / "p2.jsonl").write_text('{"coeffs": ["5", "1"], "k": 24, "p": 2}\n')
+
+    code, out, _ = run_cli(
+        capsys, "charpoly", "--prime", "2", "--weight", "24", "--ell", "5", "--cache-dir", str(bad)
+    )
+    assert code == 0 and out == "(x + 1)(x + 4) over F_5\n"
+
+    (bad / "p2.jsonl").write_text('{"coeffs": ["5", "1"], "k": 24, "p": 2}\n')
+    args = ["deduce", "--target-prime", "3", "--weight", "24", "--format", "json"]
+    code, out, _ = run_cli(capsys, *args, "--cache-dir", str(bad))
+    _, clean, _ = run_cli(capsys, *args, "--cache-dir", str(tmp_path / "clean"))
+    assert code == 0 and out == clean
+    anchor = json.loads(out)["anchor_irreducible"]
+    assert anchor["degree"] == 2
+    assert anchor["evidence"] == [{"ell": 23, "kind": "cycle-type", "partition": [2]}]
+
+
+def test_table_and_period_leave_the_cache_alone(tmp_path, capsys):
+    d = tmp_path / "cache"
+    table = ["table", "--ell", "5", "--max-weight", "60", "--single-period"]
+    code, _, _ = run_cli(capsys, *table, "--cache-dir", str(d))
+    assert code == 0
+    code, out, _ = run_cli(
+        capsys, "period", "--prime", "2", "--ell", "5", "--kclass", "0", "--cache-dir", str(d)
+    )
+    assert code == 0 and out == "2\n"
+    assert not list(tmp_path.glob("**/p*.jsonl"))
 
 
 def test_env_var_overrides_cache_flag(tmp_path, capsys, monkeypatch):

@@ -221,8 +221,8 @@ def test_certificates_serialize(shared_cache):
     assert json.loads(json.dumps(missing.to_dict()))["found"] is False
 
 
-def test_prop2_shape_filter(shared_cache):
-    verdict = prop2_shape_filter(2, 24, cache=shared_cache)
+def test_prop2_shape_filter():
+    verdict = prop2_shape_filter(2, 24)
     assert verdict.possible_r == (1,)
     assert verdict.linear_power_excluded
     assert verdict.irreducible_if_some_irreducible
@@ -230,7 +230,7 @@ def test_prop2_shape_filter(shared_cache):
     ells = [e["ell"] for e in verdict.evidence]
     assert ells == [5, 7]
     with pytest.raises(ValueError):
-        prop2_shape_filter(2, 14, cache=shared_cache)
+        prop2_shape_filter(2, 14)
 
 
 def test_residue_density_is_twenty_of_twentyfour():
@@ -239,51 +239,51 @@ def test_residue_density_is_twenty_of_twentyfour():
     assert sum(residues_qualify(a) for a in units) == 20
 
 
-def test_theorem1_conclusion(shared_cache):
-    v = theorem1_conclusion(3, 24, shared_cache)
+def test_theorem1_conclusion():
+    v = theorem1_conclusion(3, 24)
     assert v.applicable and v.ell == 5 and v.class_prime == 3
     assert v.first_terms == (2, 3)
     assert v.row_period == (2, 3)
     assert v.assumptions
 
-    w = theorem1_conclusion(11, 24, shared_cache)  # 11 = 1 mod 5 but 4 mod 7
+    w = theorem1_conclusion(11, 24)  # 11 = 1 mod 5 but 4 mod 7
     assert w.applicable and w.ell == 7 and w.class_prime == 11
     assert w.first_terms == (1, 3)
 
-    none = theorem1_conclusion(29, 24, shared_cache)  # +-1 mod both
+    none = theorem1_conclusion(29, 24)  # +-1 mod both
     assert not none.applicable
     assert isinstance(none.certificate(), NotFound)
 
 
-def test_corollary_conclusion(shared_cache):
+def test_corollary_conclusion():
     # case i: odd dimension
-    v = corollary_conclusion(3, 26, shared_cache)
+    v = corollary_conclusion(3, 26)
     assert v.applicable and v.rule == "Corollary-i" and v.claim == CLAIM_IRREDUCIBLE
 
     # case ii: dim = 2 mod 4 with p = 3 mod 7
-    w = corollary_conclusion(3, 24, shared_cache)
+    w = corollary_conclusion(3, 24)
     assert w.applicable and w.rule == "Corollary-ii"
     assert w.ell == 7 and w.first_terms == (0, 1)
 
     # dim odd but no qualifying residue
-    n = corollary_conclusion(29, 50, shared_cache)
+    n = corollary_conclusion(29, 50)
     assert not n.applicable
 
     # dim = 0 mod 4 with p = 1 mod 7 fits neither case
-    m = corollary_conclusion(29, 48, shared_cache)
+    m = corollary_conclusion(29, 48)
     assert not m.applicable
 
 
-def test_remark_rule(shared_cache):
-    r = remark_rule(24, shared_cache)
+def test_remark_rule():
+    r = remark_rule(24)
     assert r.applicable and r.rule == "PaperRemark14" and r.p == 2
-    assert sorted(r.first_terms) == sorted(roots(charpoly_mod(2, 24, 13, shared_cache)))
+    assert sorted(r.first_terms) == sorted(roots(charpoly_mod(2, 24, 13)))
 
     # weight 168 is the first dimension divisible by 14 (14 = 2 mod 4)
-    r28 = remark_rule(168, shared_cache)
+    r28 = remark_rule(168)
     assert r28.applicable and r28.rule == "PaperRemark28" and r28.p == 3
 
-    r0 = remark_rule(10, shared_cache)
+    r0 = remark_rule(10)
     assert not r0.applicable
 
 

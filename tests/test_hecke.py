@@ -5,6 +5,7 @@ import pytest
 
 from heckemod import qseries, traceformula
 from heckemod.errors import InsufficientPrecision
+from heckemod.gfpoly import reduce_mod
 from heckemod.hecke import (
     IntPoly,
     basis_expansions,
@@ -175,3 +176,30 @@ def test_intpoly_basics():
     assert f.evaluate(-24) == 0
     with pytest.raises(ValueError):
         IntPoly(())
+
+
+def test_kernel_mod_ell_fixed_large_case():
+    # p = 29 at k = 200 is the largest Hecke matrix of the mod-7 table
+    assert charpoly(29, 200, 7).coeffs == tuple(c % 7 for c in charpoly(29, 200).coeffs)
+
+
+def test_kernel_mod_ell_matches_reduced_integer_charpoly():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=50, deadline=None, database=None)
+    @hypothesis.given(
+        p=st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]),
+        k=st.integers(6, 60).map(lambda h: 2 * h),
+        ell=st.sampled_from([2, 3, 5, 7, 11, 13]),
+    )
+    def check(p, k, ell):
+        hypothesis.assume(ell != p)
+        assert charpoly(p, k, ell).coeffs == reduce_mod(charpoly(p, k), ell).coeffs
+        prec = p * dim_cusp(k) + 1
+        exact = basis_expansions(k, prec)
+        assert basis_expansions(k, prec, ell) == [
+            qseries.QExpansion(tuple(c % ell for c in f.coeffs), prec) for f in exact
+        ]
+
+    check()

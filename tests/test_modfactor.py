@@ -1,6 +1,6 @@
 import pytest
 
-from heckemod.cache import CharpolyCache
+from heckemod import modfactor
 from heckemod.errors import Lemma1Violation, PeriodNotFound, RootNestingViolation, SplittingViolation
 from heckemod.gfpoly import FpPoly, roots
 from heckemod.hecke import IntPoly, dim_cusp
@@ -29,9 +29,9 @@ TABLE_5 = {
 }
 
 
-def test_charpoly_mod_basics(shared_cache):
-    assert charpoly_mod(2, 12, 5, shared_cache).coeffs == (4, 1)
-    assert charpoly_mod(2, 10, 5, shared_cache).is_one
+def test_charpoly_mod_basics():
+    assert charpoly_mod(2, 12, 5).coeffs == (4, 1)
+    assert charpoly_mod(2, 10, 5).is_one
     with pytest.raises(ValueError):
         charpoly_mod(5, 12, 5)
     with pytest.raises(ValueError):
@@ -42,11 +42,11 @@ def test_charpoly_mod_basics(shared_cache):
         charpoly_mod(2, 12, 6)
 
 
-def test_lemma1_quotients(shared_cache):
-    assert lemma1_check(2, 5, 12, shared_cache).is_one
-    assert lemma1_check(2, 5, 20, shared_cache).coeffs == (1, 1)  # new root 4
+def test_lemma1_quotients():
+    assert lemma1_check(2, 5, 12).is_one
+    assert lemma1_check(2, 5, 20).coeffs == (1, 1)  # new root 4
     for k in range(12, 42, 2):
-        q = lemma1_check(2, 5, k, shared_cache)
+        q = lemma1_check(2, 5, k)
         assert q.degree == dim_cusp(k + 4) - dim_cusp(k)
     with pytest.raises(ValueError):
         lemma1_check(2, 3, 12)
@@ -63,48 +63,48 @@ def test_first_weight_in_class():
         first_weight_in_class(1, 5)
 
 
-def test_root_sequence_mod5(shared_cache):
-    seq = root_sequence(2, 5, 0, cache=shared_cache)
+def test_root_sequence_mod5():
+    seq = root_sequence(2, 5, 0)
     assert seq.period == 2
     assert seq.one_period() == (1, 4)
     assert seq.terms[:6] == (1, 4, 1, 4, 1, 4)
     assert seq.term_weights[:3] == (12, 24, 36)
     assert seq.first_terms(7) == (1, 4, 1, 4, 1, 4, 1)
 
-    swapped = root_sequence(2, 5, 2, cache=shared_cache)
+    swapped = root_sequence(2, 5, 2)
     assert swapped.one_period() == (2, 3)
 
 
-def test_root_sequence_mod7(shared_cache):
-    seq = root_sequence(3, 7, 0, cache=shared_cache)
+def test_root_sequence_mod7():
+    seq = root_sequence(3, 7, 0)
     assert seq.period == 4
     assert seq.one_period() == (0, 1, 0, 6)
 
 
-def test_root_sequence_accumulates_exact_root_multisets(shared_cache):
+def test_root_sequence_accumulates_exact_root_multisets():
     # the first dim(k) terms are exactly the roots of T_2 mod 5 at k
-    seq = root_sequence(2, 5, 0, cache=shared_cache)
+    seq = root_sequence(2, 5, 0)
     for k in range(12, 112, 4):
         d = dim_cusp(k)
-        direct = roots(charpoly_mod(2, k, 5, shared_cache))
+        direct = roots(charpoly_mod(2, k, 5))
         assert tuple(sorted(seq.terms[:d])) == direct
 
 
-def test_root_sequence_short_window(shared_cache):
-    seq = root_sequence(2, 5, 0, max_weight=30, require_two_periods=False, cache=shared_cache)
+def test_root_sequence_short_window():
+    seq = root_sequence(2, 5, 0, max_weight=30, require_two_periods=False)
     assert seq.period is None
     assert seq.terms == (1, 4)
     assert seq.one_period() == (1, 4)
     with pytest.raises(ValueError):
         seq.first_terms(3)
     with pytest.raises(PeriodNotFound):
-        root_sequence(2, 5, 0, max_weight=20, cache=shared_cache)
+        root_sequence(2, 5, 0, max_weight=20)
     with pytest.raises(ValueError):
         root_sequence(2, 11, 0)
 
 
-def test_table_rows_mod5(shared_cache):
-    cells = table_rows(5, cache=shared_cache)
+def test_table_rows_mod5():
+    cells = table_rows(5)
     assert len(cells) == 8
     for cell in cells:
         assert cell.display_terms == TABLE_5[(cell.p, cell.kclass)]
@@ -112,59 +112,57 @@ def test_table_rows_mod5(shared_cache):
         assert cell.p_class == cell.p % 5
 
 
-class PoisonedCache:
-    """Cache double returning a planted wrong polynomial for one key."""
+def poison(monkeypatch, key, poly):
+    """Plant a wrong polynomial for one (p, k) in the kernel modfactor calls."""
+    real = modfactor.charpoly
 
-    def __init__(self, key, poly):
-        self.key = key
-        self.poly = poly
-        self.real = CharpolyCache()
+    def planted(p, k, modulus=None):
+        if (p, k) == key:
+            return poly
+        return real(p, k, modulus)
 
-    def charpoly(self, p, k):
-        if (p, k) == self.key:
-            return self.poly
-        return self.real.charpoly(p, k)
+    monkeypatch.setattr(modfactor, "charpoly", planted)
 
 
-def test_splitting_violation_detected():
+def test_splitting_violation_detected(monkeypatch):
     # x^2 + 2 has no roots mod 5, and the dimension at 16 is 1
-    fake = PoisonedCache((2, 16), IntPoly((2, 0, 1)))
+    poison(monkeypatch, (2, 16), IntPoly((2, 0, 1)))
     with pytest.raises(SplittingViolation):
-        root_sequence(2, 5, 0, cache=fake)
+        root_sequence(2, 5, 0)
 
 
-def test_nesting_violation_detected():
+def test_nesting_violation_detected(monkeypatch):
     # root 2 at weight 16 would drop the root 1 seen at weight 12
-    fake = PoisonedCache((2, 16), IntPoly((-2, 1)))
+    poison(monkeypatch, (2, 16), IntPoly((-2, 1)))
     with pytest.raises(RootNestingViolation):
-        root_sequence(2, 5, 0, cache=fake)
+        root_sequence(2, 5, 0)
 
 
-def test_lemma1_violation_detected():
-    fake = PoisonedCache((2, 16), IntPoly((1, 1)))
+def test_lemma1_violation_detected(monkeypatch):
+    poison(monkeypatch, (2, 16), IntPoly((1, 1)))
     with pytest.raises(Lemma1Violation):
-        lemma1_check(2, 5, 12, fake)
+        lemma1_check(2, 5, 12)
 
 
-def test_quotient_sequence_reassembles(shared_cache):
-    qs = quotient_sequence(2, 5, 0, max_weight=60, cache=shared_cache)
+def test_quotient_sequence_reassembles():
+    qs = quotient_sequence(2, 5, 0, max_weight=60)
     assert qs.start_weight == 12
-    running = charpoly_mod(2, 12, 5, shared_cache)
+    running = charpoly_mod(2, 12, 5)
     k = 12
     for q in qs.quotients:
         assert q.degree == dim_cusp(k + 4) - dim_cusp(k)
         running = running * q
         k += 4
-        assert running == charpoly_mod(2, k, 5, shared_cache)
+        assert running == charpoly_mod(2, k, 5)
 
 
-def test_small_ell_closed_forms(shared_cache):
+def test_small_ell_closed_forms():
     for p in (3, 5, 7):
         for k in range(12, 42, 2):
-            assert small_ell_rule(p, k, 2) == charpoly_mod(p, k, 2, shared_cache)
+            assert small_ell_rule(p, k, 2) == charpoly_mod(p, k, 2)
     for p in (2, 5, 7, 13):
         for k in range(12, 42, 2):
-            assert small_ell_rule(p, k, 3) == charpoly_mod(p, k, 3, shared_cache)
+            assert small_ell_rule(p, k, 3) == charpoly_mod(p, k, 3)
     assert small_ell_rule(3, 24, 2) == FpPoly(2, (0, 0, 1))
     assert small_ell_rule(7, 24, 3) == FpPoly(3, (-2, 1)) * FpPoly(3, (-2, 1))
     with pytest.raises(ValueError):
@@ -173,9 +171,9 @@ def test_small_ell_closed_forms(shared_cache):
         small_ell_rule(3, 24, 3)
 
 
-def test_congruence_class_invariance(shared_cache):
+def test_congruence_class_invariance():
     for k in range(12, 38, 2):
-        assert congruence_class_invariance(2, 7, 5, k, shared_cache)
+        assert congruence_class_invariance(2, 7, 5, k)
     with pytest.raises(ValueError):
         congruence_class_invariance(2, 3, 5, 12)
     with pytest.raises(ValueError):
@@ -190,9 +188,9 @@ def test_serre_eigenvalue_sets():
     assert serre_eigenvalue_set(3, 5) == frozenset(brute)
 
 
-def test_serre_classification_sample(shared_cache):
+def test_serre_classification_sample():
     for k in range(12, 42, 2):
-        assert serre_classification_check(7, 2, k, shared_cache)
-        assert serre_classification_check(5, 3, k, shared_cache)
+        assert serre_classification_check(7, 2, k)
+        assert serre_classification_check(5, 3, k)
     with pytest.raises(ValueError):
         serre_classification_check(11, 2, 12)
