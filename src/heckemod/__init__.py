@@ -3,7 +3,7 @@ spaces, their factorizations modulo primes, the periodic root tables
 those factorizations fall into, trace-formula cross checks, and
 Galois-theoretic irreducibility certificates."""
 
-from .cache import CharpolyCache, cached_charpoly
+from .cache import CharpolyCache
 from .errors import (
     ComputationError,
     FalsificationError,
@@ -68,7 +68,6 @@ __all__ = [
     "SpanViolation",
     "SplittingViolation",
     "SquarefreeFailure",
-    "cached_charpoly",
     "certify",
     "certify_full_symmetric",
     "certify_irreducible",

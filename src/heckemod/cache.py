@@ -11,10 +11,13 @@ records survive any JSON number-precision concerns and recomputation
 reproduces them byte for byte.  A cache constructed with directory
 None memoizes in memory only.
 
-A line that does not parse, names another p, or is not monic of degree
-dim S_k is skipped on load, so its polynomial is recomputed and appended
-(on a fresh line after a torn tail).  Only `charpoly`, `certify` and the
-anchor of `deduce` use the cache; tables work mod ell and never open it.
+A line that does not parse, names another p, is not monic of degree
+d = dim S_k, or whose x^(d-1) coefficient is not minus the trace of T_p
+from the trace formula is skipped on load, so its polynomial is
+recomputed and appended (on a fresh line after a torn tail).  Each
+append is a single write on an O_APPEND descriptor.  Only `charpoly`,
+`certify` and the anchor of `deduce` use the cache; tables work mod ell
+and never open it.
 """
 
 from __future__ import annotations
@@ -22,7 +25,9 @@ from __future__ import annotations
 import json
 import os
 
+from .errors import ComputationError
 from .hecke import IntPoly, charpoly, dim_cusp
+from .traceformula import trace
 
 
 class CharpolyCache:
@@ -63,11 +68,19 @@ class CharpolyCache:
             return
         self._mem[(p, k)] = poly
         if self.directory is not None:
-            with open(self._path(p), "a", encoding="ascii", newline="") as fh:
-                if p in self._torn:
-                    fh.write("\n")
-                    self._torn.discard(p)
-                fh.write(record_line(p, k, poly))
+            data = (("\n" if p in self._torn else "") + record_line(p, k, poly)).encode("ascii")
+            fd = os.open(self._path(p), os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+            try:
+                written = os.write(fd, data)
+            finally:
+                os.close(fd)
+            if written != len(data):
+                self._torn.add(p)  # the file now ends inside this record
+                raise ComputationError(
+                    "cache write to %s stopped after %d of %d bytes"
+                    % (self._path(p), written, len(data))
+                )
+            self._torn.discard(p)
 
     def charpoly(self, p: int, k: int) -> IntPoly:
         """Cached characteristic polynomial of T_p at weight k."""
@@ -88,7 +101,10 @@ def _parse_record(line: str, p: int):
             return None
     except (ValueError, KeyError, TypeError):
         return None
-    if len(coeffs) != dim_cusp(k) + 1 or coeffs[-1] != 1:
+    d = dim_cusp(k)
+    if len(coeffs) != d + 1 or coeffs[-1] != 1:
+        return None
+    if d and coeffs[d - 1] != -trace(p, k):
         return None
     return (p, k), IntPoly(coeffs)
 
@@ -96,10 +112,3 @@ def _parse_record(line: str, p: int):
 def record_line(p: int, k: int, poly: IntPoly) -> str:
     rec = {"coeffs": [str(c) for c in poly.coeffs], "k": k, "p": p}
     return json.dumps(rec, sort_keys=True) + "\n"
-
-
-def cached_charpoly(p: int, k: int, cache=None) -> IntPoly:
-    """charpoly through an optional CharpolyCache."""
-    if cache is None:
-        return charpoly(p, k)
-    return cache.charpoly(p, k)

@@ -21,7 +21,7 @@ import os
 import sys
 
 from ._primes import is_prime
-from .cache import CharpolyCache, cached_charpoly
+from .cache import CharpolyCache
 from .errors import ComputationError, FalsificationError
 from .galois import (
     CLAIM_FULL_SYMMETRIC,
@@ -31,14 +31,7 @@ from .galois import (
 )
 from .gfpoly import factor, poly_str, reduce_mod
 from .hecke import dim_cusp
-from .modfactor import (
-    DEFAULT_MAX_WEIGHT,
-    KCLASSES,
-    ROW_PRIMES,
-    SINGLE_PERIOD_MAX_WEIGHT,
-    root_sequence,
-    table_rows,
-)
+from .modfactor import KCLASSES, ROW_PRIMES, root_sequence, table_rows
 from .traceformula import trace
 
 
@@ -83,7 +76,7 @@ def cmd_charpoly(args) -> None:
         _require_prime(args.ell, "ell")
         if args.ell == args.prime:
             raise ValueError("p and ell must be distinct, both %d" % args.prime)
-    f = cached_charpoly(args.prime, args.weight, _open_cache(args))
+    f = _open_cache(args).charpoly(args.prime, args.weight)
     d = f.degree
     fm = None
     if args.ell is not None:
@@ -118,12 +111,8 @@ def cmd_charpoly(args) -> None:
 
 
 def cmd_table(args) -> None:
-    if args.ell not in (5, 7, 13):
-        raise ValueError("tables exist for ell in {5, 7, 13}")
-    max_weight = args.max_weight
-    if max_weight is None:
-        max_weight = SINGLE_PERIOD_MAX_WEIGHT if args.single_period else DEFAULT_MAX_WEIGHT[args.ell]
-    cells = table_rows(args.ell, max_weight=max_weight, single_period=args.single_period)
+    cells = table_rows(args.ell, args.max_weight, args.single_period)
+    max_weight = cells[0].sequence.max_weight
     unverified = any(c.sequence.period is None for c in cells)
     if args.format == "text":
         lines = [

@@ -43,9 +43,8 @@ from itertools import chain
 from math import gcd as _gcd
 
 from ._primes import divisors, is_prime, primes_up_to
-from .cache import cached_charpoly
 from .gfpoly import distinct_degree, factor, gcd, reduce_mod, roots
-from .hecke import dim_cusp
+from .hecke import charpoly, dim_cusp
 from .modfactor import ROW_PRIMES, charpoly_mod, root_sequence
 
 RULE_IRREDUCIBLE_MOD_ELL = "IrreducibleModEll"
@@ -273,7 +272,7 @@ def _hecke_subject(p, k):
 def _hecke_poly(p, k, cache):
     if not is_prime(p):
         raise ValueError("p = %d is not prime" % p)
-    f = cached_charpoly(p, k, cache)
+    f = charpoly(p, k) if cache is None else cache.charpoly(p, k)
     if f.degree < 1:
         raise ValueError("weight %d has trivial cusp space" % k)
     return f

@@ -61,17 +61,9 @@ class IntPoly:
 def dim_cusp(k: int) -> int:
     """Dimension of the weight-k level-1 cusp space; 0 for odd or negative k.
 
-    Counts monomials delta^a E4^b E6^c of weight k with a >= 1, b >= 0,
-    c in {0, 1}.
+    The number of monomials delta^a E4^b E6^c that `monomial_basis` lists.
     """
-    if k < 12 or k % 2:
-        return 0
-    count = 0
-    for a in range(1, k // 12 + 1):
-        rem = k - 12 * a
-        if rem % 4 == 0 or rem >= 6:
-            count += 1
-    return count
+    return 0 if k % 2 else len(monomial_basis(k))
 
 
 def monomial_basis(k: int) -> list:
@@ -96,37 +88,27 @@ def _mod(x: int, modulus) -> int:
     return x if modulus is None else x % modulus
 
 
-def _reduce(f: qseries.QExpansion, modulus) -> qseries.QExpansion:
-    if modulus is None:
-        return f
-    return qseries.QExpansion(tuple(c % modulus for c in f.coeffs), f.prec)
-
-
 def basis_expansions(k: int, prec: int, modulus=None) -> list:
     """q-expansions of the monomial basis to `prec` coefficients, mod `modulus` if given."""
     triples = monomial_basis(k)
     if not triples:
         return []
-
-    def mul(a, b):
-        return _reduce(qseries.mul(a, b), modulus)
-
-    d = _reduce(qseries.delta(prec), modulus)
-    e4 = _reduce(qseries.eisenstein4(prec), modulus)
+    d = qseries.reduce(qseries.delta(prec), modulus)
+    e4 = qseries.reduce(qseries.eisenstein4(prec), modulus)
     # c is fixed by k mod 4 and b drops by 3 per step in a, so the
     # E4^b E6^c factors come from the last one by repeated E4^3 products
     _, b_min, c = triples[-1]
-    tail = _reduce(qseries.power(e4, b_min), modulus)
+    tail = qseries.power(e4, b_min, modulus)
     if c:
-        tail = mul(tail, _reduce(qseries.eisenstein6(prec), modulus))
-    e4_cubed = mul(mul(e4, e4), e4)
+        tail = qseries.mul(tail, qseries.reduce(qseries.eisenstein6(prec), modulus), modulus)
+    e4_cubed = qseries.mul(qseries.mul(e4, e4, modulus), e4, modulus)
     tails = [tail]
     for _ in triples[1:]:
-        tails.append(mul(tails[-1], e4_cubed))
+        tails.append(qseries.mul(tails[-1], e4_cubed, modulus))
     out = []
     for i, tail in enumerate(reversed(tails)):
-        dpow = mul(dpow, d) if i else d
-        out.append(mul(dpow, tail) if triples[i][1] or c else dpow)
+        dpow = qseries.mul(dpow, d, modulus) if i else d
+        out.append(qseries.mul(dpow, tail, modulus) if triples[i][1] or c else dpow)
     return out
 
 
@@ -152,7 +134,7 @@ def hecke_action(f: qseries.QExpansion, n: int, k: int, out_prec: int) -> qserie
             if g % e == 0:
                 acc += e ** (k - 1) * f.coeffs[m * n // (e * e)]
         out.append(acc)
-    return qseries.QExpansion(tuple(out), out_prec)
+    return qseries.QExpansion(tuple(out))
 
 
 def hecke_matrix(n: int, k: int, modulus=None) -> tuple:
@@ -172,7 +154,7 @@ def hecke_matrix(n: int, k: int, modulus=None) -> tuple:
     basis = basis_expansions(k, n * d + 1, modulus)
     rows = [[0] * d for _ in range(d)]
     for j in range(d):
-        image = list(_reduce(hecke_action(basis[j], n, k, d + 1), modulus).coeffs)
+        image = [_mod(c, modulus) for c in hecke_action(basis[j], n, k, d + 1).coeffs]
         # basis element i leads with q^(i+1), so peel coordinates upward
         for i in range(d):
             coord = _mod(image[i + 1], modulus)

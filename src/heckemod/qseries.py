@@ -1,12 +1,15 @@
-"""Truncated q-expansions with exact integer coefficients.
+"""Truncated q-expansions with coefficients in Z or Z/m.
 
 A QExpansion holds the first `prec` coefficients a_0 .. a_{prec-1} of a
 formal power series sum a_m q^m.  Coefficients are arbitrary-precision
 Python ints; nothing in this package ever goes through floats.
 
 Conventions:
-  * coeffs is a tuple of length exactly prec (index m = exponent of q^m);
-  * products and sums truncate to the smaller precision of the operands;
+  * coeffs is a nonempty tuple (index m = exponent of q^m) and prec is
+    its length;
+  * products truncate to the smaller precision of the operands and,
+    given a modulus, reduce every coefficient mod it, which is all the
+    level-1 pipeline needs to run over Z/m (it never divides);
   * the Eisenstein series are normalized to constant term 1.
 
 Generators supplied here: E4 = 1 + 240 sum sigma_3(n) q^n,
@@ -26,57 +29,25 @@ from ._primes import divisor_power_sum
 @dataclass(frozen=True)
 class QExpansion:
     coeffs: tuple
-    prec: int
 
     def __post_init__(self):
-        if self.prec < 1:
-            raise ValueError("precision must be >= 1")
-        if len(self.coeffs) != self.prec:
-            raise ValueError("coefficient count %d != prec %d" % (len(self.coeffs), self.prec))
+        if not self.coeffs:
+            raise ValueError("a q-expansion needs at least one coefficient")
 
-    def __getitem__(self, m: int) -> int:
-        return self.coeffs[m]
-
-    def __add__(self, other: "QExpansion") -> "QExpansion":
-        prec = min(self.prec, other.prec)
-        return QExpansion(tuple(self.coeffs[m] + other.coeffs[m] for m in range(prec)), prec)
-
-    def __sub__(self, other: "QExpansion") -> "QExpansion":
-        prec = min(self.prec, other.prec)
-        return QExpansion(tuple(self.coeffs[m] - other.coeffs[m] for m in range(prec)), prec)
-
-    def __rmul__(self, c: int) -> "QExpansion":
-        if not isinstance(c, int):
-            return NotImplemented
-        return QExpansion(tuple(c * a for a in self.coeffs), self.prec)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return other * self
-        return mul(self, other)
-
-    def __pow__(self, e: int) -> "QExpansion":
-        return power(self, e)
-
-    def truncate(self, prec: int) -> "QExpansion":
-        if prec > self.prec:
-            raise ValueError("cannot extend precision %d to %d" % (self.prec, prec))
-        return QExpansion(self.coeffs[:prec], prec)
+    @property
+    def prec(self) -> int:
+        return len(self.coeffs)
 
 
-def from_list(coeffs, prec=None) -> QExpansion:
-    """Build a QExpansion from a coefficient list, zero-padding to prec."""
-    coeffs = list(coeffs)
-    if prec is None:
-        prec = len(coeffs)
-    if len(coeffs) > prec:
-        raise ValueError("more coefficients than prec")
-    coeffs += [0] * (prec - len(coeffs))
-    return QExpansion(tuple(coeffs), prec)
+def reduce(a: QExpansion, modulus=None) -> QExpansion:
+    """a with every coefficient reduced mod `modulus`; a itself when modulus is None."""
+    if modulus is None:
+        return a
+    return QExpansion(tuple(c % modulus for c in a.coeffs))
 
 
-def mul(a: QExpansion, b: QExpansion) -> QExpansion:
-    """Product truncated to min(a.prec, b.prec)."""
+def mul(a: QExpansion, b: QExpansion, modulus=None) -> QExpansion:
+    """Product truncated to min(a.prec, b.prec), reduced mod `modulus` if given."""
     prec = min(a.prec, b.prec)
     out = [0] * prec
     for i in range(prec):
@@ -86,21 +57,21 @@ def mul(a: QExpansion, b: QExpansion) -> QExpansion:
                 bj = b.coeffs[j]
                 if bj:
                     out[i + j] += ai * bj
-    return QExpansion(tuple(out), prec)
+    return reduce(QExpansion(tuple(out)), modulus)
 
 
-def power(a: QExpansion, e: int) -> QExpansion:
-    """a**e by repeated squaring; e = 0 gives the constant series 1."""
+def power(a: QExpansion, e: int, modulus=None) -> QExpansion:
+    """a**e by repeated squaring, reduced mod `modulus` if given; e = 0 gives 1."""
     if e < 0:
         raise ValueError("negative exponent")
-    result = from_list([1], a.prec)
+    result = reduce(QExpansion((1,) + (0,) * (a.prec - 1)), modulus)
     base = a
     while e:
         if e & 1:
-            result = mul(result, base)
+            result = mul(result, base, modulus)
         e >>= 1
         if e:
-            base = mul(base, base)
+            base = mul(base, base, modulus)
     return result
 
 
@@ -112,11 +83,11 @@ def sigma(n: int, e: int) -> int:
 
 
 def eisenstein4(prec: int) -> QExpansion:
-    return QExpansion(tuple([1] + [240 * sigma(n, 3) for n in range(1, prec)]), prec)
+    return QExpansion(tuple([1] + [240 * sigma(n, 3) for n in range(1, prec)]))
 
 
 def eisenstein6(prec: int) -> QExpansion:
-    return QExpansion(tuple([1] + [-504 * sigma(n, 5) for n in range(1, prec)]), prec)
+    return QExpansion(tuple([1] + [-504 * sigma(n, 5) for n in range(1, prec)]))
 
 
 def _eta_quotientless(prec: int) -> list:
@@ -137,7 +108,7 @@ def _eta_quotientless(prec: int) -> list:
 def delta(prec: int) -> QExpansion:
     """The weight-12 cusp form q prod (1-q^n)^24, tau coefficients."""
     if prec == 1:
-        return QExpansion((0,), 1)
-    eta = QExpansion(tuple(_eta_quotientless(prec - 1)), prec - 1)
+        return QExpansion((0,))
+    eta = QExpansion(tuple(_eta_quotientless(prec - 1)))
     eta24 = power(eta, 24)
-    return QExpansion((0,) + eta24.coeffs, prec)
+    return QExpansion((0,) + eta24.coeffs)

@@ -1,7 +1,7 @@
 import json
 
-from heckemod.cache import CharpolyCache, cached_charpoly, record_line
-from heckemod.hecke import IntPoly, charpoly
+from heckemod.cache import CharpolyCache, record_line
+from heckemod.hecke import IntPoly
 
 
 def test_record_line_is_canonical():
@@ -48,10 +48,6 @@ def test_disk_records_are_byte_identical_across_runs(tmp_path):
     pa = (tmp_path / "a" / "p3.jsonl").read_bytes()
     pb = (tmp_path / "b" / "p3.jsonl").read_bytes()
     assert pa == pb
-
-
-def test_cached_charpoly_without_cache():
-    assert cached_charpoly(2, 12, None).coeffs == charpoly(2, 12).coeffs
 
 
 def test_files_split_by_prime(tmp_path):

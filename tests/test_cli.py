@@ -194,17 +194,27 @@ def test_torn_cache_line_is_recomputed(tmp_path, capsys):
     assert CharpolyCache(str(d)).get(2, 36) == charpoly(2, 36)
 
 
-def test_wrong_degree_cache_record_is_recomputed(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "record",
+    [
+        '{"coeffs": ["5", "1"], "k": 24, "p": 2}\n',
+        # right degree, but the x coefficient is not -trace(T_2) = -1080
+        '{"coeffs": ["-20468736", "-1081", "1"], "k": 24, "p": 2}\n',
+    ],
+    ids=["wrong-degree", "wrong-trace"],
+)
+def test_wrong_degree_cache_record_is_recomputed(tmp_path, capsys, record):
     bad = tmp_path / "bad"
     bad.mkdir()
-    (bad / "p2.jsonl").write_text('{"coeffs": ["5", "1"], "k": 24, "p": 2}\n')
+    (bad / "p2.jsonl").write_text(record)
 
     code, out, _ = run_cli(
         capsys, "charpoly", "--prime", "2", "--weight", "24", "--ell", "5", "--cache-dir", str(bad)
     )
     assert code == 0 and out == "(x + 1)(x + 4) over F_5\n"
+    assert (bad / "p2.jsonl").read_text() == record + record_line(2, 24, charpoly(2, 24))
 
-    (bad / "p2.jsonl").write_text('{"coeffs": ["5", "1"], "k": 24, "p": 2}\n')
+    (bad / "p2.jsonl").write_text(record)
     args = ["deduce", "--target-prime", "3", "--weight", "24", "--format", "json"]
     code, out, _ = run_cli(capsys, *args, "--cache-dir", str(bad))
     _, clean, _ = run_cli(capsys, *args, "--cache-dir", str(tmp_path / "clean"))
@@ -254,10 +264,10 @@ def test_usage_errors_exit_1(capsys):
 
 
 def test_computation_errors_exit_2(capsys, monkeypatch):
-    def boom(p, k, cache=None):
+    def boom(self, p, k):
         raise ComputationError("planted")
 
-    monkeypatch.setattr("heckemod.cli.cached_charpoly", boom)
+    monkeypatch.setattr("heckemod.cache.CharpolyCache.charpoly", boom)
     code, _, err = run_cli(capsys, "charpoly", "--prime", "2", "--weight", "12")
     assert code == 2 and "planted" in err
 
@@ -269,7 +279,7 @@ def test_span_failure_exits_3(capsys, monkeypatch):
 
     def off_span(f, n, k, out_prec):
         image = real(f, n, k, out_prec)
-        return type(image)((1,) + image.coeffs[1:], image.prec)
+        return type(image)((1,) + image.coeffs[1:])
 
     monkeypatch.setattr(hecke, "hecke_action", off_span)
     code, out, err = run_cli(capsys, "charpoly", "--prime", "2", "--weight", "24")

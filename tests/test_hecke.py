@@ -63,8 +63,8 @@ def test_basis_expansions_are_triangular():
     for k in (12, 24, 36, 48):
         exps = basis_expansions(k, dim_cusp(k) + 3)
         for i, f in enumerate(exps):
-            assert all(f[m] == 0 for m in range(i + 1))
-            assert f[i + 1] == 1
+            assert all(f.coeffs[m] == 0 for m in range(i + 1))
+            assert f.coeffs[i + 1] == 1
 
 
 def test_weight_12_matrix_and_charpoly():
@@ -199,7 +199,7 @@ def test_kernel_mod_ell_matches_reduced_integer_charpoly():
         prec = p * dim_cusp(k) + 1
         exact = basis_expansions(k, prec)
         assert basis_expansions(k, prec, ell) == [
-            qseries.QExpansion(tuple(c % ell for c in f.coeffs), prec) for f in exact
+            qseries.QExpansion(tuple(c % ell for c in f.coeffs)) for f in exact
         ]
 
     check()
