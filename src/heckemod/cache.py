@@ -11,13 +11,13 @@ records survive any JSON number-precision concerns and recomputation
 reproduces them byte for byte.  A cache constructed with directory
 None memoizes in memory only.
 
-A line that does not parse, names another p, is not monic of degree
-d = dim S_k, or whose x^(d-1) coefficient is not minus the trace of T_p
-from the trace formula is skipped on load, so its polynomial is
-recomputed and appended (on a fresh line after a torn tail).  Each
-append is a single write on an O_APPEND descriptor.  Only `charpoly`,
-`certify` and the anchor of `deduce` use the cache; tables work mod ell
-and never open it.
+Lines that do not parse, name another p, or are not monic of degree
+d = dim S_k are skipped on load, and on the first `get` of (p, k) those
+whose x^(d-1) coefficient is not minus the trace formula's trace of T_p.
+The last line left wins; with none, the polynomial is recomputed and
+appended (on a fresh line after a torn tail) by a single write on an
+O_APPEND descriptor.  Only `charpoly`, `certify` and the anchor of
+`deduce` use the cache; tables work mod ell and never open it.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ from .traceformula import trace
 class CharpolyCache:
     def __init__(self, directory=None):
         self.directory = directory
-        self._mem = {}
+        self._mem = {}  # records that passed every check
+        self._unchecked = {}  # (p, k) -> records from disk awaiting the trace check
         self._loaded = set()
         self._torn = set()
         if directory is not None:
@@ -56,15 +57,18 @@ class CharpolyCache:
         for line in text.split("\n"):
             rec = _parse_record(line, p)
             if rec is not None:
-                self._mem[rec[0]] = rec[1]
+                self._unchecked.setdefault(rec[0], []).append(rec[1])
 
     def get(self, p: int, k: int):
         self._load(p)
+        for poly in reversed(self._unchecked.pop((p, k), ())):  # first read: last good line wins
+            if poly.degree == 0 or poly.coeffs[-2] == -trace(p, k):
+                self._mem[(p, k)] = poly
+                break
         return self._mem.get((p, k))
 
     def put(self, p: int, k: int, poly: IntPoly):
-        self._load(p)
-        if (p, k) in self._mem:
+        if self.get(p, k) is not None:
             return
         self._mem[(p, k)] = poly
         if self.directory is not None:
@@ -92,7 +96,7 @@ class CharpolyCache:
 
 
 def _parse_record(line: str, p: int):
-    """((p, k), IntPoly) for a well-formed record of prime p, else None."""
+    """((p, k), IntPoly) for a monic record of prime p and degree dim S_k, else None."""
     try:
         rec = json.loads(line)
         k = rec["k"]
@@ -103,8 +107,6 @@ def _parse_record(line: str, p: int):
         return None
     d = dim_cusp(k)
     if len(coeffs) != d + 1 or coeffs[-1] != 1:
-        return None
-    if d and coeffs[d - 1] != -trace(p, k):
         return None
     return (p, k), IntPoly(coeffs)
 

@@ -7,7 +7,7 @@ overrides --cache-dir when set.  The cache holds integer polynomials
 for charpoly, certify and deduce's anchor; table and period compute
 mod ell and never open it.
 
-Exit codes: 0 success, 1 usage or invalid argument, 2 computation
+Exit codes: 0 success, 1 usage or invalid argument, 2 computation or OS
 error, 3 falsification event (a checked mathematical invariant failed,
 which is worth distinguishing from a plain crash in CI).
 """
@@ -407,7 +407,7 @@ def main(argv=None) -> int:
     except FalsificationError as exc:
         print("falsification: %s" % exc, file=sys.stderr)
         return 3
-    except ComputationError as exc:
+    except (ComputationError, OSError) as exc:
         print("computation error: %s" % exc, file=sys.stderr)
         return 2
     except ValueError as exc:

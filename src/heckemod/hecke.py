@@ -1,4 +1,4 @@
-"""Hecke operators on level-1 cusp forms, with exact integer matrices.
+"""Hecke operators on level-1 cusp forms, over Z or Z/ell.
 
 The space of weight-k cusp forms for the full modular group has the
 monomial basis delta^a E4^b E6^c, one triple per a = 1 .. dim, with
@@ -11,21 +11,21 @@ The action of T_n on coefficients at level 1 reads
 
     (T_n f)_m = sum over e | gcd(m, n) of e^(k-1) * f_(m n / e^2),
 
-so building the matrix needs n * dim + 1 coefficients of each basis
-element.  Characteristic polynomials come from the Berkowitz algorithm,
-which stays inside integer arithmetic (no divisions at all).
-
-Being division-free, the pipeline runs unchanged over Z/m: given an
-optional `modulus`, each kernel function reduces every series product,
-coordinate and Berkowitz intermediate mod it.
+so a Hecke matrix reads each basis element only at the exponents
+m n / e^2, m <= dim: one dot product each of delta^a with E4^b E6^c.
+Over Z/ell one table of those factors per ell serves the whole process.
+Charpolys come from Hessenberg reduction over F_ell (ell prime) and from
+the division-free Berkowitz algorithm over Z.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from . import qseries
+from ._primes import is_prime
 from .errors import InsufficientPrecision, SpanViolation
 from .gfpoly import poly_str
 
@@ -88,52 +88,82 @@ def _mod(x: int, modulus) -> int:
     return x if modulus is None else x % modulus
 
 
+class _Factors:
+    """delta^a and the tail chains E4^(b0 + 3j) E6^c (b0 < 3, c < 2), mod `modulus`.
+
+    All hold `prec` coefficients and grow on demand.  Truncated products
+    are prefix-consistent, so a longer table gives the same coefficients.
+    """
+
+    def __init__(self, prec: int, modulus):
+        self.prec, self.modulus = prec, modulus
+        self._e4 = qseries.reduce(qseries.eisenstein4(prec), modulus)
+        self._e4_cubed = qseries.mul(qseries.mul(self._e4, self._e4, modulus), self._e4, modulus)
+        self._deltas = [qseries.reduce(qseries.delta(prec), modulus)]
+        self._tails = {}
+
+    def coeff(self, a: int, b: int, c: int, t: int) -> int:
+        """Coefficient of q^t in delta^a E4^b E6^c, one dot product of its factors."""
+        if not 0 <= t < self.prec:
+            raise InsufficientPrecision("q^%d is beyond a table of %d terms" % (t, self.prec))
+        if t < a:  # delta^a starts at q^a
+            return 0
+        m, deltas = self.modulus, self._deltas
+        while len(deltas) < a:
+            deltas.append(qseries.mul(deltas[-1], deltas[0], m))
+        chain = self._tails.get((b % 3, c))
+        if chain is None:
+            head = qseries.power(self._e4, b % 3, m)
+            if c:
+                head = qseries.mul(head, qseries.reduce(qseries.eisenstein6(self.prec), m), m)
+            chain = self._tails[b % 3, c] = [head]
+        while len(chain) <= b // 3:
+            chain.append(qseries.mul(chain[-1], self._e4_cubed, m))
+        tail = chain[b // 3].coeffs
+        return _mod(sum(map(operator.mul, deltas[a - 1].coeffs[a : t + 1], tail[t - a :: -1])), m)
+
+
+# One table per modulus for the process; over Z, with kilobit coefficients, none is kept.
+_SHARED = {}
+
+
+def _factors(prec: int, modulus) -> _Factors:
+    if modulus is None:
+        return _Factors(prec, None)
+    table = _SHARED.get(modulus)
+    if table is None or table.prec < prec:
+        table = _SHARED[modulus] = _Factors(max(prec, 2 * table.prec if table else 0), modulus)
+    return table
+
+
 def basis_expansions(k: int, prec: int, modulus=None) -> list:
     """q-expansions of the monomial basis to `prec` coefficients, mod `modulus` if given."""
-    triples = monomial_basis(k)
-    if not triples:
-        return []
-    d = qseries.reduce(qseries.delta(prec), modulus)
-    e4 = qseries.reduce(qseries.eisenstein4(prec), modulus)
-    # c is fixed by k mod 4 and b drops by 3 per step in a, so the
-    # E4^b E6^c factors come from the last one by repeated E4^3 products
-    _, b_min, c = triples[-1]
-    tail = qseries.power(e4, b_min, modulus)
-    if c:
-        tail = qseries.mul(tail, qseries.reduce(qseries.eisenstein6(prec), modulus), modulus)
-    e4_cubed = qseries.mul(qseries.mul(e4, e4, modulus), e4, modulus)
-    tails = [tail]
-    for _ in triples[1:]:
-        tails.append(qseries.mul(tails[-1], e4_cubed, modulus))
-    out = []
-    for i, tail in enumerate(reversed(tails)):
-        dpow = qseries.mul(dpow, d, modulus) if i else d
-        out.append(qseries.mul(dpow, tail, modulus) if triples[i][1] or c else dpow)
-    return out
+    table = _factors(prec, modulus)
+    return [
+        qseries.QExpansion(tuple(table.coeff(a, b, c, t) for t in range(prec)))
+        for a, b, c in monomial_basis(k)
+    ]
 
 
-def hecke_action(f: qseries.QExpansion, n: int, k: int, out_prec: int) -> qseries.QExpansion:
+def _reads(m: int, n: int) -> list:
+    """(e, m n / e^2) for each e dividing gcd(m, n): what (T_n f)_m reads of f."""
+    g = math.gcd(m, n)
+    return [(e, m * n // (e * e)) for e in range(1, g + 1) if g % e == 0]
+
+
+def hecke_action(coeffs, n: int, k: int, out_prec: int) -> qseries.QExpansion:
     """T_n applied to a weight-k expansion, truncated to out_prec coefficients.
 
-    Needs f.prec > n * (out_prec - 1); shorter input raises
-    InsufficientPrecision rather than silently truncating.
+    `coeffs` maps exponents to coefficients (a tuple or a dict); lacking
+    one that T_n reads raises InsufficientPrecision, never truncates.
     """
     if n < 1:
         raise ValueError("Hecke index must be >= 1")
-    needed = n * (out_prec - 1) + 1
-    if f.prec < needed:
-        raise InsufficientPrecision(
-            "T_%d to %d coefficients needs %d input coefficients, have %d"
-            % (n, out_prec, needed, f.prec)
-        )
-    out = []
-    for m in range(out_prec):
-        g = math.gcd(m, n)
-        acc = 0
-        for e in range(1, g + 1):
-            if g % e == 0:
-                acc += e ** (k - 1) * f.coeffs[m * n // (e * e)]
-        out.append(acc)
+    try:
+        out = [sum(e ** (k - 1) * coeffs[t] for e, t in _reads(m, n)) for m in range(out_prec)]
+    except (IndexError, KeyError):
+        msg = "T_%d to %d coefficients needs coefficients up to q^%d"
+        raise InsufficientPrecision(msg % (n, out_prec, n * (out_prec - 1))) from None
     return qseries.QExpansion(tuple(out))
 
 
@@ -151,10 +181,13 @@ def hecke_matrix(n: int, k: int, modulus=None) -> tuple:
     d = dim_cusp(k)
     if d == 0:
         return ()
-    basis = basis_expansions(k, n * d + 1, modulus)
+    table = _factors(n * d + 1, modulus)
+    exponents = {t for m in range(d + 1) for _, t in _reads(m, n)}
+    basis = basis_expansions(k, d + 1, modulus)
     rows = [[0] * d for _ in range(d)]
-    for j in range(d):
-        image = [_mod(c, modulus) for c in hecke_action(basis[j], n, k, d + 1).coeffs]
+    for j, (a, b, c) in enumerate(monomial_basis(k)):
+        f = {t: table.coeff(a, b, c, t) for t in exponents}
+        image = [_mod(x, modulus) for x in hecke_action(f, n, k, d + 1).coeffs]
         # basis element i leads with q^(i+1), so peel coordinates upward
         for i in range(d):
             coord = _mod(image[i + 1], modulus)
@@ -169,53 +202,84 @@ def hecke_matrix(n: int, k: int, modulus=None) -> tuple:
     return tuple(tuple(r) for r in rows)
 
 
-def berkowitz_charpoly(matrix, modulus=None) -> IntPoly:
+def berkowitz_charpoly(matrix) -> IntPoly:
     """det(xI - A) for a square integer matrix, division-free.
 
     Berkowitz iterates over principal minors: the characteristic vector
     of each minor is a lower-triangular Toeplitz product of the previous
     one, realized here as a short convolution.  Empty matrix gives the
-    constant 1.  With a modulus, every intermediate is reduced mod it
-    and so are the returned coefficients.
+    constant 1.
     """
 
     n = len(matrix)
     if n == 0:
         return IntPoly((1,))
     a = matrix
-    v = [1, _mod(-a[n - 1][n - 1], modulus)]  # descending coefficients, bottom-right minor
+    v = [1, -a[n - 1][n - 1]]  # descending coefficients, bottom-right minor
     for s in range(2, n + 1):
         i0 = n - s
         row = a[i0][i0 + 1 :]
-        col = [a[r][i0] for r in range(i0 + 1, n)]
         m = s - 1
-        t = [1, _mod(-a[i0][i0], modulus)]
-        w = list(col)
+        t = [1, -a[i0][i0]]
+        w = [a[r][i0] for r in range(i0 + 1, n)]
         for step in range(m):
-            t.append(_mod(-sum(row[j] * w[j] for j in range(m)), modulus))
+            t.append(-sum(row[j] * w[j] for j in range(m)))
             if step < m - 1:
-                w = [
-                    _mod(sum(a[i0 + 1 + r][i0 + 1 + j] * w[j] for j in range(m)), modulus)
-                    for r in range(m)
-                ]
+                w = [sum(a[i0 + 1 + r][i0 + 1 + j] * w[j] for j in range(m)) for r in range(m)]
         # v_new = conv(t, v) truncated to length s + 1
-        nv = []
-        for i in range(s + 1):
-            acc = 0
-            for j in range(max(0, i - len(v) + 1), min(i, s) + 1):
-                acc += t[j] * v[i - j]
-            nv.append(_mod(acc, modulus))
-        v = nv
+        v = [
+            sum(t[j] * v[i - j] for j in range(max(0, i - len(v) + 1), min(i, s) + 1))
+            for i in range(s + 1)
+        ]
     return IntPoly(tuple(reversed(v)))
+
+
+def hessenberg_charpoly(matrix, ell: int) -> IntPoly:
+    """det(xI - A) over F_ell for a prime ell, coefficients in [0, ell).
+
+    Upper Hessenberg form H by similarity, then the charpolys p_m of the
+    leading blocks of H: p_(m+1) = x p_m - sum_(i<=m) H[i][m] H[i+1][i]
+    ... H[m][m-1] p_i.  O(d^3) (Cohen, GTM 138, Alg. 2.2.9).
+    """
+    n = len(matrix)
+    h = [[x % ell for x in row] for row in matrix]
+    for m in range(1, n - 1):
+        pivot = next((i for i in range(m, n) if h[i][m - 1]), None)
+        if pivot is None:  # column m - 1 is already zero below the subdiagonal
+            continue
+        h[m], h[pivot] = h[pivot], h[m]
+        for row in h:
+            row[m], row[pivot] = row[pivot], row[m]
+        inv = pow(h[m][m - 1], -1, ell)
+        for i in range(m + 1, n):
+            u = h[i][m - 1] * inv % ell
+            if u:  # row i -= u row m, then column m += u column i
+                h[i] = [(x - u * y) % ell for x, y in zip(h[i], h[m])]
+                for row in h:
+                    row[m] = (row[m] + u * row[i]) % ell
+    p = [[1]]  # ascending coefficients
+    for m in range(n):
+        nxt, t = [0] + p[m], 1
+        for i in range(m, -1, -1):
+            for j, x in enumerate(p[i]):
+                nxt[j] -= h[i][m] * t * x
+            t = t * h[i][i - 1] % ell if i else 0
+            if not t:
+                break
+        p.append([x % ell for x in nxt])
+    return IntPoly(tuple(p[n]))
 
 
 def charpoly(n: int, k: int, modulus=None) -> IntPoly:
     """Characteristic polynomial of T_n on weight-k cusp forms.
 
     Monic of degree dim S_k; the constant polynomial 1 when the space
-    is trivial.  With a modulus, the coefficients are reduced mod it.
+    is trivial.  With a prime modulus, the coefficients are reduced mod it.
     """
-    return berkowitz_charpoly(hecke_matrix(n, k, modulus), modulus)
+    if modulus is not None and not is_prime(modulus):
+        raise ValueError("modulus must be prime, got %r" % (modulus,))
+    matrix = hecke_matrix(n, k, modulus)
+    return berkowitz_charpoly(matrix) if modulus is None else hessenberg_charpoly(matrix, modulus)
 
 
 def trace_of_matrix(matrix) -> int:

@@ -1,7 +1,8 @@
 import json
 
+from heckemod import cache as cache_module
 from heckemod.cache import CharpolyCache, record_line
-from heckemod.hecke import IntPoly
+from heckemod.hecke import IntPoly, charpoly
 
 
 def test_record_line_is_canonical():
@@ -57,3 +58,21 @@ def test_files_split_by_prime(tmp_path):
     cache.charpoly(3, 12)
     assert (tmp_path / "p2.jsonl").exists()
     assert (tmp_path / "p3.jsonl").exists()
+
+
+def test_records_are_trace_checked_only_when_read(tmp_path, monkeypatch):
+    path = tmp_path / "p2.jsonl"
+    path.write_text("".join(record_line(2, k, charpoly(2, k)) for k in range(24, 80, 2)))
+    real = cache_module.trace
+    calls = []
+
+    def counted(p, k):
+        calls.append((p, k))
+        return real(p, k)
+
+    monkeypatch.setattr(cache_module, "trace", counted)
+    cache = CharpolyCache(str(tmp_path))
+    assert cache.charpoly(2, 48) == charpoly(2, 48)
+    assert cache.charpoly(2, 48) == charpoly(2, 48)
+    assert calls == [(2, 48)]
+    assert path.read_text().count("\n") == 28

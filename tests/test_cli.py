@@ -224,6 +224,17 @@ def test_wrong_degree_cache_record_is_recomputed(tmp_path, capsys, record):
     assert anchor["evidence"] == [{"ell": 23, "kind": "cycle-type", "partition": [2]}]
 
 
+def test_unusable_cache_dir_exits_2(tmp_path, capsys):
+    not_a_dir = tmp_path / "F"
+    not_a_dir.write_text("")
+    code, out, err = run_cli(
+        capsys, "charpoly", "--prime", "2", "--weight", "24", "--cache-dir", str(not_a_dir)
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("computation error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_table_and_period_leave_the_cache_alone(tmp_path, capsys):
     d = tmp_path / "cache"
     table = ["table", "--ell", "5", "--max-weight", "60", "--single-period"]

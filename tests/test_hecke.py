@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from heckemod import qseries, traceformula
+from heckemod import hecke, qseries, traceformula
 from heckemod.errors import InsufficientPrecision
 from heckemod.gfpoly import reduce_mod
 from heckemod.hecke import (
@@ -14,6 +14,7 @@ from heckemod.hecke import (
     dim_cusp,
     hecke_action,
     hecke_matrix,
+    hessenberg_charpoly,
     monomial_basis,
     trace_of_matrix,
 )
@@ -161,10 +162,10 @@ def test_trace_of_matrix():
 
 
 def test_hecke_action_requires_precision():
-    f = qseries.delta(10)
+    f = qseries.delta(10).coeffs
     with pytest.raises(InsufficientPrecision):
         hecke_action(f, 3, 12, 5)  # needs 3*4+1 = 13 coefficients
-    ok = hecke_action(qseries.delta(13), 3, 12, 5)
+    ok = hecke_action(qseries.delta(13).coeffs, 3, 12, 5)
     assert ok.coeffs[1] == 252
     with pytest.raises(ValueError):
         hecke_action(f, 0, 12, 2)
@@ -203,3 +204,53 @@ def test_kernel_mod_ell_matches_reduced_integer_charpoly():
         ]
 
     check()
+
+
+def test_hessenberg_matches_berkowitz_mod_ell():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(
+        data=st.data(),
+        n=st.integers(0, 10),
+        ell=st.sampled_from([2, 3, 5, 7, 13]),
+    )
+    def check(data, n, ell):
+        # at least half the entries are zero, so columns without a
+        # pivot below the subdiagonal come up often
+        nonzero = data.draw(st.lists(st.integers(-99, 99), max_size=n * n // 2))
+        places = data.draw(st.permutations(range(n * n)))
+        flat = [0] * (n * n)
+        for place, x in zip(places, nonzero):
+            flat[place] = x
+        a = [flat[i * n : (i + 1) * n] for i in range(n)]
+        expected = tuple(c % ell for c in berkowitz_charpoly(a).coeffs)
+        assert hessenberg_charpoly(a, ell).coeffs == expected
+
+    check()
+    with pytest.raises(ValueError):
+        charpoly(2, 24, 4)  # the field algorithm needs a prime modulus
+
+
+def test_shared_table_results_do_not_depend_on_call_order(monkeypatch):
+    monkeypatch.setattr(hecke, "_SHARED", {})
+    before = charpoly(2, 370, 13)
+    prec = hecke._SHARED[13].prec
+    charpoly(29, 200, 13)
+    assert hecke._SHARED[13].prec > prec
+    assert charpoly(2, 370, 13) == before
+
+
+def test_integer_path_shares_nothing(monkeypatch):
+    monkeypatch.setattr(hecke, "_SHARED", {})
+    charpoly(5, 48)
+    basis_expansions(36, 20)
+    assert hecke._SHARED == {}
+
+
+def test_dot_product_past_the_table_raises():
+    table = hecke._Factors(10, 7)
+    assert table.coeff(1, 0, 0, 9) == qseries.delta(10).coeffs[9] % 7
+    with pytest.raises(InsufficientPrecision):
+        table.coeff(1, 0, 0, 10)
