@@ -31,7 +31,7 @@ from .galois import (
     residues_qualify,
     theorem1_conclusion,
 )
-from .gfpoly import FactorMultiset, FpPoly, factor, poly_str, reduce_mod, roots
+from .gfpoly import FactorMultiset, factor, poly_str, reduce_mod, roots
 from .hecke import IntPoly, charpoly, dim_cusp, hecke_matrix, monomial_basis
 from .modfactor import (
     charpoly_mod,
@@ -56,7 +56,6 @@ __all__ = [
     "CycleType",
     "FactorMultiset",
     "FalsificationError",
-    "FpPoly",
     "InsufficientPrecision",
     "IntPoly",
     "Lemma1Violation",

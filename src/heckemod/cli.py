@@ -29,7 +29,7 @@ from .galois import (
     certify,
     deduce,
 )
-from .gfpoly import factor, poly_str, reduce_mod
+from .gfpoly import factor, poly_str
 from .hecke import dim_cusp
 from .modfactor import KCLASSES, ROW_PRIMES, root_sequence, table_rows
 from .traceformula import trace
@@ -45,7 +45,7 @@ def factor_str(fm) -> str:
     if fm.unit != 1 or not fm.factors:
         parts.append(str(fm.unit))
     for g, m in fm.factors:
-        parts.append("(%s)" % poly_str(g.coeffs) + ("^%d" % m if m > 1 else ""))
+        parts.append("(%s)" % poly_str(g) + ("^%d" % m if m > 1 else ""))
     return "%s over F_%d" % ("".join(parts), fm.modulus)
 
 
@@ -80,7 +80,7 @@ def cmd_charpoly(args) -> None:
     d = f.degree
     fm = None
     if args.ell is not None:
-        fm = factor(reduce_mod(f, args.ell), seed=args.seed)
+        fm = factor(f, args.ell, seed=args.seed)
     if args.format == "text":
         body = str(f) if fm is None else factor_str(fm)
         print(body + (" (dim 0)" if d == 0 else ""))
@@ -95,7 +95,7 @@ def cmd_charpoly(args) -> None:
             obj["ell"] = args.ell
             obj["unit"] = fm.unit
             obj["factors"] = [
-                {"coeffs": list(g.coeffs), "multiplicity": m} for g, m in fm.factors
+                {"coeffs": list(g), "multiplicity": m} for g, m in fm.factors
             ]
         _emit_json(obj)
     else:

@@ -43,7 +43,7 @@ from itertools import chain
 from math import gcd as _gcd
 
 from ._primes import divisors, is_prime, primes_up_to
-from .gfpoly import distinct_degree, factor, gcd, reduce_mod, roots
+from .gfpoly import _distinct_degree, derivative, factor, gcd, reduce_mod, roots
 from .hecke import charpoly, dim_cusp
 from .modfactor import ROW_PRIMES, charpoly_mod, root_sequence
 
@@ -96,11 +96,11 @@ def cycle_type(f, ell: int):
     coeffs = tuple(getattr(f, "coeffs", f))
     if coeffs[-1] != 1:
         raise ValueError("cycle types need a monic polynomial")
-    fm = reduce_mod(coeffs, ell)
-    repeated = gcd(fm, fm.derivative())
-    if repeated.degree >= 1:
-        return SquarefreeFailure(ell=ell, repeated=repeated.coeffs)
-    parts = [d for piece, d in distinct_degree(fm) for _ in range(piece.degree // d)]
+    fm = reduce_mod(coeffs, ell)  # the one check that ell is prime
+    repeated = gcd(fm, derivative(fm, ell), ell)
+    if len(repeated) > 1:
+        return SquarefreeFailure(ell=ell, repeated=repeated)
+    parts = [d for piece, d in _distinct_degree(fm, ell) for _ in range((len(piece) - 1) // d)]
     return CycleType(ell=ell, partition=tuple(sorted(parts, reverse=True)))
 
 
@@ -342,11 +342,11 @@ def prop2_shape_filter(p: int, k: int, ells=(5, 7)) -> ShapeVerdict:
     for ell in ells:
         if ell == p:
             continue
-        fm = factor(charpoly_mod(p, k, ell))
+        fm = factor(charpoly_mod(p, k, ell), ell)
         counts = {}
         for g, m in fm.factors:
-            if g.degree == 1:
-                counts[(-g.coeffs[0]) % ell] = m
+            if len(g) == 2:
+                counts[(-g[0]) % ell] = m
         evidence.append({"kind": "root-multiplicities", "ell": ell, "roots": counts})
         mults.extend(counts.values())
         max_distinct = max(max_distinct, len(counts))
@@ -587,7 +587,7 @@ def remark_rule(k: int) -> TableVerdict:
             **base,
         )
     if d % 14:
-        rts = roots(charpoly_mod(2, k, 13))
+        rts = roots(charpoly_mod(2, k, 13), 13)
         g = _multiplicity_gcd(rts)
         return TableVerdict(
             applicable=g == 1,

@@ -1,34 +1,45 @@
-"""Dense univariate polynomial arithmetic and factorization over F_p.
+"""Dense univariate polynomial arithmetic and factorization over F_ell.
 
-Representation: coefficients ascending by degree, reduced to canonical
-residues in [0, p), with no trailing zeros; the zero polynomial is the
-empty tuple.  The modulus p must be prime.
+Representation: a polynomial is a plain tuple of coefficients ascending
+by degree, each in [0, ell), with no trailing zeros; the zero polynomial
+is the empty tuple.  Every function takes the modulus ell, which must be
+prime.  The public entries that take outside input (reduce_mod,
+distinct_degree, factor, roots) reduce it and check ell once; the
+arithmetic helpers trust their caller to pass canonical tuples.
 
 Factorization runs squarefree decomposition, then distinct-degree
-splitting through iterated Frobenius maps x -> x^p, then equal-degree
-splitting (Cantor-Zassenhaus).  The equal-degree stage draws its random
-elements from a generator seeded explicitly (default seed 0), and the
-p = 2 branch replaces the quadratic-residue test with the additive
-trace map t + t^2 + ... + t^(2^(d-1)), walking t over odd-degree
-monomials, so results are reproducible bit for bit.  Factors are
-reported in a canonical order: by degree, then lexicographically on the
-ascending coefficient tuple.
+splitting, then equal-degree splitting (Cantor-Zassenhaus).  The
+distinct-degree stage reads Frobenius off the Berlekamp Q-matrix of f,
+whose row i is x^(ell i) mod f: since h^ell = sum h_i x^(ell i) over
+F_ell, the step x^(ell^d) -> x^(ell^(d+1)) mod f is one vector-matrix
+product h Q (von zur Gathen and Gerhard, Modern Computer Algebra,
+ch. 14).  Q is built when a second degree step is needed, from one
+power x^ell mod f and successive products.  The equal-degree stage draws
+its random elements from a generator seeded explicitly (default seed
+0), and the ell = 2 branch replaces the quadratic-residue test with the
+additive trace map t + t^2 + ... + t^(2^(d-1)), walking t over
+odd-degree monomials, so results are reproducible bit for bit.  Factors
+are reported in a canonical order: by degree, then lexicographically on
+the ascending coefficient tuple.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from ._primes import is_prime
 from .errors import ComputationError
+
+X = (0, 1)
 
 
 class InexactDivision(ComputationError):
     """Exact polynomial division left a nonzero remainder (attached)."""
 
     def __init__(self, remainder):
-        super().__init__("division left remainder %s" % (remainder,))
+        super().__init__("division left remainder %s" % poly_str(remainder))
         self.remainder = remainder
 
 
@@ -51,349 +62,333 @@ def poly_str(coeffs) -> str:
     return " ".join(terms) if terms else "0"
 
 
-class FpPoly:
-    """Polynomial over F_p, p prime; immutable once constructed."""
-
-    __slots__ = ("p", "coeffs")
-
-    def __init__(self, p: int, coeffs=()):
-        if p < 2 or not is_prime(p):
-            raise ValueError("modulus %r is not prime" % (p,))
-        cs = [c % p for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, *a):
-        raise AttributeError("FpPoly is immutable")
-
-    # -- basic structure -------------------------------------------------
-
-    @property
-    def degree(self) -> int:
-        """Degree, with the zero polynomial at -1."""
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def is_one(self) -> bool:
-        return self.coeffs == (1,)
-
-    @property
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FpPoly)
-            and self.p == other.p
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.coeffs))
-
-    def __repr__(self):
-        return "FpPoly(%d, %r)" % (self.p, list(self.coeffs))
-
-    def __str__(self):
-        return poly_str(self.coeffs)
-
-    # -- ring operations -------------------------------------------------
-
-    def _check(self, other):
-        if self.p != other.p:
-            raise ValueError("mixed moduli %d and %d" % (self.p, other.p))
-
-    def __add__(self, other: "FpPoly") -> "FpPoly":
-        self._check(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = (out[i] + c) % self.p
-        return FpPoly(self.p, out)
-
-    def __neg__(self) -> "FpPoly":
-        return FpPoly(self.p, [-c for c in self.coeffs])
-
-    def __sub__(self, other: "FpPoly") -> "FpPoly":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return FpPoly(self.p, [c * other for c in self.coeffs])
-        self._check(other)
-        if self.is_zero or other.is_zero:
-            return FpPoly(self.p)
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return FpPoly(self.p, out)
-
-    __rmul__ = __mul__
-
-    def __divmod__(self, other: "FpPoly"):
-        self._check(other)
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        p = self.p
-        rem = list(self.coeffs)
-        db = other.degree
-        inv_lead = pow(other.coeffs[-1], p - 2, p)
-        quot = [0] * max(len(rem) - db, 0)
-        for i in range(len(rem) - 1, db - 1, -1):
-            c = rem[i] % p
-            if c:
-                q = (c * inv_lead) % p
-                quot[i - db] = q
-                for j, b in enumerate(other.coeffs):
-                    rem[i - db + j] -= q * b
-        return FpPoly(p, quot), FpPoly(p, rem[:db])
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
-    # -- calculus and evaluation ------------------------------------------
-
-    def derivative(self) -> "FpPoly":
-        return FpPoly(self.p, [i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def evaluate(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * x + c) % self.p
-        return acc
-
-    def monic(self) -> "FpPoly":
-        if self.is_zero:
-            raise ValueError("zero polynomial has no monic form")
-        lead = self.coeffs[-1]
-        if lead == 1:
-            return self
-        inv = pow(lead, self.p - 2, self.p)
-        return FpPoly(self.p, [c * inv for c in self.coeffs])
+def _require_prime(ell):
+    if not is_prime(ell):
+        raise ValueError("modulus %r is not prime" % (ell,))
 
 
-def x_poly(p: int) -> FpPoly:
-    return FpPoly(p, (0, 1))
+def _trim(cs) -> tuple:
+    n = len(cs)
+    while n and not cs[n - 1]:
+        n -= 1
+    return tuple(cs[:n])
 
 
-def reduce_mod(f, ell: int) -> FpPoly:
+def _reduce(f, ell) -> tuple:
+    return _trim([c % ell for c in getattr(f, "coeffs", f)])
+
+
+def reduce_mod(f, ell: int) -> tuple:
     """Reduce an integer-coefficient polynomial mod a prime ell.
 
     Accepts either a bare coefficient sequence (ascending) or any
     object exposing ascending integer coefficients as `.coeffs`.
     """
-    coeffs = getattr(f, "coeffs", f)
-    return FpPoly(ell, coeffs)
+    _require_prime(ell)
+    return _reduce(f, ell)
 
 
-def gcd(a: FpPoly, b: FpPoly) -> FpPoly:
+# -- arithmetic helpers: canonical tuples in, canonical tuples out ----------
+
+
+def add(a, b, ell: int) -> tuple:
+    return _trim([(x + y) % ell for x, y in zip_longest(a, b, fillvalue=0)])
+
+
+def sub(a, b, ell: int) -> tuple:
+    return _trim([(x - y) % ell for x, y in zip_longest(a, b, fillvalue=0)])
+
+
+def _convolve(a, b) -> list:
+    """Product coefficients of a and b, not yet reduced."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def mul(a, b, ell: int) -> tuple:
+    # over a field the leading product is nonzero, so nothing to trim
+    return tuple(c % ell for c in _convolve(a, b))
+
+
+def quo_rem(a, b, ell: int):
+    """(quotient, remainder) of a by nonzero b; a may hold unreduced integers."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    n = len(b) - 1
+    inv = pow(b[-1], -1, ell)
+    r = list(a)
+    q = [0] * max(len(r) - n, 0)
+    for i in range(len(r) - 1, n - 1, -1):
+        c = r[i] * inv % ell
+        if c:
+            q[i - n] = c
+            s = i - n
+            r[s:i] = [x - c * y for x, y in zip(r[s:i], b)]
+    return _trim(q), _trim([x % ell for x in r[:n]])
+
+
+def _mulmod(a, b, f, ell: int) -> tuple:
+    return quo_rem(_convolve(a, b), f, ell)[1]
+
+
+def monic(a, ell: int) -> tuple:
+    if not a:
+        raise ValueError("zero polynomial has no monic form")
+    if a[-1] == 1:
+        return a
+    inv = pow(a[-1], -1, ell)
+    return tuple(c * inv % ell for c in a)
+
+
+def derivative(a, ell: int) -> tuple:
+    return _trim([i * c % ell for i, c in enumerate(a)][1:])
+
+
+def gcd(a, b, ell: int) -> tuple:
     """Monic greatest common divisor."""
-    a._check(b)
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic() if not a.is_zero else a
+    while b:
+        a, b = b, quo_rem(a, b, ell)[1]
+    return monic(a, ell) if a else a
 
 
-def pow_mod(base: FpPoly, e: int, mod: FpPoly) -> FpPoly:
+def pow_mod(base, e: int, mod, ell: int) -> tuple:
     """base**e reduced mod `mod`, by square and multiply."""
     if e < 0:
         raise ValueError("negative exponent")
-    result = FpPoly(base.p, (1,))
-    base = base % mod
+    result = (1,)
+    base = quo_rem(base, mod, ell)[1]
     while e:
         if e & 1:
-            result = (result * base) % mod
+            result = _mulmod(result, base, mod, ell)
         e >>= 1
         if e:
-            base = (base * base) % mod
+            base = _mulmod(base, base, mod, ell)
     return result
 
 
-def divide_exact(a: FpPoly, b: FpPoly) -> FpPoly:
+def divide_exact(a, b, ell: int) -> tuple:
     """Quotient a / b when b divides a; raises InexactDivision otherwise."""
-    q, r = divmod(a, b)
-    if not r.is_zero:
+    q, r = quo_rem(a, b, ell)
+    if r:
         raise InexactDivision(r)
     return q
 
 
 @dataclass(frozen=True)
 class FactorMultiset:
-    """Complete factorization over F_p: unit * prod g_i^(m_i)."""
+    """Complete factorization over F_ell: unit * prod g_i^(m_i)."""
 
     modulus: int
     unit: int
-    factors: tuple  # ((FpPoly, multiplicity), ...) in canonical order
-
-    def expand(self) -> FpPoly:
-        out = FpPoly(self.modulus, (self.unit,))
-        for g, m in self.factors:
-            for _ in range(m):
-                out = out * g
-        return out
+    factors: tuple  # ((coefficient tuple, multiplicity), ...) in canonical order
 
     def degrees(self) -> tuple:
         """Multiset of factor degrees with multiplicity, ascending."""
         out = []
         for g, m in self.factors:
-            out.extend([g.degree] * m)
+            out.extend([len(g) - 1] * m)
         return tuple(sorted(out))
 
     def is_squarefree(self) -> bool:
         return all(m == 1 for _, m in self.factors)
 
 
-def _pth_root(f: FpPoly) -> FpPoly:
-    # f is a p-th power, so only exponents divisible by p occur and
+def _pth_root(f, ell: int) -> tuple:
+    # f is an ell-th power, so only exponents divisible by ell occur and
     # Frobenius is the identity on the prime field.
-    p = f.p
-    out = [0] * (f.degree // p + 1)
-    for i, c in enumerate(f.coeffs):
+    out = [0] * ((len(f) - 1) // ell + 1)
+    for i, c in enumerate(f):
         if c:
-            if i % p:
-                raise ArithmeticError("not a p-th power: %r" % (f,))
-            out[i // p] = c
-    return FpPoly(p, out)
+            if i % ell:
+                raise ArithmeticError("not an ell-th power: %r" % (f,))
+            out[i // ell] = c
+    return tuple(out)
 
 
-def _squarefree_parts(f: FpPoly):
+def _squarefree_parts(f, ell: int):
     """Yun-style decomposition of monic f into coprime squarefree parts.
 
     Returns [(g, multiplicity), ...]; the product of g**multiplicity
-    recovers f.  Multiplicities divisible by p are pulled out through
-    p-th roots.
+    recovers f.  Multiplicities divisible by ell are pulled out through
+    ell-th roots.
     """
-    p = f.p
-    if f.degree < 1:
+    if len(f) < 2:
         return []
-    df = f.derivative()
-    if df.is_zero:
-        return [(g, m * p) for g, m in _squarefree_parts(_pth_root(f))]
+    df = derivative(f, ell)
+    if not df:
+        return [(g, m * ell) for g, m in _squarefree_parts(_pth_root(f, ell), ell)]
     parts = []
-    c = gcd(f, df)
-    w = f // c
+    c = gcd(f, df, ell)
+    w = divide_exact(f, c, ell)
     i = 1
-    while w.degree >= 1:
-        y = gcd(w, c)
-        z = w // y
-        if z.degree >= 1:
+    while len(w) > 1:
+        y = gcd(w, c, ell)
+        z = divide_exact(w, y, ell)
+        if len(z) > 1:
             parts.append((z, i))
         w = y
-        c = c // y
+        c = divide_exact(c, y, ell)
         i += 1
-    if c.degree >= 1:
-        parts.extend((g, m * p) for g, m in _squarefree_parts(_pth_root(c)))
+    if len(c) > 1:
+        parts.extend((g, m * ell) for g, m in _squarefree_parts(_pth_root(c, ell), ell))
     return parts
 
 
-def distinct_degree(f: FpPoly):
-    """Split squarefree monic f into (product of irreducibles of degree d, d)."""
-    p = f.p
-    x = x_poly(p)
+class FrobeniusMatrix:
+    """Berlekamp Q-matrix of monic f over F_ell, given xq = x^ell mod f.
+
+    Row i is x^(ell i) mod f for i < deg f, so h^ell mod f is the row
+    vector h times Q.  Each row is packed into one integer, a coefficient
+    to a slot wide enough for a sum of deg f products (Kronecker
+    substitution), so a product costs deg f integer multiply-adds and one
+    unpack.  Row i + 1 is row i times xq, through the matrix of that
+    product, whose rows x^j xq mod f are each x times the last.
+    """
+
+    def __init__(self, f, ell: int, xq):
+        n = self.n = len(f) - 1
+        self.ell, self.width = ell, max(n * (ell - 1) ** 2, 1).bit_length()
+        by_xq = [list(xq) + [0] * (n - len(xq))]
+        while len(by_xq) < n:
+            g = by_xq[-1]  # x g mod f: shift up, then subtract g's top coefficient times f
+            by_xq.append([(y - g[-1] * z) % ell for y, z in zip([0] + g[:-1], f)])
+        by_xq = self._pack(by_xq)
+        rows = [(1,)][:n]
+        while len(rows) < n:
+            rows.append(self._times(rows[-1], by_xq))
+        self.rows = self._pack(rows)
+
+    def _pack(self, rows) -> list:
+        w = self.width
+        return [sum(c << (w * j) for j, c in enumerate(r)) for r in rows]
+
+    def _times(self, h, packed_rows) -> tuple:
+        acc = 0
+        for c, row in zip(h, packed_rows):
+            acc += c * row
+        w, ell = self.width, self.ell
+        mask = (1 << w) - 1
+        return _trim([(acc >> (w * j) & mask) % ell for j in range(self.n)])
+
+    def frobenius(self, h) -> tuple:
+        """h^ell mod f, for h already reduced mod f."""
+        return self._times(h, self.rows)
+
+
+def _distinct_degree(f, ell: int):
     pieces = []
-    h = x
     v = f
     d = 0
-    while v.degree >= 1:
+    while len(v) > 1:
         d += 1
-        if 2 * d > v.degree:
-            pieces.append((v, v.degree))
+        if 2 * d >= len(v):  # every factor of v left has degree deg v
+            pieces.append((v, len(v) - 1))
             break
-        h = pow_mod(h, p, f)
-        g = gcd(v, h - x)
-        if g.degree >= 1:
+        if d == 1:
+            h = pow_mod(X, ell, f, ell)
+        else:
+            if d == 2:
+                q = FrobeniusMatrix(f, ell, h)
+            h = q.frobenius(h)
+        g = gcd(v, sub(h, X, ell), ell)
+        if len(g) > 1:
             pieces.append((g, d))
-            v = v // g
+            v = divide_exact(v, g, ell)
     return pieces
 
 
-def _equal_degree(f: FpPoly, d: int, rng: random.Random):
+def distinct_degree(f, ell: int):
+    """Split squarefree monic f into (product of irreducibles of degree d, d)."""
+    _require_prime(ell)
+    return _distinct_degree(_reduce(f, ell), ell)
+
+
+def _equal_degree(f, d: int, rng: random.Random, ell: int):
     """Cantor-Zassenhaus split of monic squarefree f, all factors degree d."""
-    p = f.p
-    if f.degree == d:
+    if len(f) - 1 == d:
         return [f]
-    count = f.degree // d
+    count = (len(f) - 1) // d
     factors = [f]
-    if p == 2:
+    if ell == 2:
         # additive trace map; t walks the odd-degree monomials x, x^3, x^5, ...
-        t = x_poly(2)
+        t = X
         while len(factors) < count:
-            r = t % f
+            r = quo_rem(t, f, 2)[1]
             h = r
             for _ in range(d - 1):
-                r = (r * r) % f
-                h = h + r
-            t = FpPoly(2, (0, 0) + t.coeffs)
-            factors = _refine(factors, h, d)
+                r = _mulmod(r, r, f, 2)
+                h = add(h, r, 2)
+            t = (0, 0) + t
+            factors = _refine(factors, h, d, 2)
         return factors
-    exponent = (p ** d - 1) // 2
+    exponent = (ell ** d - 1) // 2
     while len(factors) < count:
-        r = FpPoly(p, [rng.randrange(p) for _ in range(2 * d)])
-        if r.degree < 1:
+        r = _trim([rng.randrange(ell) for _ in range(2 * d)])
+        if len(r) < 2:
             continue
-        h = pow_mod(r, exponent, f) - FpPoly(p, (1,))
-        factors = _refine(factors, h, d)
+        h = sub(pow_mod(r, exponent, f, ell), (1,), ell)
+        factors = _refine(factors, h, d, ell)
     return factors
 
 
-def _refine(factors, h, d):
+def _refine(factors, h, d, ell):
     out = []
     for g in factors:
-        if g.degree == d:
+        if len(g) - 1 == d:
             out.append(g)
             continue
-        u = gcd(g, h % g)
-        if 0 < u.degree < g.degree:
+        u = gcd(g, quo_rem(h, g, ell)[1], ell)
+        if 1 < len(u) < len(g):
             out.append(u)
-            out.append(g // u)
+            out.append(divide_exact(g, u, ell))
         else:
             out.append(g)
     return out
 
 
-def factor(f: FpPoly, seed: int = 0) -> FactorMultiset:
-    """Complete factorization into monic irreducibles with multiplicity.
-
-    The zero polynomial is rejected.  The unit is the leading
-    coefficient, so unit * prod(factors) reproduces the input exactly.
-    The factor list is sorted by (degree, coefficient tuple); the seed
-    only steers the internal splitting order, never the result.
-    """
-    if f.is_zero:
+def _factor(f, ell: int, seed: int) -> FactorMultiset:
+    if not f:
         raise ValueError("cannot factor the zero polynomial")
-    unit = f.coeffs[-1]
     rng = random.Random(seed)
     found = []
-    for part, mult in _squarefree_parts(f.monic()):
-        for piece, d in distinct_degree(part):
-            for irr in _equal_degree(piece, d, rng):
+    for part, mult in _squarefree_parts(monic(f, ell), ell):
+        for piece, d in _distinct_degree(part, ell):
+            for irr in _equal_degree(piece, d, rng, ell):
                 found.append((irr, mult))
-    found.sort(key=lambda gm: (gm[0].degree, gm[0].coeffs))
-    return FactorMultiset(f.p, unit, tuple(found))
+    found.sort(key=lambda gm: (len(gm[0]), gm[0]))
+    return FactorMultiset(ell, f[-1], tuple(found))
 
 
-def roots(f: FpPoly, seed: int = 0) -> tuple:
-    """All roots in F_p, each repeated to its multiplicity, ascending.
+def factor(f, ell: int, seed: int = 0) -> FactorMultiset:
+    """Complete factorization mod ell into monic irreducibles with multiplicity.
+
+    f is reduced mod ell first; the zero polynomial is rejected.  The
+    unit is the leading coefficient, so unit * prod(factors) reproduces
+    the reduction exactly.  The factor list is sorted by (degree,
+    coefficient tuple); the seed only steers the internal splitting
+    order, never the result.
+    """
+    _require_prime(ell)
+    return _factor(_reduce(f, ell), ell, seed)
+
+
+def roots(f, ell: int, seed: int = 0) -> tuple:
+    """All roots of f mod ell, each repeated to its multiplicity, ascending.
 
     The total count equals deg f exactly when f splits completely.
     """
-    if f.is_zero:
+    _require_prime(ell)
+    f = _reduce(f, ell)
+    if not f:
         raise ValueError("zero polynomial has every residue as a root")
     out = []
-    for g, m in factor(f, seed=seed).factors:
-        if g.degree == 1:
-            out.extend([(-g.coeffs[0]) % f.p] * m)
+    for g, m in _factor(f, ell, seed).factors:
+        if len(g) == 2:
+            out.extend([(-g[0]) % ell] * m)
     return tuple(sorted(out))

@@ -183,9 +183,11 @@ def hecke_matrix(n: int, k: int, modulus=None) -> tuple:
         return ()
     table = _factors(n * d + 1, modulus)
     exponents = {t for m in range(d + 1) for _, t in _reads(m, n)}
-    basis = basis_expansions(k, d + 1, modulus)
+    triples = monomial_basis(k)
+    # the back-substitution rows come from the same table as the images
+    basis = [[table.coeff(a, b, c, t) for t in range(d + 1)] for a, b, c in triples]
     rows = [[0] * d for _ in range(d)]
-    for j, (a, b, c) in enumerate(monomial_basis(k)):
+    for j, (a, b, c) in enumerate(triples):
         f = {t: table.coeff(a, b, c, t) for t in exponents}
         image = [_mod(x, modulus) for x in hecke_action(f, n, k, d + 1).coeffs]
         # basis element i leads with q^(i+1), so peel coordinates upward
@@ -194,7 +196,7 @@ def hecke_matrix(n: int, k: int, modulus=None) -> tuple:
             rows[i][j] = coord
             if coord:
                 for m in range(i + 1, d + 1):
-                    image[m] -= coord * basis[i].coeffs[m]
+                    image[m] -= coord * basis[i][m]
         if any(_mod(image[m], modulus) for m in range(d + 1)):
             raise SpanViolation(
                 "T_%d image of basis element %d not in the span at k=%d" % (n, j, k)

@@ -37,7 +37,7 @@ from .errors import (
     RootNestingViolation,
     SplittingViolation,
 )
-from .gfpoly import FpPoly, InexactDivision, divide_exact, reduce_mod, roots
+from .gfpoly import InexactDivision, divide_exact, mul, poly_str, roots
 from .hecke import charpoly, dim_cusp
 
 # Row labels of the published mod-5 and mod-7 tables: the smallest prime
@@ -61,15 +61,18 @@ def _validate(p: int, ell: int):
         raise ValueError("p and ell must be distinct, both %d" % p)
 
 
-def charpoly_mod(p: int, k: int, ell: int) -> FpPoly:
-    """Characteristic polynomial of T_p at weight k mod ell, from the kernel mod ell."""
+def charpoly_mod(p: int, k: int, ell: int) -> tuple:
+    """Characteristic polynomial of T_p at weight k mod ell, from the kernel mod ell.
+
+    Coefficients ascending in [0, ell), as the gfpoly functions take them.
+    """
     _validate(p, ell)
     if k % 2:
         raise ValueError("weight must be even, got %d" % k)
-    return reduce_mod(charpoly(p, k, ell), ell)
+    return charpoly(p, k, ell).coeffs
 
 
-def lemma1_check(p: int, ell: int, k: int) -> FpPoly:
+def lemma1_check(p: int, ell: int, k: int) -> tuple:
     """Quotient T_p(k + ell - 1) / T_p(k) in F_ell[x].
 
     The divisibility is guaranteed for ell >= 5; an inexact division is
@@ -80,11 +83,11 @@ def lemma1_check(p: int, ell: int, k: int) -> FpPoly:
     low = charpoly_mod(p, k, ell)
     high = charpoly_mod(p, k + ell - 1, ell)
     try:
-        return divide_exact(high, low)
+        return divide_exact(high, low, ell)
     except InexactDivision as exc:
         raise Lemma1Violation(
             "T_%d at weight %d does not divide weight %d mod %d (remainder %s)"
-            % (p, k, k + ell - 1, ell, exc.remainder)
+            % (p, k, k + ell - 1, ell, poly_str(exc.remainder))
         ) from exc
 
 
@@ -166,7 +169,7 @@ def root_sequence(
             )
         f = charpoly_mod(p, k, ell)
         d = dim_cusp(k)
-        rts = roots(f, seed=seed)
+        rts = roots(f, ell, seed=seed)
         if len(rts) != d:
             raise SplittingViolation(
                 "T_%d at weight %d mod %d has %d roots in F_%d, dimension is %d"
@@ -288,7 +291,7 @@ def table_rows(ell, max_weight=None, single_period=False):
     return cells
 
 
-def small_ell_rule(p: int, k: int, ell: int) -> FpPoly:
+def small_ell_rule(p: int, k: int, ell: int) -> tuple:
     """Predicted T_p mod ell for ell in {2, 3}: a pure power of x or x - 2.
 
     mod 2 (p odd): x^dim.  mod 3: (x - 2)^dim for p = 1 (mod 3), x^dim
@@ -298,13 +301,10 @@ def small_ell_rule(p: int, k: int, ell: int) -> FpPoly:
         raise ValueError("closed forms cover ell in {2, 3} only")
     _validate(p, ell)
     d = dim_cusp(k)
-    if ell == 2 or p % 3 == 2:
-        base = FpPoly(ell, (0, 1))
-    else:
-        base = FpPoly(ell, (-2, 1))
-    out = FpPoly(ell, (1,))
+    base = (0, 1) if ell == 2 or p % 3 == 2 else (-2 % ell, 1)
+    out = (1,)
     for _ in range(d):
-        out = out * base
+        out = mul(out, base, ell)
     return out
 
 
@@ -333,4 +333,4 @@ def serre_classification_check(ell: int, p: int, k: int, seed: int = 0) -> bool:
         raise ValueError("classification check covers ell in {3, 5, 7}")
     f = charpoly_mod(p, k, ell)
     allowed = serre_eigenvalue_set(p, ell)
-    return all(r in allowed for r in roots(f, seed=seed))
+    return all(r in allowed for r in roots(f, ell, seed=seed))

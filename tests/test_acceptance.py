@@ -289,7 +289,7 @@ def test_criterion_10_deduction_end_to_end(shared_cache):
             and cert.claim == CLAIM_FULL_SYMMETRIC
         )
         row = next(e for e in cert.evidence if e.get("kind") == "table-row")
-        direct = roots(charpoly_mod(row["class_prime"], 24, row["ell"]))
+        direct = roots(charpoly_mod(row["class_prime"], 24, row["ell"]), row["ell"])
         ok = ok and good and sorted(row["first_terms"]) == sorted(direct)
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 60

@@ -72,7 +72,7 @@ def test_cycle_type_matches_full_factorization():
     for f in polys:
         for ell in primes_up_to(31):
             ct = cycle_type(f, ell)
-            fm = factor(reduce_mod(f, ell))
+            fm = factor(reduce_mod(f, ell), ell)
             if fm.is_squarefree():
                 assert ct == CycleType(ell=ell, partition=tuple(sorted(fm.degrees(), reverse=True)))
             else:
@@ -277,7 +277,7 @@ def test_corollary_conclusion():
 def test_remark_rule():
     r = remark_rule(24)
     assert r.applicable and r.rule == "PaperRemark14" and r.p == 2
-    assert sorted(r.first_terms) == sorted(roots(charpoly_mod(2, 24, 13)))
+    assert sorted(r.first_terms) == sorted(roots(charpoly_mod(2, 24, 13), 13))
 
     # weight 168 is the first dimension divisible by 14 (14 = 2 mod 4)
     r28 = remark_rule(168)

@@ -3,18 +3,34 @@ from itertools import product
 
 import pytest
 
+from heckemod.galois import cycle_type
 from heckemod.gfpoly import (
-    FpPoly,
+    X,
+    FrobeniusMatrix,
     InexactDivision,
+    add,
+    derivative,
+    distinct_degree,
     divide_exact,
     factor,
     gcd,
+    monic,
+    mul,
     poly_str,
     pow_mod,
+    quo_rem,
     reduce_mod,
     roots,
-    x_poly,
+    sub,
 )
+
+
+def expand(fm):
+    out = (fm.unit,)
+    for g, m in fm.factors:
+        for _ in range(m):
+            out = mul(out, g, fm.modulus)
+    return out
 
 
 def test_poly_str_examples():
@@ -26,83 +42,84 @@ def test_poly_str_examples():
     assert poly_str((-1, -1)) == "-x - 1"
 
 
-def test_fppoly_normalization_and_arithmetic():
-    f = FpPoly(5, (7, -3, 10))  # 2 + 2x
-    assert f.coeffs == (2, 2)
-    assert f.degree == 1
-    zero = FpPoly(5, (0, 0))
-    assert zero.is_zero and zero.coeffs == () and zero.degree == -1
-    g = FpPoly(5, (1, 1))
-    assert (f + g).coeffs == (3, 3)
-    assert (f - f).is_zero
-    assert (f * 3).coeffs == (1, 1)
-    assert (f * g).coeffs == (2, 4, 2)
-    assert f.evaluate(4) == (2 + 2 * 4) % 5
-    assert FpPoly(5, (0, 3)).monic().coeffs == (0, 1)
+def test_tuple_normalization_and_arithmetic():
+    f = reduce_mod((7, -3, 10), 5)  # 2 + 2x
+    assert f == (2, 2)
+    assert len(f) - 1 == 1
+    zero = reduce_mod((0, 0), 5)
+    assert zero == () and len(zero) - 1 == -1
+    g = (1, 1)
+    assert add(f, g, 5) == (3, 3)
+    assert sub(f, f, 5) == ()
+    assert mul(f, (3,), 5) == (1, 1)
+    assert mul(f, g, 5) == (2, 4, 2)
+    # f mod (x - 4) is the constant f(4)
+    assert quo_rem(f, reduce_mod((-4, 1), 5), 5)[1] == reduce_mod((2 + 2 * 4,), 5)
+    assert quo_rem(f, reduce_mod((-3, 1), 5), 5)[1] == reduce_mod((2 + 2 * 3,), 5)
+    assert monic((0, 3), 5) == (0, 1)
 
 
 def test_division_with_remainder_property():
     rng = random.Random(19)
     for p in (2, 3, 5, 13):
         for _ in range(60):
-            a = FpPoly(p, tuple(rng.randrange(p) for _ in range(rng.randint(0, 8))))
-            b = FpPoly(p, tuple(rng.randrange(p) for _ in range(rng.randint(1, 5))))
-            if b.is_zero:
+            a = reduce_mod(tuple(rng.randrange(p) for _ in range(rng.randint(0, 8))), p)
+            b = reduce_mod(tuple(rng.randrange(p) for _ in range(rng.randint(1, 5))), p)
+            if not b:
                 continue
-            q, r = divmod(a, b)
-            assert (q * b + r).coeffs == a.coeffs
-            assert r.degree < b.degree
+            q, r = quo_rem(a, b, p)
+            assert add(mul(q, b, p), r, p) == a
+            assert len(r) < len(b)
 
 
 def test_divide_exact_remainder_attached():
-    f = FpPoly(5, (1, 0, 1))  # x^2 + 1
-    g = FpPoly(5, (-1, 1))  # x - 1
+    f = (1, 0, 1)  # x^2 + 1
+    g = reduce_mod((-1, 1), 5)  # x - 1
     with pytest.raises(InexactDivision) as exc:
-        divide_exact(f, g)
-    assert exc.value.remainder.coeffs == (2,)
-    assert divide_exact(f, FpPoly(5, (2, 1))).coeffs == (3, 1)  # (x+2)(x+3) = x^2+1
+        divide_exact(f, g, 5)
+    assert exc.value.remainder == (2,)
+    assert divide_exact(f, (2, 1), 5) == (3, 1)  # (x+2)(x+3) = x^2+1
 
 
 def test_factor_example_over_f5():
-    fm = factor(FpPoly(5, (4, 0, 1)))  # x^2 + 4
+    fm = factor((4, 0, 1), 5)  # x^2 + 4
     assert fm.unit == 1
-    assert [(g.coeffs, m) for g, m in fm.factors] == [((1, 1), 1), ((4, 1), 1)]
+    assert list(fm.factors) == [((1, 1), 1), ((4, 1), 1)]
     assert fm.is_squarefree()
 
 
 def test_factor_tracks_unit():
-    fm = factor(FpPoly(5, (3, 0, 3)))  # 3x^2 + 3
+    fm = factor((3, 0, 3), 5)  # 3x^2 + 3
     assert fm.unit == 3
-    assert fm.expand().coeffs == (3, 0, 3)
+    assert expand(fm) == (3, 0, 3)
 
 
 def test_factor_reassembles_random_inputs():
     rng = random.Random(23)
     for p in (2, 3, 5, 7, 13, 101):
         for _ in range(80):
-            coeffs = tuple(rng.randrange(p) for _ in range(rng.randint(1, 9)))
-            f = FpPoly(p, coeffs)
-            if f.is_zero:
+            f = reduce_mod(tuple(rng.randrange(p) for _ in range(rng.randint(1, 9))), p)
+            if not f:
                 continue
-            fm = factor(f)
-            assert fm.expand().coeffs == f.coeffs
-            assert sum(fm.degrees()) == f.degree
+            fm = factor(f, p)
+            assert expand(fm) == f
+            assert sum(fm.degrees()) == len(f) - 1
             # canonical order
-            keys = [(g.degree, g.coeffs) for g, _ in fm.factors]
+            keys = [(len(g) - 1, g) for g, _ in fm.factors]
             assert keys == sorted(keys)
-            assert all(g.is_monic for g, _ in fm.factors)
+            assert all(g[-1] == 1 for g, _ in fm.factors)
 
 
-def is_irreducible_by_frobenius(g):
+def is_irreducible_by_frobenius(g, p):
     # x^(p^d) = x mod g, and no smaller d' | d traps it
-    p, d = g.p, g.degree
-    x = x_poly(p)
-    if pow_mod(x, p ** d, g) != x % g:
+    d = len(g) - 1
+    x_mod_g = quo_rem(X, g, p)[1]
+    if pow_mod(X, p ** d, g, p) != x_mod_g:
         return False
     for r in (2, 3, 5, 7):
         if d % r == 0:
-            h = pow_mod(x, p ** (d // r), g) - (x % g)
-            if not gcd(h, g).degree == 0:
+            h = sub(pow_mod(X, p ** (d // r), g, p), x_mod_g, p)
+            if not len(gcd(h, g, p)) - 1 == 0:
                 return False
     return True
 
@@ -111,40 +128,39 @@ def test_reported_factors_are_irreducible():
     rng = random.Random(29)
     for p in (2, 3, 7):
         for _ in range(25):
-            f = FpPoly(p, tuple(rng.randrange(p) for _ in range(7)))
-            if f.degree < 1:
+            f = reduce_mod(tuple(rng.randrange(p) for _ in range(7)), p)
+            if len(f) - 1 < 1:
                 continue
-            for g, _ in factor(f).factors:
-                assert is_irreducible_by_frobenius(g)
+            for g, _ in factor(f, p).factors:
+                assert is_irreducible_by_frobenius(g, p)
 
 
 def test_factor_seed_independent():
     rng = random.Random(31)
     for p in (2, 5, 13):
-        f = FpPoly(p, tuple(rng.randrange(p) for _ in range(10)))
-        a = factor(f, seed=1)
-        b = factor(f, seed=2)
-        assert [(g.coeffs, m) for g, m in a.factors] == [(g.coeffs, m) for g, m in b.factors]
+        f = reduce_mod(tuple(rng.randrange(p) for _ in range(10)), p)
+        a = factor(f, p, seed=1)
+        b = factor(f, p, seed=2)
+        assert a.factors == b.factors
 
 
-def naive_factor(f):
+def naive_factor(f, p):
     # trial division by monic polynomials of increasing degree
-    p = f.p
     out = []
-    g = f.monic()
+    g = monic(f, p)
     d = 1
-    while g.degree > 0:
+    while len(g) - 1 > 0:
         hit = None
         for tail in product(range(p), repeat=d):
-            cand = FpPoly(p, tail + (1,))
-            q, r = divmod(g, cand)
-            if r.is_zero:
+            cand = tail + (1,)
+            q, r = quo_rem(g, cand, p)
+            if not r:
                 hit = (cand, q)
                 break
         if hit is None:
             d += 1
             continue
-        out.append(hit[0].coeffs)
+        out.append(hit[0])
         g = hit[1]
     return sorted(out)
 
@@ -152,44 +168,90 @@ def naive_factor(f):
 def test_factor_matches_trial_division():
     for p in (2, 3, 5):
         for tail in product(range(p), repeat=3):
-            f = FpPoly(p, tail + (1,))
-            fm = factor(f)
+            f = tail + (1,)
+            fm = factor(f, p)
             expanded = []
             for g, m in fm.factors:
-                expanded.extend([g.coeffs] * m)
-            assert sorted(expanded) == naive_factor(f)
+                expanded.extend([g] * m)
+            assert sorted(expanded) == naive_factor(f, p)
 
 
 def test_repeated_factors_and_pth_powers():
-    fm = factor(FpPoly(2, (1, 0, 0, 0, 1)))  # (x+1)^4 over F_2
-    assert [(g.coeffs, m) for g, m in fm.factors] == [((1, 1), 4)]
-    sq = FpPoly(2, (1, 1, 1)) * FpPoly(2, (1, 1, 1))
-    fm = factor(sq)
-    assert [(g.coeffs, m) for g, m in fm.factors] == [((1, 1, 1), 2)]
+    fm = factor((1, 0, 0, 0, 1), 2)  # (x+1)^4 over F_2
+    assert list(fm.factors) == [((1, 1), 4)]
+    sq = mul((1, 1, 1), (1, 1, 1), 2)
+    fm = factor(sq, 2)
+    assert list(fm.factors) == [((1, 1, 1), 2)]
 
 
 def test_roots_with_multiplicity():
-    f = FpPoly(7, (-1, 1)) * FpPoly(7, (-1, 1)) * FpPoly(7, (-3, 1))
-    assert roots(f) == (1, 1, 3)
-    assert roots(FpPoly(7, (1, 0, 1))) == ()  # x^2 + 1 has no roots mod 7
+    f = mul(mul((6, 1), (6, 1), 7), (4, 1), 7)  # (x - 1)^2 (x - 3) over F_7
+    assert roots(f, 7) == (1, 1, 3)
+    assert roots((1, 0, 1), 7) == ()  # x^2 + 1 has no roots mod 7
     with pytest.raises(ValueError):
-        roots(FpPoly(7, ()))
+        roots((), 7)
 
 
 def test_reduce_mod_accepts_plain_sequences_and_objects():
     class Carrier:
         coeffs = (24, 1)
 
-    assert reduce_mod((24, 1), 5).coeffs == (4, 1)
-    assert reduce_mod(Carrier(), 5).coeffs == (4, 1)
+    assert reduce_mod((24, 1), 5) == (4, 1)
+    assert reduce_mod(Carrier(), 5) == (4, 1)
 
 
 def test_gcd_is_monic():
-    a = FpPoly(5, (2, 1)) * FpPoly(5, (3, 1)) * FpPoly(5, (0, 3))
-    b = FpPoly(5, (2, 1)) * FpPoly(5, (1, 1))
-    assert gcd(a, b).coeffs == (2, 1)
+    a = mul(mul((2, 1), (3, 1), 5), (0, 3), 5)
+    b = mul((2, 1), (1, 1), 5)
+    assert gcd(a, b, 5) == (2, 1)
 
 
-def test_modulus_mismatch_rejected():
-    with pytest.raises(ValueError):
-        FpPoly(5, (1, 1)) + FpPoly(7, (1, 1))
+def _random_squarefree(rng, ell, degree):
+    while True:
+        f = tuple(rng.randrange(ell) for _ in range(degree)) + (1,)
+        if len(gcd(f, derivative(f, ell), ell)) == 1:
+            return f
+
+
+def test_q_matrix_powers_are_frobenius_powers():
+    # x Q^d = x^(ell^d) mod f, for every d up to deg f
+    rng = random.Random(37)
+    x7_plus_2 = (2, 0, 0, 0, 0, 0, 0, 1)
+    cases = [((1, 0, 0, 0, 1), 3), ((1, 0, 0, 0, 1), 5), ((1, 0, 0, 0, 1), 17), ((0, 0, 0, 1), 3)]
+    cases += [(x7_plus_2, 7), (x7_plus_2, 13)]
+    for ell in (2, 3, 5, 7, 13, 199):
+        cases += [(_random_squarefree(rng, ell, rng.randint(1, 9)), ell) for _ in range(6)]
+    for f, ell in cases:
+        f = reduce_mod(f, ell)
+        q = FrobeniusMatrix(f, ell, pow_mod(X, ell, f, ell))
+        h = quo_rem(X, f, ell)[1]
+        for d in range(1, len(f)):
+            h = q.frobenius(h)
+            assert h == pow_mod(X, ell ** d, f, ell), (f, ell, d)
+
+
+def test_q_matrix_edge_cases():
+    # x^3 has derivative 0 mod 3: x^3 = x^(3 * 1) is row 1, and x^9 = 0
+    q = FrobeniusMatrix((0, 0, 0, 1), 3, pow_mod(X, 3, (0, 0, 0, 1), 3))
+    assert q.frobenius((0, 1)) == ()
+    assert q.frobenius((1, 1)) == (1,)
+    # x^4 + 1 splits into two quadratics mod 3 and four linears mod 17
+    assert distinct_degree((1, 0, 0, 0, 1), 3) == [((1, 0, 0, 0, 1), 2)]
+    assert distinct_degree((1, 0, 0, 0, 1), 17) == [((1, 0, 0, 0, 1), 1)]
+    # x^7 + 2 mod 7 is (x + 2)^7: not squarefree, one factor of multiplicity 7
+    assert list(factor((2, 0, 0, 0, 0, 0, 0, 1), 7).factors) == [((2, 1), 7)]
+    # x^7 + 2 mod 13: x -> x^7 permutes F_13 (gcd(7, 12) = 1), so one root
+    assert cycle_type((2, 0, 0, 0, 0, 0, 0, 1), 13).partition == (2, 2, 2, 1)
+
+
+def test_non_prime_modulus_rejected_at_each_entry():
+    for ell in (0, 1, 4, 9, 91):
+        for call in (
+            lambda: reduce_mod((1, 1), ell),
+            lambda: distinct_degree((1, 1), ell),
+            lambda: factor((1, 1), ell),
+            lambda: roots((1, 1), ell),
+            lambda: cycle_type((1, 1), ell),
+        ):
+            with pytest.raises(ValueError, match="not prime"):
+                call()

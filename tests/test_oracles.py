@@ -1,0 +1,74 @@
+"""gfpoly and cycle types checked against independent references.
+
+sympy's factorization over GF(ell) is the oracle for `factor`; a
+hypothesis property ties the degree-only cycle types to full
+factorizations.  Both libraries are test-only and skip when missing.
+"""
+
+import random
+
+import pytest
+
+from heckemod.galois import CycleType, SquarefreeFailure, cycle_type
+from heckemod.gfpoly import factor, reduce_mod
+from heckemod.modfactor import charpoly_mod
+
+
+def _sympy_factors(f, ell):
+    """(unit, sorted [(ascending coefficient tuple, multiplicity)]) from sympy."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    unit, pairs = sympy.Poly(list(reversed(f)), x, modulus=ell).factor_list()
+    out = [(reduce_mod([int(c) for c in reversed(g.all_coeffs())], ell), m) for g, m in pairs]
+    return int(unit) % ell, sorted(out, key=lambda gm: (len(gm[0]), gm[0]))
+
+
+def _assert_matches_sympy(f, ell):
+    fm = factor(f, ell)
+    assert (fm.unit, list(fm.factors)) == _sympy_factors(reduce_mod(f, ell), ell), (f, ell)
+
+
+def _int_product(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def test_factor_matches_sympy_on_random_polynomials():
+    rng = random.Random(41)
+    for ell in (2, 3, 5, 7, 13, 101):
+        for _ in range(25):
+            f = reduce_mod([rng.randrange(ell) for _ in range(rng.randint(2, 13))], ell)
+            if len(f) > 1:
+                _assert_matches_sympy(f, ell)
+        # a cube, where the multiplicities matter
+        g = reduce_mod([rng.randrange(ell) for _ in range(4)] + [1], ell)
+        _assert_matches_sympy(tuple(c % ell for c in _int_product(_int_product(g, g), g)), ell)
+
+
+def test_factor_matches_sympy_on_hecke_charpolys():
+    for p, k, ell in [(2, 96, 5), (3, 72, 7), (2, 120, 13), (5, 100, 11), (2, 150, 101), (7, 84, 3)]:
+        _assert_matches_sympy(charpoly_mod(p, k, ell), ell)
+
+
+def test_cycle_type_is_the_factor_degree_partition():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(
+        tail=st.lists(st.integers(-50, 50), min_size=1, max_size=12),
+        ell=st.sampled_from((2, 3, 5, 7, 11, 13, 31, 199)),
+    )
+    def check(tail, ell):
+        f = tuple(tail) + (1,)
+        ct = cycle_type(f, ell)
+        fm = factor(f, ell)
+        if fm.is_squarefree():
+            assert ct == CycleType(ell=ell, partition=tuple(sorted(fm.degrees(), reverse=True)))
+        else:
+            assert isinstance(ct, SquarefreeFailure)
+
+    check()
