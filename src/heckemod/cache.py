@@ -12,11 +12,13 @@ reproduces them byte for byte.  A cache constructed with directory
 None memoizes in memory only.
 
 Lines that do not parse, name another p, or are not monic of degree
-d = dim S_k are skipped on load, and on the first `get` of (p, k) those
-whose x^(d-1) coefficient is not minus the trace formula's trace of T_p.
-The last line left wins; with none, the polynomial is recomputed and
-appended (on a fresh line after a torn tail) by a single write on an
-O_APPEND descriptor.  Only `charpoly`, `certify` and the anchor of
+d = dim S_k are skipped on load.  On the first `get` of (p, k), so are
+those whose two top coefficients disagree with the trace formula: for
+x^d + c_(d-1) x^(d-1) + c_(d-2) x^(d-2) + ..., trace(T_p) = -c_(d-1)
+and, since T_p^2 = T_(p^2) + p^(k-1), trace(T_(p^2)) + p^(k-1) d =
+c_(d-1)^2 - 2 c_(d-2).  The last line left wins; with none, the
+polynomial is recomputed and appended (on a fresh line after a torn
+tail) by a single write on an O_APPEND descriptor.  Only `charpoly`, `certify` and the anchor of
 `deduce` use the cache; tables work mod ell and never open it.
 """
 
@@ -62,7 +64,7 @@ class CharpolyCache:
     def get(self, p: int, k: int):
         self._load(p)
         for poly in reversed(self._unchecked.pop((p, k), ())):  # first read: last good line wins
-            if poly.degree == 0 or poly.coeffs[-2] == -trace(p, k):
+            if _agrees_with_traces(p, k, poly):
                 self._mem[(p, k)] = poly
                 break
         return self._mem.get((p, k))
@@ -93,6 +95,16 @@ class CharpolyCache:
             found = charpoly(p, k)
             self.put(p, k, found)
         return found
+
+
+def _agrees_with_traces(p: int, k: int, poly: IntPoly) -> bool:
+    """The two top coefficients of `poly` against traces of T_p and T_(p^2)."""
+    d, c = poly.degree, poly.coeffs
+    if d == 0:
+        return True
+    if c[-2] != -trace(p, k):
+        return False
+    return d == 1 or c[-2] ** 2 - 2 * c[-3] == trace(p * p, k) + p ** (k - 1) * d
 
 
 def _parse_record(line: str, p: int):

@@ -10,6 +10,11 @@ by the recursion U_0 = 0, U_1 = 1, U_j = t U_(j-1) - n U_(j-2), and H
 is the Hurwitz class number with the convention H(0) = -1/12 (which
 absorbs the boundary term t^2 = 4n when n is a perfect square).
 
+H(n) is counted as the integer 6 H(n) by divisor enumeration: a reduced
+form (a, b, c) of discriminant -n with b >= 0 has b = n (mod 2),
+3 b^2 <= n and a c = (b^2 + n)/4 with b <= a <= c, so for each such b
+the loop keeps the a up to sqrt((b^2 + n)/4) that divide (b^2 + n)/4.
+
 Everything is assembled in fractions.Fraction; a non-integer total is
 raised as a falsification, never rounded.  This module deliberately
 shares no code with the Hecke-matrix path so the two can check each
@@ -39,25 +44,22 @@ def hurwitz_class_number(n: int) -> Fraction:
         return Fraction(-1, 12)
     if n % 4 in (1, 2):
         return Fraction(0)
-    total = Fraction(0)
-    a = 1
-    while 3 * a * a <= n:
-        for b in range(-a, a + 1):
-            if (b * b + n) % (4 * a):
+    total = 0  # 6 H(n)
+    for b in range(n % 2, math.isqrt(n // 3) + 1, 2):
+        m = (b * b + n) // 4
+        for a in range(max(b, 1), math.isqrt(m) + 1):
+            if m % a:
                 continue
-            c = (b * b + n) // (4 * a)
-            if c < a:
-                continue
-            if b < 0 and (-b == a or a == c):
-                continue  # forms (a,-a,c) and (a,-b,a) repeat (a,a,c), (a,b,a)
-            if b == 0 and a == c:
-                total += Fraction(1, 2)
-            elif a == b == c:
-                total += Fraction(1, 3)
+            c = m // a
+            if a == b == c:
+                total += 2
+            elif b == 0 and a == c:
+                total += 3
+            elif b == 0 or b == a or a == c:
+                total += 6  # (a, -b, c) is not reduced, or is (a, b, c)
             else:
-                total += 1
-        a += 1
-    return total
+                total += 12  # (a, b, c) and (a, -b, c)
+    return Fraction(total, 6)
 
 
 def weight_poly(k: int, t: int, n: int) -> int:

@@ -74,5 +74,5 @@ def test_records_are_trace_checked_only_when_read(tmp_path, monkeypatch):
     cache = CharpolyCache(str(tmp_path))
     assert cache.charpoly(2, 48) == charpoly(2, 48)
     assert cache.charpoly(2, 48) == charpoly(2, 48)
-    assert calls == [(2, 48)]
+    assert calls == [(2, 48), (4, 48)]
     assert path.read_text().count("\n") == 28

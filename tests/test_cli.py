@@ -200,8 +200,10 @@ def test_torn_cache_line_is_recomputed(tmp_path, capsys):
         '{"coeffs": ["5", "1"], "k": 24, "p": 2}\n',
         # right degree, but the x coefficient is not -trace(T_2) = -1080
         '{"coeffs": ["-20468736", "-1081", "1"], "k": 24, "p": 2}\n',
+        # right trace, but c_1^2 - 2 c_0 is not trace(T_4) + 2^23 * 2
+        '{"coeffs": ["-20468737", "-1080", "1"], "k": 24, "p": 2}\n',
     ],
-    ids=["wrong-degree", "wrong-trace"],
+    ids=["wrong-degree", "wrong-trace", "wrong-trace-of-square"],
 )
 def test_wrong_degree_cache_record_is_recomputed(tmp_path, capsys, record):
     bad = tmp_path / "bad"

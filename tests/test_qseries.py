@@ -89,6 +89,49 @@ def test_ring_laws_on_random_series():
             assert mul(a, b, m).coeffs == tuple(x % m for x in mul(a, b).coeffs)
 
 
+def random_series(rng, length, bits):
+    return QExpansion(tuple(rng.randint(-(1 << bits), 1 << bits) for _ in range(length)))
+
+
+def assert_matches_schoolbook(a, b):
+    want = naive_mul(a.coeffs, b.coeffs, min(a.prec, b.prec))
+    assert mul(a, b).coeffs == tuple(want)
+    for m in (2, 5, 7, 13):
+        assert mul(a, b, m).coeffs == tuple(x % m for x in want)
+
+
+def test_product_matches_schoolbook_on_random_series():
+    rng = random.Random(20240)
+    for _ in range(150):
+        # mismatched lengths 1..80, signed coefficients up to 2^256
+        a = random_series(rng, rng.randint(1, 80), rng.choice((0, 1, 7, 8, 64, 256)))
+        b = random_series(rng, rng.randint(1, 80), rng.choice((0, 1, 7, 8, 64, 256)))
+        assert_matches_schoolbook(a, b)
+        assert_matches_schoolbook(a, a)
+
+
+def test_product_with_zero_operands():
+    rng = random.Random(5)
+    for length in (1, 2, 17, 80):
+        zero = QExpansion((0,) * length)
+        big = random_series(rng, length, 256)
+        assert_matches_schoolbook(zero, zero)
+        assert_matches_schoolbook(zero, big)
+        assert_matches_schoolbook(big, zero)
+
+
+def test_product_coefficients_at_the_slot_bound():
+    # |x_i| = |y_j| = 2^m - 1 with constant signs makes the q^(prec-1)
+    # coefficient exactly prec (2^m - 1)^2, the bound the slots are sized from
+    for m in (1, 2, 3, 4, 7, 8, 9, 31, 32, 64, 256):
+        top = (1 << m) - 1
+        for length in (1, 2, 3, 7, 16, 80):
+            for signs in ((1,), (-1,), (1, -1)):
+                a = QExpansion(tuple(signs[i % len(signs)] * top for i in range(length)))
+                for sign in (1, -1):
+                    assert_matches_schoolbook(a, QExpansion((sign * top,) * length))
+
+
 def test_power_matches_repeated_multiplication():
     rng = random.Random(11)
     a = QExpansion(tuple(rng.randint(-5, 5) for _ in range(10)))

@@ -1,9 +1,10 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from heckemod.errors import PeriodNotFound
-from heckemod.hecke import dim_cusp, hecke_matrix, trace_of_matrix
+from heckemod.hecke import charpoly, dim_cusp, hecke_matrix, trace_of_matrix
 from heckemod.traceformula import (
     hurwitz_class_number,
     trace,
@@ -39,7 +40,14 @@ def hurwitz_oracle(n):
 
 
 def test_hurwitz_against_reduced_form_oracle():
-    for n in range(0, 251):
+    for n in range(0, 1001):
+        assert hurwitz_class_number(n) == hurwitz_oracle(n)
+
+
+def test_hurwitz_against_oracle_up_to_trace_oracle_scale():
+    # 4 * 97^2 is the largest argument the trace of T_(97^2) reads
+    rng = random.Random(97)
+    for n in [4 * 97 * 97] + [rng.randint(1001, 4 * 97 * 97) for _ in range(49)]:
         assert hurwitz_class_number(n) == hurwitz_oracle(n)
 
 
@@ -101,6 +109,17 @@ def test_trace_matches_matrices_sample():
     for n in (2, 3, 6, 12, 25):
         for k in (12, 24, 38):
             assert trace(n, k) == trace_of_matrix(hecke_matrix(n, k))
+
+
+def test_trace_of_square_against_charpoly_at_benchmark_scale():
+    # T_p^2 = T_(p^2) + p^(k-1) on S_k, so for the charpoly
+    # x^d + c_(d-1) x^(d-1) + c_(d-2) x^(d-2) + ... of T_p,
+    # trace(T_(p^2)) + p^(k-1) d = c_(d-1)^2 - 2 c_(d-2)
+    for p, k in ((53, 72), (97, 60)):
+        c = charpoly(p, k).coeffs
+        d = len(c) - 1
+        assert trace(p, k) == -c[d - 1]
+        assert trace(p * p, k) + p ** (k - 1) * d == c[d - 1] ** 2 - 2 * c[d - 2]
 
 
 def test_trace_terms_are_exact_fractions():
