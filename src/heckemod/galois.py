@@ -38,11 +38,11 @@ unconditional anchor certificate upgrades them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from math import gcd as _gcd
 
 from ._primes import divisors, is_prime, primes_up_to
+from ._record import record
 from .gfpoly import _distinct_degree, derivative, factor, gcd, reduce_mod, roots
 from .hecke import charpoly, dim_cusp
 from .modfactor import ROW_PRIMES, charpoly_mod, root_sequence
@@ -66,7 +66,7 @@ ASSUME_SOME_FULL = (
 )
 
 
-@dataclass(frozen=True)
+@record
 class CycleType:
     """Factor-degree partition of a squarefree reduction mod ell."""
 
@@ -78,7 +78,7 @@ class CycleType:
         return sum(self.partition)
 
 
-@dataclass(frozen=True)
+@record
 class SquarefreeFailure:
     """Reduction mod ell had a repeated factor; no cycle type there."""
 
@@ -132,7 +132,7 @@ def powers_to_prime_cycle(partition, d: int):
     return None
 
 
-@dataclass(frozen=True)
+@record
 class Certificate:
     claim: str
     subject: dict
@@ -157,7 +157,7 @@ class Certificate:
         }
 
 
-@dataclass(frozen=True)
+@record
 class NotFound:
     claim: str
     subject: dict
@@ -302,7 +302,7 @@ def certify_full_symmetric(p: int, k: int, bound: int = 200, cache=None):
 # deductions that lean on the periodic tables
 
 
-@dataclass(frozen=True)
+@record
 class ShapeVerdict:
     """Prop-2 style shape filter for T_p at one weight.
 
@@ -376,7 +376,7 @@ def residues_qualify(p: int) -> bool:
     return _qualifying_ell(p)[0] is not None
 
 
-@dataclass(frozen=True)
+@record
 class TableVerdict:
     """Outcome of a table-backed deduction for T_p at weight k."""
 
@@ -628,7 +628,7 @@ def remark_rule(k: int) -> TableVerdict:
     )
 
 
-@dataclass(frozen=True)
+@record
 class DeduceResult:
     target: object  # Certificate or NotFound
     anchor_irreducible: object = None

@@ -26,10 +26,10 @@ the ascending coefficient tuple.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import zip_longest
 
 from ._primes import is_prime
+from ._record import record
 from .errors import ComputationError
 
 X = (0, 1)
@@ -180,7 +180,7 @@ def divide_exact(a, b, ell: int) -> tuple:
     return q
 
 
-@dataclass(frozen=True)
+@record
 class FactorMultiset:
     """Complete factorization over F_ell: unit * prod g_i^(m_i)."""
 

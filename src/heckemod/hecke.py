@@ -22,15 +22,15 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
 from . import qseries
 from ._primes import is_prime
+from ._record import record
 from .errors import InsufficientPrecision, SpanViolation
 from .gfpoly import poly_str
 
 
-@dataclass(frozen=True)
+@record
 class IntPoly:
     """Integer polynomial, coefficients ascending by degree."""
 

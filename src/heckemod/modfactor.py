@@ -28,9 +28,9 @@ predecessor is a RootNestingViolation.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from ._primes import is_prime, minimal_period
+from ._record import record
 from .errors import (
     Lemma1Violation,
     PeriodNotFound,
@@ -100,7 +100,7 @@ def first_weight_in_class(kclass: int, ell: int) -> int:
     return 12 + (kclass - 12) % step
 
 
-@dataclass(frozen=True)
+@record
 class RootSequence:
     """Sequence of new roots along one weight class mod ell.
 
@@ -209,7 +209,7 @@ def root_sequence(
     )
 
 
-@dataclass(frozen=True)
+@record
 class QuotientSequence:
     """Successive quotients f_j = T_p(k0 + j(ell-1)) / T_p(k0 + (j-1)(ell-1)) mod ell."""
 
@@ -249,7 +249,7 @@ def quotient_sequence(p, ell, kclass, max_weight=None) -> QuotientSequence:
     )
 
 
-@dataclass(frozen=True)
+@record
 class TableCell:
     p: int
     p_class: int

@@ -26,12 +26,11 @@ independent checks of each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ._primes import divisor_power_sum
+from ._record import record
 
 
-@dataclass(frozen=True)
+@record
 class QExpansion:
     coeffs: tuple
 

@@ -87,11 +87,11 @@ def trace_terms(n: int, k: int):
     if k < 4 or k % 2:
         raise ValueError("weight must be even and >= 4, got %d" % k)
     elliptic = Fraction(0)
-    tmax = math.isqrt(4 * n)
-    for t in range(-tmax, tmax + 1):
+    # for even k both factors are even in t, so -t repeats the term of t
+    for t in range(math.isqrt(4 * n) + 1):
         h = hurwitz_class_number(4 * n - t * t)
         if h:
-            elliptic += weight_poly(k, t, n) * h
+            elliptic += weight_poly(k, t, n) * h * (2 if t else 1)
     hyperbolic = sum(min(d, n // d) ** (k - 1) for d in divisors(n))
     return -elliptic / 2, Fraction(-hyperbolic, 2)
 

@@ -309,3 +309,15 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout == "x + 24\n"
+
+
+def test_cold_cli_import_loads_neither_dataclasses_nor_inspect():
+    def modules(code):
+        listing = "import sys\n%s\nprint('\\n'.join(sys.modules))" % code
+        proc = subprocess.run([sys.executable, "-c", listing], capture_output=True, text=True, check=True)
+        return set(proc.stdout.split())
+
+    added = modules("import heckemod.cli") - modules("pass")
+    assert "heckemod.cli" in added
+    assert "dataclasses" not in added
+    assert "inspect" not in added

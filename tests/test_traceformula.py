@@ -1,8 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from heckemod import traceformula
 from heckemod.errors import PeriodNotFound
 from heckemod.hecke import charpoly, dim_cusp, hecke_matrix, trace_of_matrix
 from heckemod.traceformula import (
@@ -126,6 +128,35 @@ def test_trace_terms_are_exact_fractions():
     elliptic, hyperbolic = trace_terms(2, 12)
     assert elliptic + hyperbolic == -24
     assert isinstance(elliptic, Fraction) and isinstance(hyperbolic, Fraction)
+
+
+def full_trace_terms(n, k):
+    # the formula as written: t runs over -tmax..tmax and d over all divisors
+    tmax = math.isqrt(4 * n)
+    elliptic = sum(
+        (weight_poly(k, t, n) * hurwitz_class_number(4 * n - t * t) for t in range(-tmax, tmax + 1)),
+        Fraction(0),
+    )
+    hyperbolic = sum(min(d, n // d) ** (k - 1) for d in range(1, n + 1) if n % d == 0)
+    return -elliptic / 2, Fraction(-hyperbolic, 2)
+
+
+def test_trace_terms_match_the_full_sum_with_one_class_number_per_t(monkeypatch):
+    grid = [(n, k) for n in list(range(1, 31)) + [49, 64, 97, 100] for k in (4, 12, 24, 50)]
+    expected = {(n, k): full_trace_terms(n, k) for n, k in grid}
+    arguments = []
+    counted = traceformula.hurwitz_class_number
+
+    def counting(m):
+        arguments.append(m)
+        return counted(m)
+
+    monkeypatch.setattr(traceformula, "hurwitz_class_number", counting)
+    for n, k in grid:
+        arguments.clear()
+        assert trace_terms(n, k) == expected[n, k]
+        assert len(arguments) == math.isqrt(4 * n) + 1
+        assert len(set(arguments)) == len(arguments)
 
 
 def test_trace_input_validation():
