@@ -16,9 +16,12 @@ d = dim S_k are skipped on load.  On the first `get` of (p, k), so are
 those whose two top coefficients disagree with the trace formula: for
 x^d + c_(d-1) x^(d-1) + c_(d-2) x^(d-2) + ..., trace(T_p) = -c_(d-1)
 and, since T_p^2 = T_(p^2) + p^(k-1), trace(T_(p^2)) + p^(k-1) d =
-c_(d-1)^2 - 2 c_(d-2).  The last line left wins; with none, the
-polynomial is recomputed and appended (on a fresh line after a torn
-tail) by a single write on an O_APPEND descriptor.  Only `charpoly`, `certify` and the anchor of
+c_(d-1)^2 - 2 c_(d-2).  A record that passes both is then compared,
+every coefficient, with the Hecke kernel run mod KERNEL_CHECK_PRIME,
+which catches a wrong low coefficient that the traces cannot see.
+The last line left wins; with none, the polynomial is recomputed and
+appended (on a fresh line after a torn tail) by a single write on an
+O_APPEND descriptor.  Only `charpoly`, `certify` and the anchor of
 `deduce` use the cache; tables work mod ell and never open it.
 """
 
@@ -31,12 +34,15 @@ from .errors import ComputationError
 from .hecke import IntPoly, charpoly, dim_cusp
 from .traceformula import trace
 
+# the prime of the mod-ell kernel check on records read from disk
+KERNEL_CHECK_PRIME = 1000003
+
 
 class CharpolyCache:
     def __init__(self, directory=None):
         self.directory = directory
         self._mem = {}  # records that passed every check
-        self._unchecked = {}  # (p, k) -> records from disk awaiting the trace check
+        self._unchecked = {}  # (p, k) -> records from disk awaiting their checks
         self._loaded = set()
         self._torn = set()
         if directory is not None:
@@ -64,7 +70,7 @@ class CharpolyCache:
     def get(self, p: int, k: int):
         self._load(p)
         for poly in reversed(self._unchecked.pop((p, k), ())):  # first read: last good line wins
-            if _agrees_with_traces(p, k, poly):
+            if _agrees_with_traces(p, k, poly) and _agrees_with_kernel(p, k, poly):
                 self._mem[(p, k)] = poly
                 break
         return self._mem.get((p, k))
@@ -105,6 +111,12 @@ def _agrees_with_traces(p: int, k: int, poly: IntPoly) -> bool:
     if c[-2] != -trace(p, k):
         return False
     return d == 1 or c[-2] ** 2 - 2 * c[-3] == trace(p * p, k) + p ** (k - 1) * d
+
+
+def _agrees_with_kernel(p: int, k: int, poly: IntPoly) -> bool:
+    """Every coefficient of `poly` against T_p's charpoly mod KERNEL_CHECK_PRIME."""
+    reduced = tuple(c % KERNEL_CHECK_PRIME for c in poly.coeffs)
+    return reduced == charpoly(p, k, KERNEL_CHECK_PRIME).coeffs
 
 
 def _parse_record(line: str, p: int):

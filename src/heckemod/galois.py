@@ -184,11 +184,12 @@ def _verdicts(f, bound: int, skip, subject):
     Walks the primes ell <= bound (skipping `skip`) once.  A single
     irreducible reduction settles irreducibility; otherwise the
     subset-sum sieve runs until its intersection of candidate factor
-    degrees empties.  The second verdict resumes the scan only when
-    asked: degree 1 is trivial and degree 2 needs only irreducibility;
-    beyond that it takes the first transposition witness and, unless the
-    degree is prime, the first primitivity witness (prime q-cycle,
-    d/2 < q < d) in scan order, earlier cycle types included.
+    degrees empties.  The second verdict needs the first, and resumes
+    the scan only when asked: given irreducibility, degrees 1 and 2 need
+    nothing more; beyond that it takes the first transposition witness
+    and, unless the degree is prime, the first primitivity witness
+    (prime q-cycle, d/2 < q < d) in scan order, earlier cycle types
+    included.
     """
     coeffs = tuple(getattr(f, "coeffs", f))
     d = len(coeffs) - 1
@@ -222,12 +223,12 @@ def _verdicts(f, bound: int, skip, subject):
         irr = NotFound(CLAIM_IRREDUCIBLE, subject, reason, tuple(map(_type_evidence, seen)))
     yield irr
 
-    if d == 1:
-        evidence = ({"kind": "degree-1"},)
-    elif rule is None:
+    if rule is None:
         reason = "irreducibility not established: %s" % irr.reason
         yield NotFound(CLAIM_FULL_SYMMETRIC, subject, reason, irr.evidence)
         return
+    if d == 1:
+        evidence = ({"kind": "degree-1"},)
     else:
         evidence = ({"kind": "irreducibility", "certificate": irr.to_dict()},)
     if d > 2:

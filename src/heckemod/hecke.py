@@ -11,17 +11,25 @@ The action of T_n on coefficients at level 1 reads
 
     (T_n f)_m = sum over e | gcd(m, n) of e^(k-1) * f_(m n / e^2),
 
-so a Hecke matrix reads each basis element only at the exponents
-m n / e^2, m <= dim: one dot product each of delta^a with E4^b E6^c.
-Over Z/ell one table of those factors per ell serves the whole process.
-Charpolys come from Hessenberg reduction over F_ell (ell prime) and from
-the division-free Berkowitz algorithm over Z.
+so a Hecke matrix reads each basis element only at 0 .. dim and at the
+exponents m n / e^2, m <= dim.  Over Z each read is one dot product of
+delta^a with E4^b E6^c: at large n the coefficients run to kilobits and
+a matrix reads a small share of them.  Over Z/ell one table of those
+factors per ell serves the whole process, each factor packed once into
+one integer, and each basis element is one product of its two packed
+factors cut to the n dim + 1 coefficients that T_n reads (a modulus
+too large for slots of 8 bytes falls back to dot products).  Charpolys
+come from Hessenberg reduction over F_ell (ell prime) and from the
+division-free Berkowitz algorithm over Z.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
+import sys
+from array import array
 
 from . import qseries
 from ._primes import is_prime
@@ -88,11 +96,19 @@ def _mod(x: int, modulus) -> int:
     return x if modulus is None else x % modulus
 
 
+# unsigned machine integers by size in bytes: the slot types of packed products
+_SLOT_TYPES = {array(code).itemsize: code for code in "BHILQ"}
+
+
 class _Factors:
     """delta^a and the tail chains E4^(b0 + 3j) E6^c (b0 < 3, c < 2), mod `modulus`.
 
     All hold `prec` coefficients and grow on demand.  Truncated products
     are prefix-consistent, so a longer table gives the same coefficients.
+    Mod ell, when prec (ell - 1)^2 fits a machine word, each factor is
+    also packed once into one int, a slot of that word's width per
+    residue, so that one product of two packed factors holds a basis
+    element with no carry between slots.
     """
 
     def __init__(self, prec: int, modulus):
@@ -101,16 +117,20 @@ class _Factors:
         self._e4_cubed = qseries.mul(qseries.mul(self._e4, self._e4, modulus), self._e4, modulus)
         self._deltas = [qseries.reduce(qseries.delta(prec), modulus)]
         self._tails = {}
+        self._packed = {}  # ("delta", a) or ("tail", b, c) -> packed factor
+        self._width = None  # None: dot products only
+        if modulus is not None:
+            bits = (prec * (modulus - 1) ** 2).bit_length()
+            self._width = next((w for w in sorted(_SLOT_TYPES) if 8 * w >= bits), None)
 
-    def coeff(self, a: int, b: int, c: int, t: int) -> int:
-        """Coefficient of q^t in delta^a E4^b E6^c, one dot product of its factors."""
-        if not 0 <= t < self.prec:
-            raise InsufficientPrecision("q^%d is beyond a table of %d terms" % (t, self.prec))
-        if t < a:  # delta^a starts at q^a
-            return 0
-        m, deltas = self.modulus, self._deltas
+    def _delta(self, a: int) -> tuple:
+        deltas = self._deltas
         while len(deltas) < a:
-            deltas.append(qseries.mul(deltas[-1], deltas[0], m))
+            deltas.append(qseries.mul(deltas[-1], deltas[0], self.modulus))
+        return deltas[a - 1].coeffs
+
+    def _tail(self, b: int, c: int) -> tuple:
+        m = self.modulus
         chain = self._tails.get((b % 3, c))
         if chain is None:
             head = qseries.power(self._e4, b % 3, m)
@@ -119,8 +139,48 @@ class _Factors:
             chain = self._tails[b % 3, c] = [head]
         while len(chain) <= b // 3:
             chain.append(qseries.mul(chain[-1], self._e4_cubed, m))
-        tail = chain[b // 3].coeffs
-        return _mod(sum(map(operator.mul, deltas[a - 1].coeffs[a : t + 1], tail[t - a :: -1])), m)
+        return chain[b // 3].coeffs
+
+    def _pack(self, key, coeffs) -> int:
+        packed = self._packed.get(key)
+        if packed is None:
+            w = self._width
+            slots = b"".join([x.to_bytes(w, "little") for x in coeffs])
+            packed = self._packed[key] = int.from_bytes(slots, "little")
+        return packed
+
+    def _check(self, t: int):
+        if not 0 <= t < self.prec:
+            raise InsufficientPrecision("q^%d is beyond a table of %d terms" % (t, self.prec))
+
+    def coeff(self, a: int, b: int, c: int, t: int) -> int:
+        """Coefficient of q^t in delta^a E4^b E6^c, one dot product of its factors."""
+        self._check(t)
+        if t < a:  # delta^a starts at q^a
+            return 0
+        delta, tail = self._delta(a), self._tail(b, c)
+        return _mod(sum(map(operator.mul, delta[a : t + 1], tail[t - a :: -1])), self.modulus)
+
+    def read(self, a: int, b: int, c: int, exponents):
+        """delta^a E4^b E6^c at each t in `exponents`, indexed by t.
+
+        The values are congruent to the coefficients mod `modulus`.  With
+        packed factors they are the slots of one product of the two, each
+        cut to the slots up to the top exponent; otherwise a dict of one
+        dot product per exponent.
+        """
+        top = max(exponents)
+        self._check(top)
+        if self._width is None:
+            return {t: self.coeff(a, b, c, t) for t in exponents}
+        size = self._width * (top + 1)
+        cut = (1 << 8 * size) - 1
+        delta = self._pack(("delta", a), self._delta(a)) & cut
+        tail = self._pack(("tail", b, c), self._tail(b, c)) & cut
+        slots = array(_SLOT_TYPES[self._width], (delta * tail & cut).to_bytes(size, "little"))
+        if sys.byteorder == "big":
+            slots.byteswap()
+        return slots
 
 
 # One table per modulus for the process; over Z, with kilobit coefficients, none is kept.
@@ -139,10 +199,8 @@ def _factors(prec: int, modulus) -> _Factors:
 def basis_expansions(k: int, prec: int, modulus=None) -> list:
     """q-expansions of the monomial basis to `prec` coefficients, mod `modulus` if given."""
     table = _factors(prec, modulus)
-    return [
-        qseries.QExpansion(tuple(table.coeff(a, b, c, t) for t in range(prec)))
-        for a, b, c in monomial_basis(k)
-    ]
+    reads = [table.read(a, b, c, range(prec)) for a, b, c in monomial_basis(k)]
+    return [qseries.QExpansion(tuple(_mod(f[t], modulus) for t in range(prec))) for f in reads]
 
 
 def _reads(m: int, n: int) -> list:
@@ -151,16 +209,26 @@ def _reads(m: int, n: int) -> list:
     return [(e, m * n // (e * e)) for e in range(1, g + 1) if g % e == 0]
 
 
+@functools.lru_cache(maxsize=None)
+def _weighted_reads(n: int, k: int, out_prec: int) -> tuple:
+    """(m, e^(k-1), m n / e^2) for m < out_prec and e > 1: (T_n f)_m beyond f_(m n)."""
+    return tuple(
+        (m, e ** (k - 1), t) for m in range(out_prec) for e, t in _reads(m, n) if e > 1
+    )
+
+
 def hecke_action(coeffs, n: int, k: int, out_prec: int) -> qseries.QExpansion:
     """T_n applied to a weight-k expansion, truncated to out_prec coefficients.
 
-    `coeffs` maps exponents to coefficients (a tuple or a dict); lacking
+    `coeffs` maps exponents to coefficients (a sequence or a dict); lacking
     one that T_n reads raises InsufficientPrecision, never truncates.
     """
     if n < 1:
         raise ValueError("Hecke index must be >= 1")
     try:
-        out = [sum(e ** (k - 1) * coeffs[t] for e, t in _reads(m, n)) for m in range(out_prec)]
+        out = [coeffs[t] for t in range(0, n * out_prec, n)]
+        for m, w, t in _weighted_reads(n, k, out_prec):
+            out[m] += w * coeffs[t]
     except (IndexError, KeyError):
         msg = "T_%d to %d coefficients needs coefficients up to q^%d"
         raise InsufficientPrecision(msg % (n, out_prec, n * (out_prec - 1))) from None
@@ -182,22 +250,20 @@ def hecke_matrix(n: int, k: int, modulus=None) -> tuple:
     if d == 0:
         return ()
     table = _factors(n * d + 1, modulus)
-    exponents = {t for m in range(d + 1) for _, t in _reads(m, n)}
-    triples = monomial_basis(k)
-    # the back-substitution rows come from the same table as the images
-    basis = [[table.coeff(a, b, c, t) for t in range(d + 1)] for a, b, c in triples]
+    exponents = {t for _, _, t in _weighted_reads(n, k, d + 1)}
+    exponents.update(range(d + 1), range(0, n * (d + 1), n))
+    # the back-substitution rows come from the same reads as the images
+    elements = [table.read(a, b, c, exponents) for a, b, c in monomial_basis(k)]
+    basis = [[_mod(f[t], modulus) for t in range(d + 1)] for f in elements]
     rows = [[0] * d for _ in range(d)]
-    for j, (a, b, c) in enumerate(triples):
-        f = {t: table.coeff(a, b, c, t) for t in exponents}
+    for j, f in enumerate(elements):
         image = [_mod(x, modulus) for x in hecke_action(f, n, k, d + 1).coeffs]
         # basis element i leads with q^(i+1), so peel coordinates upward
-        for i in range(d):
-            coord = _mod(image[i + 1], modulus)
-            rows[i][j] = coord
+        for i, row in enumerate(basis):
+            coord = rows[i][j] = _mod(image[i + 1], modulus)
             if coord:
-                for m in range(i + 1, d + 1):
-                    image[m] -= coord * basis[i][m]
-        if any(_mod(image[m], modulus) for m in range(d + 1)):
+                image[i + 1 :] = [x - coord * y for x, y in zip(image[i + 1 :], row[i + 1 :])]
+        if any(_mod(x, modulus) for x in image):
             raise SpanViolation(
                 "T_%d image of basis element %d not in the span at k=%d" % (n, j, k)
             )

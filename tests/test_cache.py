@@ -70,9 +70,17 @@ def test_records_are_trace_checked_only_when_read(tmp_path, monkeypatch):
         calls.append((p, k))
         return real(p, k)
 
+    kernel_calls = []
+
+    def kernel(p, k, modulus=None):
+        kernel_calls.append((p, k, modulus))
+        return charpoly(p, k, modulus)
+
     monkeypatch.setattr(cache_module, "trace", counted)
+    monkeypatch.setattr(cache_module, "charpoly", kernel)
     cache = CharpolyCache(str(tmp_path))
     assert cache.charpoly(2, 48) == charpoly(2, 48)
     assert cache.charpoly(2, 48) == charpoly(2, 48)
     assert calls == [(2, 48), (4, 48)]
+    assert kernel_calls == [(2, 48, cache_module.KERNEL_CHECK_PRIME)]
     assert path.read_text().count("\n") == 28

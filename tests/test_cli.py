@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -9,7 +10,7 @@ import pytest
 from heckemod.cache import CharpolyCache, record_line
 from heckemod.cli import main
 from heckemod.errors import ComputationError
-from heckemod.hecke import charpoly
+from heckemod.hecke import IntPoly, charpoly
 
 
 @pytest.fixture(autouse=True)
@@ -226,6 +227,18 @@ def test_wrong_degree_cache_record_is_recomputed(tmp_path, capsys, record):
     assert anchor["evidence"] == [{"ell": 23, "kind": "cycle-type", "partition": [2]}]
 
 
+def test_cache_record_with_a_wrong_low_coefficient_is_recomputed(tmp_path, capsys):
+    # degree 4: both trace checks pass with the constant term raised by 1
+    right = charpoly(2, 48).coeffs
+    record = record_line(2, 48, IntPoly((right[0] + 1,) + right[1:]))
+    (tmp_path / "p2.jsonl").write_text(record)
+
+    args = ["charpoly", "--prime", "2", "--weight", "48", "--ell", "5"]
+    code, out, _ = run_cli(capsys, *args, "--cache-dir", str(tmp_path))
+    assert code == 0 and out == "(x + 1)^2(x + 4)^2 over F_5\n"
+    assert (tmp_path / "p2.jsonl").read_text() == record + record_line(2, 48, charpoly(2, 48))
+
+
 def test_unusable_cache_dir_exits_2(tmp_path, capsys):
     not_a_dir = tmp_path / "F"
     not_a_dir.write_text("")
@@ -321,3 +334,28 @@ def test_cold_cli_import_loads_neither_dataclasses_nor_inspect():
     assert "heckemod.cli" in added
     assert "dataclasses" not in added
     assert "inspect" not in added
+
+
+def test_benchmark_tracer_wraps_every_target_and_keeps_table_output(capsys):
+    # bench/tracing.py rebinds module attributes, so it runs in a fresh process
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    script = """
+import contextlib, io, json, sys
+sys.path[:0] = [%r, %r]
+import tracing
+from heckemod import cli
+tracer = tracing.Tracer()
+missing = tracing.install(tracer)
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = cli.main(["table", "--ell", "5", "--single-period"])
+print(json.dumps([sorted(missing), code, out.getvalue(), dict(tracer.calls)]))
+""" % (os.path.join(root, "src"), os.path.join(root, "bench"))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    missing, code, traced, calls = json.loads(proc.stdout)
+    assert missing == []
+    assert (code, traced) == run_cli(capsys, "table", "--ell", "5", "--single-period")[:2]
+    # the table runs through the spans whose self time the benchmark reports
+    for span in ("qseries.mul", "hecke.hecke_matrix", "hecke.hecke_action", "hecke.charpoly"):
+        assert calls.get(span, 0) > 0, span

@@ -193,6 +193,11 @@ def test_certify_full_symmetric_small_degrees(shared_cache):
     assert isinstance(one, Certificate)
     assert one.evidence[0]["kind"] == "degree-1"
 
+    # with no prime to scan, degree 1 is not a certificate either
+    irr, full = certify(2, 12, bound=0, cache=shared_cache)
+    assert isinstance(irr, NotFound) and isinstance(full, NotFound)
+    assert full.reason == "irreducibility not established: " + irr.reason
+
     two = certify_full_symmetric(2, 24, cache=shared_cache)
     assert isinstance(two, Certificate)
     assert two.rule == "JordanCriterion"

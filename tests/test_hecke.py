@@ -182,6 +182,11 @@ def test_intpoly_basics():
 def test_kernel_mod_ell_fixed_large_case():
     # p = 29 at k = 200 is the largest Hecke matrix of the mod-7 table
     assert charpoly(29, 200, 7).coeffs == tuple(c % 7 for c in charpoly(29, 200).coeffs)
+    # at k = 84, T_97 reads 15 of the 680 slots of each basis product;
+    # mod 2^31 - 1 no machine word holds a slot, so dot products serve
+    exact = charpoly(97, 84).coeffs
+    for ell in (7, 1000003, 2**31 - 1):
+        assert charpoly(97, 84, ell).coeffs == tuple(c % ell for c in exact)
 
 
 def test_kernel_mod_ell_matches_reduced_integer_charpoly():
@@ -192,7 +197,7 @@ def test_kernel_mod_ell_matches_reduced_integer_charpoly():
     @hypothesis.given(
         p=st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]),
         k=st.integers(6, 60).map(lambda h: 2 * h),
-        ell=st.sampled_from([2, 3, 5, 7, 11, 13]),
+        ell=st.sampled_from([2, 3, 5, 7, 11, 13, 1000003]),
     )
     def check(p, k, ell):
         hypothesis.assume(ell != p)
