@@ -1,25 +1,50 @@
 """Small integer helpers shared across the package.
 
-Sizes here are tiny (primes below a few thousand, divisors of Hecke
-indices), so trial division is the right tool.
+Sizes here are mostly tiny (primes below a few thousand, divisors of
+Hecke indices).  `is_prime` also vets moduli ell as large as 2^61 - 1,
+so it runs a deterministic Miller-Rabin test past trial division.
 """
 
 from __future__ import annotations
 
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# the least strong pseudoprime to every base in _SMALL_PRIMES
+_MILLER_RABIN_LIMIT = 3317044064679887385961981
+
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    """Primality of n, decided without guessing.
+
+    Trial division by the 13 primes up to 41 decides n < 43^2.  Past
+    that, a strong Miller-Rabin test to those bases is deterministic
+    below _MILLER_RABIN_LIMIT; n at or above it raises ValueError.
+    """
+    for q in _SMALL_PRIMES:
+        if n % q == 0:
+            return n == q
+    if n < 1681:
+        return n > 1
+    if n >= _MILLER_RABIN_LIMIT:
+        raise ValueError("%d is too large for the deterministic primality test" % n)
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _SMALL_PRIMES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
+
+
+def require_prime(n: int, label: str) -> None:
+    if not is_prime(n):
+        raise ValueError("%s = %d is not prime" % (label, n))
 
 
 def primes_up_to(bound: int) -> list[int]:

@@ -20,7 +20,7 @@ import json
 import os
 import sys
 
-from ._primes import is_prime
+from ._primes import require_prime
 from .cache import CharpolyCache
 from .errors import ComputationError, FalsificationError
 from .galois import (
@@ -59,21 +59,16 @@ def _emit_csv(header, rows):
     writer.writerows(rows)
 
 
-def _require_prime(value, label):
-    if not is_prime(value):
-        raise ValueError("%s = %d is not prime" % (label, value))
-
-
 def _require_even_weight(k):
     if k < 0 or k % 2:
         raise ValueError("weight must be a nonnegative even integer, got %d" % k)
 
 
 def cmd_charpoly(args) -> None:
-    _require_prime(args.prime, "p")
+    require_prime(args.prime, "p")
     _require_even_weight(args.weight)
     if args.ell is not None:
-        _require_prime(args.ell, "ell")
+        require_prime(args.ell, "ell")
         if args.ell == args.prime:
             raise ValueError("p and ell must be distinct, both %d" % args.prime)
     f = _open_cache(args).charpoly(args.prime, args.weight)
@@ -112,8 +107,8 @@ def cmd_charpoly(args) -> None:
 
 def cmd_table(args) -> None:
     cells = table_rows(args.ell, args.max_weight, args.single_period)
-    max_weight = cells[0].sequence.max_weight
-    unverified = any(c.sequence.period is None for c in cells)
+    max_weight = cells[0].max_weight
+    unverified = any(c.period is None for c in cells)
     if args.format == "text":
         lines = [
             "roots of T_p mod %d along even weight classes (weights <= %d)"
@@ -122,7 +117,7 @@ def cmd_table(args) -> None:
         if args.ell == 13:
             for c in cells:
                 lines.append(
-                    "k = %d (mod 12): (%s)" % (c.kclass, ", ".join(map(str, c.display_terms)))
+                    "k = %d (mod 12): (%s)" % (c.kclass, ", ".join(map(str, c.one_period())))
                 )
         else:
             lines.append(
@@ -131,7 +126,7 @@ def cmd_table(args) -> None:
             for p in ROW_PRIMES[args.ell]:
                 row = [c for c in cells if c.p == p]
                 body = " | ".join(
-                    "(%s)" % ", ".join(map(str, c.display_terms)) for c in row
+                    "(%s)" % ", ".join(map(str, c.one_period())) for c in row
                 )
                 lines.append("p = %d (class %d): %s" % (p, p % args.ell, body))
         if unverified:
@@ -145,11 +140,11 @@ def cmd_table(args) -> None:
                 "cells": [
                     {
                         "p": c.p,
-                        "p_class": c.p_class,
+                        "p_class": c.p % c.ell,
                         "kclass": c.kclass,
-                        "period": c.sequence.period,
-                        "terms": list(c.display_terms),
-                        "observed_terms": len(c.sequence.terms),
+                        "period": c.period,
+                        "terms": list(c.one_period()),
+                        "observed_terms": len(c.terms),
                     }
                     for c in cells
                 ],
@@ -160,11 +155,11 @@ def cmd_table(args) -> None:
             [
                 c.ell,
                 c.p,
-                c.p_class,
+                c.p % c.ell,
                 c.kclass,
-                c.sequence.period if c.sequence.period is not None else "",
+                c.period if c.period is not None else "",
                 max_weight,
-                ";".join(map(str, c.display_terms)),
+                ";".join(map(str, c.one_period())),
             ]
             for c in cells
         ]
@@ -229,7 +224,7 @@ def _cert_text(name, cert) -> str:
 
 
 def cmd_certify(args) -> None:
-    _require_prime(args.prime, "p")
+    require_prime(args.prime, "p")
     _require_even_weight(args.weight)
     irr, full = certify(args.prime, args.weight, bound=args.bound, cache=_open_cache(args))
     if args.format == "text":
@@ -264,7 +259,7 @@ def cmd_certify(args) -> None:
 
 
 def cmd_deduce(args) -> None:
-    _require_prime(args.target_prime, "p")
+    require_prime(args.target_prime, "p")
     _require_even_weight(args.weight)
     result = deduce(
         args.target_prime,

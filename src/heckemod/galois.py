@@ -38,10 +38,12 @@ unconditional anchor certificate upgrades them.
 
 from __future__ import annotations
 
+from collections import Counter
+from functools import reduce
 from itertools import chain
 from math import gcd as _gcd
 
-from ._primes import divisors, is_prime, primes_up_to
+from ._primes import divisors, is_prime, primes_up_to, require_prime
 from ._record import record
 from .gfpoly import _distinct_degree, derivative, factor, gcd, reduce_mod, roots
 from .hecke import charpoly, dim_cusp
@@ -178,11 +180,13 @@ def _type_evidence(ct: CycleType) -> dict:
     return {"kind": "cycle-type", "ell": ct.ell, "partition": list(ct.partition)}
 
 
-def _verdicts(f, bound: int, skip, subject):
+def certify_poly(f, bound: int, skip=(), subject=None):
     """Irreducibility verdict, then full-symmetric verdict, from one scan.
 
-    Walks the primes ell <= bound (skipping `skip`) once.  A single
-    irreducible reduction settles irreducibility; otherwise the
+    A generator over a monic integer polynomial f (coefficients
+    ascending, or an object with .coeffs); next() gives irreducibility
+    alone.  Walks the primes ell <= bound (skipping `skip`) once.  A
+    single irreducible reduction settles irreducibility; otherwise the
     subset-sum sieve runs until its intersection of candidate factor
     degrees empties.  The second verdict needs the first, and resumes
     the scan only when asked: given irreducibility, degrees 1 and 2 need
@@ -256,23 +260,12 @@ def _verdicts(f, bound: int, skip, subject):
     yield Certificate(CLAIM_FULL_SYMMETRIC, subject, d, RULE_JORDAN, evidence)
 
 
-def certify_irreducible_poly(f, bound: int, skip=(), subject=None):
-    """Certificate of irreducibility over Q for a monic integer polynomial."""
-    return next(_verdicts(f, bound, skip, subject))
-
-
-def certify_full_symmetric_poly(f, bound: int, skip=(), subject=None):
-    """Certificate that the Galois group is the full symmetric group."""
-    return tuple(_verdicts(f, bound, skip, subject))[1]
-
-
 def _hecke_subject(p, k):
     return {"p": p, "k": k}
 
 
 def _hecke_poly(p, k, cache):
-    if not is_prime(p):
-        raise ValueError("p = %d is not prime" % p)
+    require_prime(p, "p")
     f = charpoly(p, k) if cache is None else cache.charpoly(p, k)
     if f.degree < 1:
         raise ValueError("weight %d has trivial cusp space" % k)
@@ -286,7 +279,7 @@ def certify(p: int, k: int, bound: int = 200, cache=None):
     symmetric group; taking only the first stops the scan where
     irreducibility is decided.  Bad p or k raise at the call.
     """
-    return _verdicts(_hecke_poly(p, k, cache), bound, (p,), _hecke_subject(p, k))
+    return certify_poly(_hecke_poly(p, k, cache), bound, (p,), _hecke_subject(p, k))
 
 
 def certify_irreducible(p: int, k: int, bound: int = 200, cache=None):
@@ -332,8 +325,7 @@ class ShapeVerdict:
 
 def prop2_shape_filter(p: int, k: int, ells=(5, 7)) -> ShapeVerdict:
     """Constrain the shape of T_p at weight k from its splittings mod ells."""
-    if not is_prime(p):
-        raise ValueError("p = %d is not prime" % p)
+    require_prime(p, "p")
     d = dim_cusp(k)
     if d < 1:
         raise ValueError("weight %d has trivial cusp space" % k)
@@ -365,59 +357,35 @@ def prop2_shape_filter(p: int, k: int, ells=(5, 7)) -> ShapeVerdict:
 
 
 def _qualifying_ell(p: int):
-    """The modulus whose table row applies to p, with its class prime."""
+    """The modulus whose table row applies to p, or None."""
     for ell in (5, 7):
         if p % ell not in (0, 1, ell - 1):
-            return ell, dict((q % ell, q) for q in ROW_PRIMES[ell])[p % ell]
-    return None, None
+            return ell
+    return None
+
+
+def _class_prime(p: int, ell: int) -> int:
+    """The published row prime in p's residue class mod ell."""
+    return next(q for q in ROW_PRIMES[ell] if q % ell == p % ell)
 
 
 def residues_qualify(p: int) -> bool:
     """Theorem-1 congruence condition: p not 0, +1, -1 mod 5 or mod 7."""
-    return _qualifying_ell(p)[0] is not None
+    return _qualifying_ell(p) is not None
 
 
-@record
-class TableVerdict:
-    """Outcome of a table-backed deduction for T_p at weight k."""
-
-    applicable: bool
-    claim: str
-    rule: str
-    p: int
-    k: int
-    dim: int
-    assumptions: tuple
-    ell: object = None
-    class_prime: object = None
-    kclass: object = None
-    row_period: tuple = ()
-    first_terms: tuple = ()
-    detail: str = ""
-
-    def certificate(self):
-        if not self.applicable:
-            return NotFound(
-                claim=self.claim,
-                subject=_hecke_subject(self.p, self.k),
-                reason=self.detail or "conditions not met",
-            )
-        ev = {
-            "kind": "table-row",
-            "ell": self.ell,
-            "class_prime": self.class_prime,
-            "kclass": self.kclass,
-            "row_period": list(self.row_period),
-            "first_terms": list(self.first_terms),
-        }
-        return Certificate(
-            claim=self.claim,
-            subject=_hecke_subject(self.p, self.k),
-            degree=self.dim,
-            rule=self.rule,
-            evidence=(ev,),
-            assumptions=self.assumptions,
-        )
+def _table_certificate(claim, rule, p, k, ell, class_prime, row_period=(), first_terms=()):
+    """Certificate resting on a table row and on the claim's standing assumption."""
+    evidence = {
+        "kind": "table-row",
+        "ell": ell,
+        "class_prime": class_prime,
+        "kclass": k % (ell - 1),
+        "row_period": list(row_period),
+        "first_terms": list(first_terms),
+    }
+    assumption = ASSUME_SOME_FULL if claim == CLAIM_FULL_SYMMETRIC else ASSUME_SOME_IRREDUCIBLE
+    return Certificate(claim, _hecke_subject(p, k), dim_cusp(k), rule, (evidence,), (assumption,))
 
 
 def _row_first_terms(ell, class_prime, k, dim):
@@ -425,208 +393,104 @@ def _row_first_terms(ell, class_prime, k, dim):
     return seq.one_period(), seq.first_terms(dim)
 
 
-def theorem1_conclusion(p: int, k: int) -> TableVerdict:
+def theorem1_conclusion(p: int, k: int):
     """Residue-class deduction: for p not +-1 mod 5 or mod 7, T_p at
     weight k is irreducible with full symmetric group, assuming some
     T_n at weight k is.
 
     Evidence is the periodic table row of p's class showing two
     distinct root values within the first dim terms, which rules out
-    the only alternative shape (x - a)^dim.
+    the only alternative shape (x - a)^dim.  Returns a Certificate,
+    or NotFound saying which condition failed.
     """
-    if not is_prime(p):
-        raise ValueError("p = %d is not prime" % p)
-    base = dict(
-        claim=CLAIM_FULL_SYMMETRIC,
-        rule=RULE_THEOREM1,
-        p=p,
-        k=k,
-        dim=dim_cusp(k),
-        assumptions=(ASSUME_SOME_FULL,),
-    )
-    ell, class_prime = _qualifying_ell(p)
+    require_prime(p, "p")
+    d = dim_cusp(k)
+    ell = _qualifying_ell(p)
     if ell is None:
-        return TableVerdict(
-            applicable=False,
-            detail="p = %d is +-1 mod 5 and mod 7; no table row applies" % p,
-            **base,
-        )
-    d = base["dim"]
-    if d == 0:
-        return TableVerdict(applicable=False, detail="trivial cusp space", **base)
-    if d == 1:
-        return TableVerdict(
-            applicable=True,
-            ell=ell,
-            class_prime=class_prime,
-            kclass=k % (ell - 1),
-            detail="degree 1 is irreducible with trivial S_1",
-            **base,
-        )
-    row_period, first = _row_first_terms(ell, class_prime, k, d)
-    if len(set(first)) < 2:
-        return TableVerdict(
-            applicable=False,
-            detail="table row for class %d mod %d shows a single root value" % (p % ell, ell),
-            **base,
-        )
-    return TableVerdict(
-        applicable=True,
-        ell=ell,
-        class_prime=class_prime,
-        kclass=k % (ell - 1),
-        row_period=tuple(row_period),
-        first_terms=tuple(first),
-        detail="distinct roots %s exclude the linear-power shape"
-        % sorted(set(first))[:2],
-        **base,
-    )
+        reason = "p = %d is +-1 mod 5 and mod 7; no table row applies" % p
+    elif d == 0:
+        reason = "trivial cusp space"
+    else:
+        class_prime = _class_prime(p, ell)
+        if d == 1:
+            return _table_certificate(CLAIM_FULL_SYMMETRIC, RULE_THEOREM1, p, k, ell, class_prime)
+        row_period, first = _row_first_terms(ell, class_prime, k, d)
+        if len(set(first)) >= 2:
+            return _table_certificate(
+                CLAIM_FULL_SYMMETRIC, RULE_THEOREM1, p, k, ell, class_prime, row_period, first
+            )
+        reason = "table row for class %d mod %d shows a single root value" % (p % ell, ell)
+    return NotFound(CLAIM_FULL_SYMMETRIC, _hecke_subject(p, k), reason)
 
 
 def _multiplicity_gcd(terms) -> int:
-    g = 0
-    counts = {}
-    for t in terms:
-        counts[t] = counts.get(t, 0) + 1
-    for m in counts.values():
-        g = _gcd(g, m)
-    return g
+    return reduce(_gcd, Counter(terms).values(), 0)
 
 
-def corollary_conclusion(p: int, k: int) -> TableVerdict:
+def corollary_conclusion(p: int, k: int):
     """Dimension-parity deduction: T_p at weight k is irreducible,
     assuming some T_n at weight k is.
 
     Case i: dim odd and p's residues qualify mod 5 or 7.  Case ii:
     dim = 2 mod 4 and p = 3 or 5 mod 7.  Both force r = 1 in the shape
     filter because the gcd of root multiplicities in the table row's
-    first dim terms is 1.
+    first dim terms is 1.  Returns a Certificate, or NotFound saying
+    which condition failed.
     """
-    if not is_prime(p):
-        raise ValueError("p = %d is not prime" % p)
+    require_prime(p, "p")
     d = dim_cusp(k)
-    base = dict(claim=CLAIM_IRREDUCIBLE, p=p, k=k, dim=d, assumptions=(ASSUME_SOME_IRREDUCIBLE,))
+    rule, ell = RULE_COROLLARY_I, None
     if d == 0:
-        return TableVerdict(
-            applicable=False, rule=RULE_COROLLARY_I, detail="trivial cusp space", **base
-        )
-    if d % 2:
-        ell, class_prime = _qualifying_ell(p)
-        rule = RULE_COROLLARY_I
-        if ell is None:
-            return TableVerdict(
-                applicable=False,
-                rule=rule,
-                detail="dim %d is odd but p = %d is +-1 mod 5 and mod 7" % (d, p),
-                **base,
-            )
+        reason = "trivial cusp space"
+    elif d % 2:
+        ell = _qualifying_ell(p)
+        reason = "dim %d is odd but p = %d is +-1 mod 5 and mod 7" % (d, p)
     elif d % 4 == 2 and p % 7 in (3, 5):
-        ell, class_prime = 7, dict((q % 7, q) for q in ROW_PRIMES[7])[p % 7]
-        rule = RULE_COROLLARY_II
+        rule, ell = RULE_COROLLARY_II, 7
     else:
-        return TableVerdict(
-            applicable=False,
-            rule=RULE_COROLLARY_I,
-            detail="dim %d mod 4 = %d with p mod 7 = %d fits neither case"
-            % (d, d % 4, p % 7),
-            **base,
-        )
+        reason = "dim %d mod 4 = %d with p mod 7 = %d fits neither case" % (d, d % 4, p % 7)
+    if ell is None:
+        return NotFound(CLAIM_IRREDUCIBLE, _hecke_subject(p, k), reason)
+    class_prime = _class_prime(p, ell)
     if d == 1:
-        return TableVerdict(
-            applicable=True,
-            rule=rule,
-            ell=ell,
-            class_prime=class_prime,
-            kclass=k % (ell - 1),
-            detail="degree 1 is irreducible",
-            **base,
-        )
+        return _table_certificate(CLAIM_IRREDUCIBLE, rule, p, k, ell, class_prime)
     row_period, first = _row_first_terms(ell, class_prime, k, d)
     g = _multiplicity_gcd(first)
     if g != 1:
-        return TableVerdict(
-            applicable=False,
-            rule=rule,
-            ell=ell,
-            class_prime=class_prime,
-            kclass=k % (ell - 1),
-            row_period=tuple(row_period),
-            first_terms=tuple(first),
-            detail="multiplicity gcd %d leaves powers r > 1 possible" % g,
-            **base,
-        )
-    return TableVerdict(
-        applicable=True,
-        rule=rule,
-        ell=ell,
-        class_prime=class_prime,
-        kclass=k % (ell - 1),
-        row_period=tuple(row_period),
-        first_terms=tuple(first),
-        detail="root multiplicities in the first %d terms have gcd 1, so r = 1" % d,
-        **base,
-    )
+        reason = "multiplicity gcd %d leaves powers r > 1 possible" % g
+        return NotFound(CLAIM_IRREDUCIBLE, _hecke_subject(p, k), reason)
+    return _table_certificate(CLAIM_IRREDUCIBLE, rule, p, k, ell, class_prime, row_period, first)
 
 
-def remark_rule(k: int) -> TableVerdict:
+def remark_rule(k: int):
     """Dimension-vs-14 bookkeeping, flagged as a remark-grade rule.
 
     When dim is not a multiple of 14, the mod-13 root multiplicities of
     T_2 at weight k have gcd 1, so T_2 is irreducible under the usual
     assumption.  When dim is 14 times an odd number, dim = 2 mod 4 and
-    case ii applies to T_3 instead.
+    case ii applies to T_3 instead.  Returns a Certificate for T_2 or
+    T_3, or NotFound.
     """
     d = dim_cusp(k)
-    base = dict(claim=CLAIM_IRREDUCIBLE, k=k, dim=d)
     if d == 0:
-        return TableVerdict(
-            applicable=False,
-            rule=RULE_REMARK_14,
-            p=2,
-            assumptions=(ASSUME_SOME_IRREDUCIBLE,),
-            detail="trivial cusp space",
-            **base,
-        )
+        return NotFound(CLAIM_IRREDUCIBLE, _hecke_subject(2, k), "trivial cusp space")
     if d % 14:
         rts = roots(charpoly_mod(2, k, 13), 13)
         g = _multiplicity_gcd(rts)
-        return TableVerdict(
-            applicable=g == 1,
-            rule=RULE_REMARK_14,
-            p=2,
-            assumptions=(ASSUME_SOME_IRREDUCIBLE,),
-            ell=13,
-            class_prime=2,
-            kclass=k % 12,
-            first_terms=tuple(rts),
-            detail="mod-13 multiplicity gcd %d for T_2 (dim %d not a multiple of 14)"
-            % (g, d),
-            **base,
-        )
+        if g == 1:
+            return _table_certificate(CLAIM_IRREDUCIBLE, RULE_REMARK_14, 2, k, 13, 2, (), rts)
+        reason = "mod-13 multiplicity gcd %d for T_2 (dim %d not a multiple of 14)" % (g, d)
+        return NotFound(CLAIM_IRREDUCIBLE, _hecke_subject(2, k), reason)
     if d % 28:
         inner = corollary_conclusion(3, k)
-        return TableVerdict(
-            applicable=inner.applicable,
-            rule=RULE_REMARK_28,
-            p=3,
-            assumptions=inner.assumptions,
-            ell=inner.ell,
-            class_prime=inner.class_prime,
-            kclass=inner.kclass,
-            row_period=inner.row_period,
-            first_terms=inner.first_terms,
-            detail="dim %d = 14 * odd, so dim = 2 mod 4 and case ii covers T_3; %s"
-            % (d, inner.detail),
-            **base,
-        )
-    return TableVerdict(
-        applicable=False,
-        rule=RULE_REMARK_28,
-        p=2,
-        assumptions=(ASSUME_SOME_IRREDUCIBLE,),
-        detail="dim %d is a multiple of 28; the remark gives nothing" % d,
-        **base,
-    )
+        if isinstance(inner, Certificate):
+            return Certificate(
+                inner.claim, inner.subject, d, RULE_REMARK_28, inner.evidence, inner.assumptions
+            )
+        reason = "dim %d = 14 * odd, so dim = 2 mod 4 and case ii covers T_3; " % d
+        return NotFound(CLAIM_IRREDUCIBLE, _hecke_subject(3, k), reason + inner.reason)
+    reason = "dim %d is a multiple of 28; the remark gives nothing" % d
+    return NotFound(CLAIM_IRREDUCIBLE, _hecke_subject(2, k), reason)
 
 
 @record
@@ -657,11 +521,10 @@ def deduce(p: int, k: int, anchor_n: int = 2, bound: int = 200, cache=None):
     the anchor's integer polynomial only: table rows are computed mod
     ell by the Hecke kernel.
     """
-    verdict = theorem1_conclusion(p, k)
-    need_full_anchor = verdict.applicable
-    if not verdict.applicable:
-        verdict = corollary_conclusion(p, k)
-    cert = verdict.certificate()
+    cert = theorem1_conclusion(p, k)
+    need_full_anchor = isinstance(cert, Certificate)
+    if not need_full_anchor:
+        cert = corollary_conclusion(p, k)
     if isinstance(cert, NotFound):
         return DeduceResult(target=cert)
     anchor = certify(anchor_n, k, bound=bound, cache=cache)
@@ -672,21 +535,6 @@ def deduce(p: int, k: int, anchor_n: int = 2, bound: int = 200, cache=None):
         anchor_full = next(anchor)
         discharged = isinstance(anchor_full, Certificate)
     if discharged:
-        ev = cert.evidence + (
-            {
-                "kind": "anchor",
-                "n": anchor_n,
-                "discharges": list(cert.assumptions),
-            },
-        )
-        cert = Certificate(
-            claim=cert.claim,
-            subject=cert.subject,
-            degree=cert.degree,
-            rule=cert.rule,
-            evidence=ev,
-            assumptions=(),
-        )
-    return DeduceResult(
-        target=cert, anchor_irreducible=anchor_irr, anchor_full=anchor_full
-    )
+        ev = {"kind": "anchor", "n": anchor_n, "discharges": list(cert.assumptions)}
+        cert = Certificate(cert.claim, cert.subject, cert.degree, cert.rule, cert.evidence + (ev,))
+    return DeduceResult(target=cert, anchor_irreducible=anchor_irr, anchor_full=anchor_full)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from ._primes import is_prime, minimal_period
+from ._primes import minimal_period, require_prime
 from ._record import record
 from .errors import (
     Lemma1Violation,
@@ -53,10 +53,8 @@ def _increment_cutoff(ell: int) -> int:
 
 
 def _validate(p: int, ell: int):
-    if not is_prime(p):
-        raise ValueError("p = %d is not prime" % p)
-    if not is_prime(ell):
-        raise ValueError("ell = %d is not prime" % ell)
+    require_prime(p, "p")
+    require_prime(ell, "ell")
     if p == ell:
         raise ValueError("p and ell must be distinct, both %d" % p)
 
@@ -249,21 +247,8 @@ def quotient_sequence(p, ell, kclass, max_weight=None) -> QuotientSequence:
     )
 
 
-@record
-class TableCell:
-    p: int
-    p_class: int
-    ell: int
-    kclass: int
-    sequence: RootSequence
-
-    @property
-    def display_terms(self) -> tuple:
-        return self.sequence.one_period()
-
-
 def table_rows(ell, max_weight=None, single_period=False):
-    """All cells of the periodic root table for ell in {5, 7, 13}.
+    """The RootSequence of every cell of the periodic root table, ell in {5, 7, 13}.
 
     For ell in {5, 7} the rows run over the published representative
     primes (smallest in each class, printed order) and the columns over
@@ -276,19 +261,11 @@ def table_rows(ell, max_weight=None, single_period=False):
         raise ValueError("tables exist for ell in {5, 7, 13}")
     if single_period and max_weight is None:
         max_weight = SINGLE_PERIOD_MAX_WEIGHT
-    primes_ = ROW_PRIMES.get(ell, (2,))
-    cells = []
-    for p in primes_:
-        for kclass in KCLASSES[ell]:
-            seq = root_sequence(
-                p,
-                ell,
-                kclass,
-                max_weight=max_weight,
-                require_two_periods=not single_period,
-            )
-            cells.append(TableCell(p=p, p_class=p % ell, ell=ell, kclass=kclass, sequence=seq))
-    return cells
+    return [
+        root_sequence(p, ell, kclass, max_weight=max_weight, require_two_periods=not single_period)
+        for p in ROW_PRIMES.get(ell, (2,))
+        for kclass in KCLASSES[ell]
+    ]
 
 
 def small_ell_rule(p: int, k: int, ell: int) -> tuple:

@@ -19,8 +19,7 @@ from heckemod.galois import (
     NotFound,
     RULE_DEGREE_SET_SIEVE,
     certify_full_symmetric,
-    certify_full_symmetric_poly,
-    certify_irreducible_poly,
+    certify_poly,
     deduce,
     residues_qualify,
 )
@@ -86,8 +85,8 @@ def test_criterion_01_table_mod5():
     start = time.perf_counter()
     cells = table_rows(5)
     ok = len(cells) == 8 and all(
-        cell.display_terms == TABLE_5[(cell.p, cell.kclass)]
-        and cell.sequence.period == len(cell.display_terms)
+        cell.one_period() == TABLE_5[(cell.p, cell.kclass)]
+        and cell.period == len(cell.one_period())
         for cell in cells
     )
     elapsed = time.perf_counter() - start
@@ -100,8 +99,8 @@ def test_criterion_02_table_mod7():
     start = time.perf_counter()
     cells = table_rows(7)
     ok = len(cells) == 18 and all(
-        cell.display_terms == TABLE_7[(cell.p, cell.kclass)]
-        and cell.sequence.period == len(cell.display_terms)
+        cell.one_period() == TABLE_7[(cell.p, cell.kclass)]
+        and cell.period == len(cell.one_period())
         for cell in cells
     )
     elapsed = time.perf_counter() - start
@@ -114,8 +113,8 @@ def test_criterion_03_table_mod13():
     start = time.perf_counter()
     cells = table_rows(13)
     ok = len(cells) == 6 and all(
-        cell.sequence.period == 14
-        and cell.display_terms == TABLE_13[cell.kclass]
+        cell.period == 14
+        and cell.one_period() == TABLE_13[cell.kclass]
         for cell in cells
     )
     full_elapsed = time.perf_counter() - start
@@ -124,8 +123,8 @@ def test_criterion_03_table_mod13():
     start = time.perf_counter()
     quick = table_rows(13, single_period=True)
     ok = ok and all(
-        cell.sequence.period is None
-        and cell.sequence.terms[:14] == TABLE_13[cell.kclass]
+        cell.period is None
+        and cell.terms[:14] == TABLE_13[cell.kclass]
         for cell in quick
     )
     single_elapsed = time.perf_counter() - start
@@ -236,7 +235,7 @@ def test_criterion_09_galois_engine(shared_cache):
     a4_quartic = (12, 8, 0, 0, 1)
     x4_plus_1 = (1, 0, 0, 0, 1)
 
-    res_a = certify_irreducible_poly(a4_quartic, bound=500)
+    res_a = next(certify_poly(a4_quartic, bound=500))
     ok_a = (
         isinstance(res_a, Certificate)
         and res_a.rule == RULE_DEGREE_SET_SIEVE
@@ -244,15 +243,15 @@ def test_criterion_09_galois_engine(shared_cache):
     )
     print("  (a) x^4+8x+12 sieve certificate:", "yes" if ok_a else "no")
 
-    res_a4_full = certify_full_symmetric_poly(a4_quartic, bound=500)
+    res_a4_full = tuple(certify_poly(a4_quartic, bound=500))[1]
     ok_a4_full = isinstance(res_a4_full, NotFound)
     print("  (a) x^4+8x+12 never full-symmetric:", ok_a4_full)
 
-    res_control = certify_irreducible_poly(x4_plus_1, bound=500)
+    res_control = next(certify_poly(x4_plus_1, bound=500))
     ok_control = isinstance(res_control, NotFound) and "[2]" in res_control.reason
     print("  (a) x^4+1 refused by the sieve:", ok_control)
 
-    res_never = certify_full_symmetric_poly(x4_plus_1, bound=500)
+    res_never = tuple(certify_poly(x4_plus_1, bound=500))[1]
     ok_never = isinstance(res_never, NotFound)
     print("  (a) x^4+1 never full-symmetric:", ok_never)
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -287,6 +288,19 @@ def test_usage_errors_exit_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["nosuchcommand"])
     assert exc.value.code == 1
+
+
+def test_charpoly_mod_a_61_bit_prime_is_quick_and_larger_ell_is_refused(capsys):
+    ell = 2**61 - 1
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "charpoly", "--prime", "2", "--weight", "24", "--ell", str(ell))
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and out.endswith("over F_%d\n" % ell)
+    # past the deterministic range of the primality test there is no answer
+    code, out, err = run_cli(
+        capsys, "charpoly", "--prime", "2", "--weight", "24", "--ell", "3317044064679887385961981"
+    )
+    assert code == 1 and out == "" and "too large" in err
 
 
 def test_computation_errors_exit_2(capsys, monkeypatch):

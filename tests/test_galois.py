@@ -1,6 +1,9 @@
 import json
 import random
+from collections import Counter
+from functools import reduce
 from itertools import combinations
+from math import gcd
 
 import pytest
 
@@ -15,9 +18,8 @@ from heckemod.galois import (
     SquarefreeFailure,
     certify,
     certify_full_symmetric,
-    certify_full_symmetric_poly,
     certify_irreducible,
-    certify_irreducible_poly,
+    certify_poly,
     corollary_conclusion,
     cycle_type,
     deduce,
@@ -133,7 +135,7 @@ def test_power_witness_predicates():
 
 
 def test_certify_irreducible_poly_quadratic():
-    cert = certify_irreducible_poly((-2, 0, 1), 100)  # x^2 - 2
+    cert = next(certify_poly((-2, 0, 1), 100))  # x^2 - 2
     assert isinstance(cert, Certificate)
     assert cert.rule == "IrreducibleModEll"
     assert cert.evidence[0]["partition"] == [2]
@@ -142,21 +144,21 @@ def test_certify_irreducible_poly_quadratic():
 def test_sieve_never_certifies_x4_plus_1():
     # Galois group is the Klein four group: only cycle types 1+1+1+1 and
     # 2+2 can ever appear, so degree 2 survives the sieve at every ell
-    res = certify_irreducible_poly(X4_PLUS_1, 500)
+    res = next(certify_poly(X4_PLUS_1, 500))
     assert isinstance(res, NotFound)
     assert "2" in res.reason
     partitions = {tuple(e["partition"]) for e in res.evidence}
     assert partitions <= {(1, 1, 1, 1), (2, 2)}
     assert (4,) not in partitions
 
-    full = certify_full_symmetric_poly(X4_PLUS_1, 500)
+    full = tuple(certify_poly(X4_PLUS_1, 500))[1]
     assert isinstance(full, NotFound)
 
 
 def test_sieve_certifies_a4_quartic():
     # A4 has no 4-cycle, so no reduction is irreducible, but the cycle
     # types 3+1 and 2+2 allow proper factor degrees {1, 3} and {2}
-    cert = certify_irreducible_poly(A4_QUARTIC, 50)
+    cert = next(certify_poly(A4_QUARTIC, 50))
     assert isinstance(cert, Certificate)
     assert cert.rule == "DegreeSetSieve"
     partitions = {tuple(e["partition"]) for e in cert.evidence}
@@ -167,7 +169,7 @@ def test_sieve_gap_is_genuine():
     # (x^2 - 2)(x^2 - 8) realizes the same factor-degree data as x^4 + 1,
     # so no sound degree-based rule may clear either one
     reducible = (16, 0, -10, 0, 1)
-    res = certify_irreducible_poly(reducible, 300)
+    res = next(certify_poly(reducible, 300))
     assert isinstance(res, NotFound)
 
 
@@ -246,50 +248,71 @@ def test_residue_density_is_twenty_of_twentyfour():
 
 def test_theorem1_conclusion():
     v = theorem1_conclusion(3, 24)
-    assert v.applicable and v.ell == 5 and v.class_prime == 3
-    assert v.first_terms == (2, 3)
-    assert v.row_period == (2, 3)
+    row = v.evidence[0]
+    assert isinstance(v, Certificate) and row["ell"] == 5 and row["class_prime"] == 3
+    assert row["first_terms"] == [2, 3]
+    assert row["row_period"] == [2, 3]
     assert v.assumptions
 
     w = theorem1_conclusion(11, 24)  # 11 = 1 mod 5 but 4 mod 7
-    assert w.applicable and w.ell == 7 and w.class_prime == 11
-    assert w.first_terms == (1, 3)
+    row = w.evidence[0]
+    assert isinstance(w, Certificate) and row["ell"] == 7 and row["class_prime"] == 11
+    assert row["first_terms"] == [1, 3]
 
     none = theorem1_conclusion(29, 24)  # +-1 mod both
-    assert not none.applicable
-    assert isinstance(none.certificate(), NotFound)
+    assert isinstance(none, NotFound)
 
 
 def test_corollary_conclusion():
     # case i: odd dimension
     v = corollary_conclusion(3, 26)
-    assert v.applicable and v.rule == "Corollary-i" and v.claim == CLAIM_IRREDUCIBLE
+    assert isinstance(v, Certificate) and v.rule == "Corollary-i" and v.claim == CLAIM_IRREDUCIBLE
 
     # case ii: dim = 2 mod 4 with p = 3 mod 7
     w = corollary_conclusion(3, 24)
-    assert w.applicable and w.rule == "Corollary-ii"
-    assert w.ell == 7 and w.first_terms == (0, 1)
+    assert isinstance(w, Certificate) and w.rule == "Corollary-ii"
+    assert w.evidence[0]["ell"] == 7 and w.evidence[0]["first_terms"] == [0, 1]
 
     # dim odd but no qualifying residue
     n = corollary_conclusion(29, 50)
-    assert not n.applicable
+    assert isinstance(n, NotFound)
 
     # dim = 0 mod 4 with p = 1 mod 7 fits neither case
     m = corollary_conclusion(29, 48)
-    assert not m.applicable
+    assert isinstance(m, NotFound)
 
 
 def test_remark_rule():
     r = remark_rule(24)
-    assert r.applicable and r.rule == "PaperRemark14" and r.p == 2
-    assert sorted(r.first_terms) == sorted(roots(charpoly_mod(2, 24, 13), 13))
+    assert isinstance(r, Certificate) and r.rule == "PaperRemark14" and r.subject["p"] == 2
+    assert sorted(r.evidence[0]["first_terms"]) == sorted(roots(charpoly_mod(2, 24, 13), 13))
 
     # weight 168 is the first dimension divisible by 14 (14 = 2 mod 4)
     r28 = remark_rule(168)
-    assert r28.applicable and r28.rule == "PaperRemark28" and r28.p == 3
+    assert isinstance(r28, Certificate) and r28.rule == "PaperRemark28" and r28.subject["p"] == 3
 
     r0 = remark_rule(10)
-    assert not r0.applicable
+    assert isinstance(r0, NotFound)
+
+
+def test_table_row_certificates_replay_against_the_kernel():
+    # the first terms of a class prime's row must be the roots of T_p
+    # itself mod ell, and must show what each rule reads off them
+    replayed = 0
+    for p in primes_up_to(39):
+        for k in range(12, 61, 2):
+            for cert in (theorem1_conclusion(p, k), corollary_conclusion(p, k)):
+                if not isinstance(cert, Certificate) or cert.degree < 2:
+                    continue
+                row = cert.evidence[0]
+                first = row["first_terms"]
+                assert sorted(first) == list(roots(charpoly_mod(p, k, row["ell"]), row["ell"]))
+                if cert.rule == "Theorem1":
+                    assert len(set(first)) >= 2, (p, k)
+                else:
+                    assert reduce(gcd, Counter(first).values()) == 1, (p, k)
+                replayed += 1
+    assert replayed > 250
 
 
 def test_deduce_upgrades_with_anchor(shared_cache):

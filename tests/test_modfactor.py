@@ -107,9 +107,9 @@ def test_table_rows_mod5():
     cells = table_rows(5)
     assert len(cells) == 8
     for cell in cells:
-        assert cell.display_terms == TABLE_5[(cell.p, cell.kclass)]
-        assert cell.sequence.period == len(cell.display_terms)
-        assert cell.p_class == cell.p % 5
+        assert cell.one_period() == TABLE_5[(cell.p, cell.kclass)]
+        assert cell.period == len(cell.one_period())
+        assert cell.ell == 5
 
 
 def poison(monkeypatch, key, poly):

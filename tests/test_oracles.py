@@ -3,15 +3,41 @@
 sympy's factorization over GF(ell) is the oracle for `factor`; a
 hypothesis property ties the degree-only cycle types to full
 factorizations.  Both libraries are test-only and skip when missing.
+`is_prime` is checked against the sieve and, past it, against sympy.
 """
 
 import random
 
 import pytest
 
+from heckemod._primes import is_prime, primes_up_to
 from heckemod.galois import CycleType, SquarefreeFailure, cycle_type
 from heckemod.gfpoly import factor, reduce_mod
 from heckemod.modfactor import charpoly_mod
+
+
+# strong pseudoprimes to the first 12 prime bases, and the first 13
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
+
+
+def test_is_prime_agrees_with_the_sieve():
+    sieved = set(primes_up_to(10**5))
+    assert [n for n in range(10**5) if is_prime(n)] == sorted(sieved)
+    # a Carmichael number, a strong pseudoprime to bases 2, 3, 5, 7, and psi_12
+    for n in (561, 3215031751, PSI_12):
+        assert not is_prime(n)
+    assert is_prime(2**61 - 1)
+    with pytest.raises(ValueError, match="too large"):
+        is_prime(PSI_13)
+
+
+def test_is_prime_matches_sympy_past_the_sieve():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(43)
+    near = [2**61 - 1, sympy.nextprime(2**64), sympy.prevprime(PSI_13), PSI_12, PSI_13 - 2]
+    for n in near + [rng.randrange(PSI_13) for _ in range(500)]:
+        assert is_prime(n) == sympy.isprime(n), n
 
 
 def _sympy_factors(f, ell):

@@ -3,7 +3,7 @@ from dataclasses import dataclass
 import pytest
 
 from heckemod._record import record
-from heckemod.galois import CycleType, NotFound, SquarefreeFailure, TableVerdict
+from heckemod.galois import CycleType, DeduceResult, NotFound, SquarefreeFailure
 from heckemod.hecke import IntPoly
 from heckemod.qseries import QExpansion
 
@@ -35,9 +35,9 @@ def test_repr_matches_dataclass():
 
 
 def test_defaults_and_keywords():
-    v = TableVerdict(False, "c", "r", p=5, k=24, dim=2, assumptions=())
-    assert (v.ell, v.class_prime, v.kclass, v.row_period) == (None, None, None, ())
-    assert v == TableVerdict(False, "c", "r", 5, 24, 2, (), None, None, None, ())
+    v = DeduceResult("t", anchor_full="f")
+    assert (v.target, v.anchor_irreducible, v.anchor_full) == ("t", None, "f")
+    assert v == DeduceResult("t", None, "f")
     assert NotFound("c", {}, "r", evidence=(1,)).evidence == (1,)
 
 
