@@ -56,12 +56,6 @@ class IntPoly:
     def is_monic(self) -> bool:
         return self.coeffs[-1] == 1
 
-    def evaluate(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def __str__(self):
         return poly_str(self.coeffs)
 
@@ -348,7 +342,3 @@ def charpoly(n: int, k: int, modulus=None) -> IntPoly:
         raise ValueError("modulus must be prime, got %r" % (modulus,))
     matrix = hecke_matrix(n, k, modulus)
     return berkowitz_charpoly(matrix) if modulus is None else hessenberg_charpoly(matrix, modulus)
-
-
-def trace_of_matrix(matrix) -> int:
-    return sum(matrix[i][i] for i in range(len(matrix)))

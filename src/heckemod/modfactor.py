@@ -19,6 +19,11 @@ periodic tables, and checks the companion congruences:
 Every polynomial comes from the Hecke kernel run mod ell, so neither
 the integer polynomial nor the disk cache is ever touched.
 
+A walk peels rather than factors: each polynomial is divided by the
+product of (x - r) over the roots known so far, and only the quotient,
+of the degree of the dimension jump, is factored.  On a nonzero
+remainder the whole polynomial is factored, and a check below fails.
+
 Violations raise, they are never smoothed over: an inexact quotient is
 a Lemma1Violation, a polynomial with too few roots in F_ell is a
 SplittingViolation, a root multiset that fails to extend its
@@ -37,7 +42,7 @@ from .errors import (
     RootNestingViolation,
     SplittingViolation,
 )
-from .gfpoly import InexactDivision, divide_exact, mul, poly_str, roots
+from .gfpoly import InexactDivision, divide_exact, mul, poly_str, quo_rem, roots
 from .hecke import charpoly, dim_cusp
 
 # Row labels of the published mod-5 and mod-7 tables: the smallest prime
@@ -139,11 +144,12 @@ def root_sequence(
 ) -> RootSequence:
     """Walk a weight class and collect the new root at each dimension jump.
 
-    Checks at every weight that the polynomial splits completely and
-    that the previous root multiset is contained in the new one; either
-    failure raises.  Period detection demands two full periods across
-    the whole observed window and cross-checks weights two periods
-    apart; when require_two_periods is set and no period emerges,
+    Each polynomial is peeled by the roots known so far (see the module
+    docstring).  It must then split completely, contain the previous
+    root multiset and add as many roots as the dimension jumped; a
+    failure raises.  Period detection demands that every term equal the
+    one a period later across the whole window, with two full periods
+    in it; when require_two_periods is set and no period emerges,
     PeriodNotFound is raised.
     """
     if ell not in (5, 7, 13):
@@ -155,6 +161,7 @@ def root_sequence(
         max_weight = DEFAULT_MAX_WEIGHT[ell]
     terms = []
     term_weights = []
+    prev_poly = (1,)  # product of (x - r) over the terms so far
     prev_counter = Counter()
     prev_dim = 0
     k = k0
@@ -167,7 +174,8 @@ def root_sequence(
             )
         f = charpoly_mod(p, k, ell)
         d = dim_cusp(k)
-        rts = roots(f, ell, seed=seed)
+        q, rem = quo_rem(f, prev_poly, ell)
+        rts = roots(f, ell, seed=seed) if rem else tuple(terms) + roots(q, ell, seed=seed)
         if len(rts) != d:
             raise SplittingViolation(
                 "T_%d at weight %d mod %d has %d roots in F_%d, dimension is %d"
@@ -188,6 +196,8 @@ def root_sequence(
             )
         terms.extend(new)
         term_weights.extend([k] * len(new))
+        for r in new:
+            prev_poly = mul(prev_poly, (-r % ell, 1), ell)
         prev_counter, prev_dim, last_k = counter, d, k
         k += ell - 1
     period = minimal_period(terms)

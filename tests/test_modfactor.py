@@ -82,12 +82,15 @@ def test_root_sequence_mod7():
 
 
 def test_root_sequence_accumulates_exact_root_multisets():
-    # the first dim(k) terms are exactly the roots of T_2 mod 5 at k
-    seq = root_sequence(2, 5, 0)
-    for k in range(12, 112, 4):
-        d = dim_cusp(k)
-        direct = roots(charpoly_mod(2, k, 5), 5)
-        assert tuple(sorted(seq.terms[:d])) == direct
+    # in every table cell mod 5 and mod 13, the first dim(k) terms are
+    # exactly the roots of T_p mod ell at each weight k the walk visits,
+    # found by factoring the whole polynomial, which the walk does not
+    for ell in (5, 13):
+        for seq in table_rows(ell):
+            k0 = first_weight_in_class(seq.kclass, ell)
+            for k in range(k0, seq.max_weight + 1, ell - 1):
+                direct = roots(charpoly_mod(seq.p, k, ell), ell)
+                assert tuple(sorted(seq.terms[: dim_cusp(k)])) == direct, (seq.p, ell, seq.kclass, k)
 
 
 def test_root_sequence_short_window():
@@ -136,6 +139,27 @@ def test_nesting_violation_detected(monkeypatch):
     poison(monkeypatch, (2, 16), IntPoly((-2, 1)))
     with pytest.raises(RootNestingViolation):
         root_sequence(2, 5, 0)
+
+
+@pytest.mark.parametrize(
+    "key, poly, error, message",
+    [
+        ((2, 16), IntPoly((2, 0, 1)), SplittingViolation,
+         "T_2 at weight 16 mod 5 has 0 roots in F_5, dimension is 1"),
+        ((2, 16), IntPoly((-2, 1)), RootNestingViolation,
+         "roots [1] of weight 12 vanished at weight 16 (p=2 mod 5)"),
+        # (x - 1)(x^2 + 2): the previous root 1 divides, the quotient does not split
+        ((2, 24), IntPoly(mul((4, 1), (2, 0, 1), 5)), SplittingViolation,
+         "T_2 at weight 24 mod 5 has 1 roots in F_5, dimension is 2"),
+    ],
+    ids=("no-root", "lost-root", "quotient-does-not-split"),
+)
+def test_violation_messages(monkeypatch, key, poly, error, message):
+    poison(monkeypatch, key, poly)
+    with pytest.raises(error) as info:
+        root_sequence(2, 5, 0)
+    assert type(info.value) is error
+    assert str(info.value) == message
 
 
 def test_lemma1_violation_detected(monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 
 from heckemod import traceformula
 from heckemod.errors import PeriodNotFound
-from heckemod.hecke import charpoly, dim_cusp, hecke_matrix, trace_of_matrix
+from heckemod.hecke import charpoly, dim_cusp, hecke_matrix
 from heckemod.traceformula import (
     hurwitz_class_number,
     trace,
@@ -105,6 +105,10 @@ def test_trace_zero_below_weight_twelve():
     for k in (4, 6, 8, 10):
         for n in (1, 2, 3, 10):
             assert trace(n, k) == 0
+
+
+def trace_of_matrix(matrix):
+    return sum(matrix[i][i] for i in range(len(matrix)))
 
 
 def test_trace_matches_matrices_sample():
