@@ -11,7 +11,6 @@ from .errors import (
     Lemma1Violation,
     NonIntegralTrace,
     PeriodNotFound,
-    RootNestingViolation,
     SpanViolation,
     SplittingViolation,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "NotFound",
     "PeriodNotFound",
     "QExpansion",
-    "RootNestingViolation",
     "SpanViolation",
     "SplittingViolation",
     "SquarefreeFailure",

@@ -11,7 +11,9 @@ to different exit codes:
     the theory says must hold fails to hold (a Hecke image outside the
     cusp space, an inexact quotient where divisibility is guaranteed, a
     polynomial that does not split where complete splitting is
-    guaranteed, a period that never appears).
+    guaranteed, a period that never appears).  Root multisets along a
+    weight class nest by construction, since each weight's polynomial
+    is divided exactly by the last.
     They are never caught and papered over.
 """
 
@@ -40,10 +42,6 @@ class Lemma1Violation(FalsificationError):
 
 class SplittingViolation(FalsificationError):
     """A Hecke polynomial did not split completely mod ell where it must."""
-
-
-class RootNestingViolation(FalsificationError):
-    """Root multisets along a weight class failed to be nested prefixes."""
 
 
 class PeriodNotFound(FalsificationError):

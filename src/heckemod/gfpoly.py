@@ -7,20 +7,24 @@ prime.  The public entries that take outside input (reduce_mod,
 distinct_degree, factor, roots) reduce it and check ell once; the
 arithmetic helpers trust their caller to pass canonical tuples.
 
-Factorization runs squarefree decomposition, then distinct-degree
-splitting, then equal-degree splitting (Cantor-Zassenhaus).  The
-distinct-degree stage reads Frobenius off the Berlekamp Q-matrix of f,
-whose row i is x^(ell i) mod f: since h^ell = sum h_i x^(ell i) over
-F_ell, the step x^(ell^d) -> x^(ell^(d+1)) mod f is one vector-matrix
-product h Q (von zur Gathen and Gerhard, Modern Computer Algebra,
-ch. 14).  Q is built when a second degree step is needed, from one
-power x^ell mod f and successive products.  The equal-degree stage draws
-its random elements from a generator seeded explicitly (default seed
-0), and the ell = 2 branch replaces the quadratic-residue test with the
-additive trace map t + t^2 + ... + t^(2^(d-1)), walking t over
-odd-degree monomials, so results are reproducible bit for bit.  Factors
-are reported in a canonical order: by degree, then lexicographically on
-the ascending coefficient tuple.
+Factorization runs distinct-degree splitting, then equal-degree
+splitting (Cantor-Zassenhaus), and reads each irreducible's
+multiplicity off repeated division of the running cofactor.  Repeated
+factors leave only by exact division: the distinct-degree stage divides
+out every copy of the degree-d factors before degree d + 1, so no
+squarefree decomposition is needed.  That stage reads Frobenius off the
+Berlekamp Q-matrix of f, whose row i is x^(ell i) mod f: since
+h^ell = sum h_i x^(ell i) over F_ell, the step x^(ell^d) -> x^(ell^(d+1))
+mod f is one vector-matrix product h Q (von zur Gathen and Gerhard,
+Modern Computer Algebra, ch. 14).  Q is built when a second degree step
+is needed, from one power x^ell mod f and successive products.  The
+equal-degree stage draws its random elements from a generator seeded
+explicitly (default seed 0), and the ell = 2 branch replaces the
+quadratic-residue test with the additive trace map
+t + t^2 + ... + t^(2^(d-1)), walking t over odd-degree monomials, so
+results are reproducible bit for bit.  Factors are reported in a
+canonical order: by degree, then lexicographically on the ascending
+coefficient tuple.
 """
 
 from __future__ import annotations
@@ -199,47 +203,6 @@ class FactorMultiset:
         return all(m == 1 for _, m in self.factors)
 
 
-def _pth_root(f, ell: int) -> tuple:
-    # f is an ell-th power, so only exponents divisible by ell occur and
-    # Frobenius is the identity on the prime field.
-    out = [0] * ((len(f) - 1) // ell + 1)
-    for i, c in enumerate(f):
-        if c:
-            if i % ell:
-                raise ArithmeticError("not an ell-th power: %r" % (f,))
-            out[i // ell] = c
-    return tuple(out)
-
-
-def _squarefree_parts(f, ell: int):
-    """Yun-style decomposition of monic f into coprime squarefree parts.
-
-    Returns [(g, multiplicity), ...]; the product of g**multiplicity
-    recovers f.  Multiplicities divisible by ell are pulled out through
-    ell-th roots.
-    """
-    if len(f) < 2:
-        return []
-    df = derivative(f, ell)
-    if not df:
-        return [(g, m * ell) for g, m in _squarefree_parts(_pth_root(f, ell), ell)]
-    parts = []
-    c = gcd(f, df, ell)
-    w = divide_exact(f, c, ell)
-    i = 1
-    while len(w) > 1:
-        y = gcd(w, c, ell)
-        z = divide_exact(w, y, ell)
-        if len(z) > 1:
-            parts.append((z, i))
-        w = y
-        c = divide_exact(c, y, ell)
-        i += 1
-    if len(c) > 1:
-        parts.extend((g, m * ell) for g, m in _squarefree_parts(_pth_root(c, ell), ell))
-    return parts
-
-
 class FrobeniusMatrix:
     """Berlekamp Q-matrix of monic f over F_ell, given xq = x^ell mod f.
 
@@ -299,12 +262,18 @@ def _distinct_degree(f, ell: int):
         g = gcd(v, sub(h, X, ell), ell)
         if len(g) > 1:
             pieces.append((g, d))
+        while len(g) > 1:  # strip every copy of the degree-d factors
             v = divide_exact(v, g, ell)
+            g = gcd(v, g, ell)
     return pieces
 
 
 def distinct_degree(f, ell: int):
-    """Split squarefree monic f into (product of irreducibles of degree d, d)."""
+    """Split monic f into (product of its distinct irreducibles of degree d, d).
+
+    Each irreducible appears once, whatever its multiplicity in f: all
+    copies of the degree-d factors are divided out before degree d + 1.
+    """
     _require_prime(ell)
     return _distinct_degree(_reduce(f, ell), ell)
 
@@ -357,10 +326,15 @@ def _factor(f, ell: int, seed: int) -> FactorMultiset:
         raise ValueError("cannot factor the zero polynomial")
     rng = random.Random(seed)
     found = []
-    for part, mult in _squarefree_parts(monic(f, ell), ell):
-        for piece, d in _distinct_degree(part, ell):
-            for irr in _equal_degree(piece, d, rng, ell):
-                found.append((irr, mult))
+    rest = monic(f, ell)
+    for piece, d in _distinct_degree(rest, ell):
+        for irr in _equal_degree(piece, d, rng, ell):
+            mult = 0
+            q, r = quo_rem(rest, irr, ell)
+            while not r:
+                rest, mult = q, mult + 1
+                q, r = quo_rem(rest, irr, ell)
+            found.append((irr, mult))
     found.sort(key=lambda gm: (len(gm[0]), gm[0]))
     return FactorMultiset(ell, f[-1], tuple(found))
 

@@ -19,30 +19,23 @@ periodic tables, and checks the companion congruences:
 Every polynomial comes from the Hecke kernel run mod ell, so neither
 the integer polynomial nor the disk cache is ever touched.
 
-A walk peels rather than factors: each polynomial is divided by the
-product of (x - r) over the roots known so far, and only the quotient,
-of the degree of the dimension jump, is factored.  On a nonzero
-remainder the whole polynomial is factored, and a check below fails.
+A walk peels rather than factors: each polynomial is divided exactly
+by the one at the previous weight of its class, and only the quotient,
+of the degree of the dimension jump, is factored.  That division is the
+Lemma 1 check, so the roots of each weight extend those of the last by
+construction.
 
 Violations raise, they are never smoothed over: an inexact quotient is
 a Lemma1Violation, a polynomial with too few roots in F_ell is a
-SplittingViolation, a root multiset that fails to extend its
-predecessor is a RootNestingViolation.
+SplittingViolation.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-
 from ._primes import minimal_period, require_prime
 from ._record import record
-from .errors import (
-    Lemma1Violation,
-    PeriodNotFound,
-    RootNestingViolation,
-    SplittingViolation,
-)
-from .gfpoly import InexactDivision, divide_exact, mul, poly_str, quo_rem, roots
+from .errors import Lemma1Violation, PeriodNotFound, SplittingViolation
+from .gfpoly import InexactDivision, divide_exact, mul, poly_str, roots
 from .hecke import charpoly, dim_cusp
 
 # Row labels of the published mod-5 and mod-7 tables: the smallest prime
@@ -83,8 +76,12 @@ def lemma1_check(p: int, ell: int, k: int) -> tuple:
     """
     if ell < 5:
         raise ValueError("divisibility step needs ell >= 5, got %d" % ell)
-    low = charpoly_mod(p, k, ell)
-    high = charpoly_mod(p, k + ell - 1, ell)
+    low, high = charpoly_mod(p, k, ell), charpoly_mod(p, k + ell - 1, ell)
+    return _lemma1_quotient(p, ell, k, low, high)
+
+
+def _lemma1_quotient(p: int, ell: int, k: int, low, high) -> tuple:
+    """high / low, the polynomials of T_p mod ell at weights k and k + ell - 1."""
     try:
         return divide_exact(high, low, ell)
     except InexactDivision as exc:
@@ -144,13 +141,12 @@ def root_sequence(
 ) -> RootSequence:
     """Walk a weight class and collect the new root at each dimension jump.
 
-    Each polynomial is peeled by the roots known so far (see the module
-    docstring).  It must then split completely, contain the previous
-    root multiset and add as many roots as the dimension jumped; a
-    failure raises.  Period detection demands that every term equal the
-    one a period later across the whole window, with two full periods
-    in it; when require_two_periods is set and no period emerges,
-    PeriodNotFound is raised.
+    Each polynomial is divided exactly by the previous one in the class
+    (see the module docstring), and the quotient must split completely
+    in F_ell; a failure raises.  Period detection demands that every
+    term equal the one a period later across the whole window, with two
+    full periods in it; when require_two_periods is set and no period
+    emerges, PeriodNotFound is raised.
     """
     if ell not in (5, 7, 13):
         raise ValueError("root sequences are defined for ell in {5, 7, 13}")
@@ -161,11 +157,8 @@ def root_sequence(
         max_weight = DEFAULT_MAX_WEIGHT[ell]
     terms = []
     term_weights = []
-    prev_poly = (1,)  # product of (x - r) over the terms so far
-    prev_counter = Counter()
-    prev_dim = 0
+    prev = (1,)  # the polynomial one step below k0 has degree 0
     k = k0
-    last_k = k0
     while k <= max_weight:
         if len(terms) > _increment_cutoff(ell):
             raise PeriodNotFound(
@@ -173,32 +166,16 @@ def root_sequence(
                 % (p, ell, kclass, _increment_cutoff(ell))
             )
         f = charpoly_mod(p, k, ell)
+        new = roots(_lemma1_quotient(p, ell, k - ell + 1, prev, f), ell, seed=seed)
         d = dim_cusp(k)
-        q, rem = quo_rem(f, prev_poly, ell)
-        rts = roots(f, ell, seed=seed) if rem else tuple(terms) + roots(q, ell, seed=seed)
-        if len(rts) != d:
+        if len(terms) + len(new) != d:
             raise SplittingViolation(
                 "T_%d at weight %d mod %d has %d roots in F_%d, dimension is %d"
-                % (p, k, ell, len(rts), ell, d)
-            )
-        counter = Counter(rts)
-        missing = prev_counter - counter
-        if missing:
-            raise RootNestingViolation(
-                "roots %s of weight %d vanished at weight %d (p=%d mod %d)"
-                % (sorted(missing.elements()), last_k, k, p, ell)
-            )
-        new = sorted((counter - prev_counter).elements())
-        if len(new) != d - prev_dim:
-            raise RootNestingViolation(
-                "%d new roots at weight %d but dimension jumped %d -> %d (p=%d mod %d)"
-                % (len(new), k, prev_dim, d, p, ell)
+                % (p, k, ell, len(terms) + len(new), ell, d)
             )
         terms.extend(new)
         term_weights.extend([k] * len(new))
-        for r in new:
-            prev_poly = mul(prev_poly, (-r % ell, 1), ell)
-        prev_counter, prev_dim, last_k = counter, d, k
+        prev = f
         k += ell - 1
     period = minimal_period(terms)
     if period is None and require_two_periods:
@@ -244,8 +221,11 @@ def quotient_sequence(p, ell, kclass, max_weight=None) -> QuotientSequence:
         max_weight = DEFAULT_MAX_WEIGHT.get(ell, 24 * (ell - 1) + k0)
     quotients = []
     k = k0
+    low = charpoly_mod(p, k, ell)
     while k + ell - 1 <= max_weight:
-        quotients.append(lemma1_check(p, ell, k))
+        high = charpoly_mod(p, k + ell - 1, ell)
+        quotients.append(_lemma1_quotient(p, ell, k, low, high))
+        low = high
         k += ell - 1
     return QuotientSequence(
         p=p,

@@ -184,6 +184,38 @@ def test_repeated_factors_and_pth_powers():
     assert list(fm.factors) == [((1, 1, 1), 2)]
 
 
+def _monic_irreducibles_up_to_cubic(ell):
+    # below degree 4, a polynomial without roots is irreducible
+    out = []
+    for d in (1, 2, 3):
+        for tail in product(range(ell), repeat=d):
+            g = tail + (1,)
+            if d == 1 or all(sum(c * r ** i for i, c in enumerate(g)) % ell for r in range(ell)):
+                out.append(g)
+    return out
+
+
+@pytest.mark.parametrize("ell", (2, 3, 5, 7))
+def test_prescribed_multiplicities(ell):
+    # f = prod g_i^(m_i): factor returns exactly that list, and the
+    # distinct-degree split names each irreducible once per degree
+    pool = _monic_irreducibles_up_to_cubic(ell)
+    mults = (1, 2, ell, ell + 1, 2 * ell, ell * ell)
+    rng = random.Random(41 + ell)
+    for shift in range(len(mults)):
+        gs = rng.sample(pool, 3)
+        want = sorted(zip(gs, mults[shift:] + mults[:shift]), key=lambda gm: (len(gm[0]), gm[0]))
+        f = (1,)
+        for g, m in want:
+            for _ in range(m):
+                f = mul(f, g, ell)
+        assert list(factor(f, ell).factors) == want, (ell, want)
+        by_degree = {}
+        for g, _ in want:
+            by_degree[len(g) - 1] = mul(by_degree.get(len(g) - 1, (1,)), g, ell)
+        assert distinct_degree(f, ell) == [(by_degree[d], d) for d in sorted(by_degree)], (ell, want)
+
+
 def test_roots_with_multiplicity():
     f = mul(mul((6, 1), (6, 1), 7), (4, 1), 7)  # (x - 1)^2 (x - 3) over F_7
     assert roots(f, 7) == (1, 1, 3)

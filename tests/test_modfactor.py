@@ -1,7 +1,7 @@
 import pytest
 
 from heckemod import modfactor
-from heckemod.errors import Lemma1Violation, PeriodNotFound, RootNestingViolation, SplittingViolation
+from heckemod.errors import Lemma1Violation, PeriodNotFound, SplittingViolation
 from heckemod.gfpoly import mul, roots
 from heckemod.hecke import IntPoly, dim_cusp
 from heckemod.modfactor import (
@@ -128,26 +128,28 @@ def poison(monkeypatch, key, poly):
 
 
 def test_splitting_violation_detected(monkeypatch):
-    # x^2 + 2 has no roots mod 5, and the dimension at 16 is 1
-    poison(monkeypatch, (2, 16), IntPoly((2, 0, 1)))
+    # (x - 1)(x^2 + 2): weight 20's x - 1 divides it, but x^2 + 2 has no
+    # roots mod 5, and the dimension at 24 is 2
+    poison(monkeypatch, (2, 24), IntPoly(mul((4, 1), (2, 0, 1), 5)))
     with pytest.raises(SplittingViolation):
         root_sequence(2, 5, 0)
 
 
 def test_nesting_violation_detected(monkeypatch):
-    # root 2 at weight 16 would drop the root 1 seen at weight 12
+    # root 2 at weight 16 would drop the root 1 seen at weight 12: the
+    # walk's exact division by weight 12's x - 1 is the Lemma 1 check
     poison(monkeypatch, (2, 16), IntPoly((-2, 1)))
-    with pytest.raises(RootNestingViolation):
+    with pytest.raises(Lemma1Violation):
         root_sequence(2, 5, 0)
 
 
 @pytest.mark.parametrize(
     "key, poly, error, message",
     [
-        ((2, 16), IntPoly((2, 0, 1)), SplittingViolation,
-         "T_2 at weight 16 mod 5 has 0 roots in F_5, dimension is 1"),
-        ((2, 16), IntPoly((-2, 1)), RootNestingViolation,
-         "roots [1] of weight 12 vanished at weight 16 (p=2 mod 5)"),
+        ((2, 16), IntPoly((2, 0, 1)), Lemma1Violation,
+         "T_2 at weight 12 does not divide weight 16 mod 5 (remainder 3)"),
+        ((2, 16), IntPoly((-2, 1)), Lemma1Violation,
+         "T_2 at weight 12 does not divide weight 16 mod 5 (remainder 4)"),
         # (x - 1)(x^2 + 2): the previous root 1 divides, the quotient does not split
         ((2, 24), IntPoly(mul((4, 1), (2, 0, 1), 5)), SplittingViolation,
          "T_2 at weight 24 mod 5 has 1 roots in F_5, dimension is 2"),
@@ -168,8 +170,18 @@ def test_lemma1_violation_detected(monkeypatch):
         lemma1_check(2, 5, 12)
 
 
-def test_quotient_sequence_reassembles():
+def test_quotient_sequence_reassembles(monkeypatch):
+    weights = []
+    real = modfactor.charpoly_mod
+
+    def counted(p, k, ell):
+        weights.append(k)
+        return real(p, k, ell)
+
+    monkeypatch.setattr(modfactor, "charpoly_mod", counted)
     qs = quotient_sequence(2, 5, 0, max_weight=60)
+    monkeypatch.undo()
+    assert weights == list(range(12, 61, 4))  # one kernel call per weight
     assert qs.start_weight == 12
     running = charpoly_mod(2, 12, 5)
     k = 12
