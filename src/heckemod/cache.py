@@ -27,7 +27,6 @@ O_APPEND descriptor.  Only `charpoly`, `certify` and the anchor of
 
 from __future__ import annotations
 
-import json
 import os
 
 from .errors import ComputationError
@@ -121,6 +120,8 @@ def _agrees_with_kernel(p: int, k: int, poly: IntPoly) -> bool:
 
 def _parse_record(line: str, p: int):
     """((p, k), IntPoly) for a monic record of prime p and degree dim S_k, else None."""
+    import json
+
     try:
         rec = json.loads(line)
         k = rec["k"]
@@ -136,5 +137,7 @@ def _parse_record(line: str, p: int):
 
 
 def record_line(p: int, k: int, poly: IntPoly) -> str:
+    import json
+
     rec = {"coeffs": [str(c) for c in poly.coeffs], "k": k, "p": p}
     return json.dumps(rec, sort_keys=True) + "\n"

@@ -15,8 +15,6 @@ which is worth distinguishing from a plain crash in CI).
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
 import sys
 
@@ -50,10 +48,14 @@ def factor_str(fm) -> str:
 
 
 def _emit_json(obj):
+    import json
+
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
 def _emit_csv(header, rows):
+    import csv
+
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)

@@ -146,7 +146,8 @@ def root_sequence(
     in F_ell; a failure raises.  Period detection demands that every
     term equal the one a period later across the whole window, with two
     full periods in it; when require_two_periods is set and no period
-    emerges, PeriodNotFound is raised.
+    emerges, PeriodNotFound is raised.  A window that ends below the
+    class's first weight checks nothing and is a ValueError.
     """
     if ell not in (5, 7, 13):
         raise ValueError("root sequences are defined for ell in {5, 7, 13}")
@@ -155,6 +156,11 @@ def root_sequence(
     kclass %= ell - 1
     if max_weight is None:
         max_weight = DEFAULT_MAX_WEIGHT[ell]
+    if max_weight < k0:
+        raise ValueError(
+            "no weight of class %d mod %d up to weight %d: the class starts at weight %d"
+            % (kclass, ell - 1, max_weight, k0)
+        )
     terms = []
     term_weights = []
     prev = (1,)  # the polynomial one step below k0 has degree 0

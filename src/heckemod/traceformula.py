@@ -1,4 +1,4 @@
-"""Eichler-Selberg trace of T_n on level-1 cusp forms, in exact rationals.
+"""Eichler-Selberg trace of T_n on level-1 cusp forms, in exact integers.
 
 For even k >= 4 and n >= 1 the trace equals
 
@@ -10,41 +10,33 @@ by the recursion U_0 = 0, U_1 = 1, U_j = t U_(j-1) - n U_(j-2), and H
 is the Hurwitz class number with the convention H(0) = -1/12 (which
 absorbs the boundary term t^2 = 4n when n is a perfect square).
 
-H(n) is counted as the integer 6 H(n) by divisor enumeration: a reduced
+H(n) is counted as the integer 12 H(n) by divisor enumeration: a reduced
 form (a, b, c) of discriminant -n with b >= 0 has b = n (mod 2),
 3 b^2 <= n and a c = (b^2 + n)/4 with b <= a <= c, so for each such b
 the loop keeps the a up to sqrt((b^2 + n)/4) that divide (b^2 + n)/4.
 
-Everything is assembled in fractions.Fraction; a non-integer total is
-raised as a falsification, never rounded.  This module deliberately
-shares no code with the Hecke-matrix path so the two can check each
-other.
+Everything is summed as the integer 24 * trace; a total that 24 does
+not divide is raised as a falsification, never rounded.  Only the two
+functions that return fractions (hurwitz_class_number, trace_terms)
+import fractions.  This module deliberately shares no code with the
+Hecke-matrix path so the two can check each other.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from ._primes import divisors, minimal_period
 from .errors import NonIntegralTrace, PeriodNotFound
 
 
-def hurwitz_class_number(n: int) -> Fraction:
-    """Hurwitz class number H(n) as an exact fraction.
-
-    H(0) = -1/12; zero for n = 1, 2 mod 4; otherwise the number of
-    reduced positive binary quadratic forms of discriminant -n, with
-    forms proportional to x^2 + y^2 weighted 1/2 and forms proportional
-    to x^2 + xy + y^2 weighted 1/3.
-    """
-    if n < 0:
-        raise ValueError("negative discriminant argument")
+def _hurwitz12(n: int) -> int:
+    """12 H(n) for n >= 0, an integer: -1 at n = 0 and even elsewhere."""
     if n == 0:
-        return Fraction(-1, 12)
+        return -1
     if n % 4 in (1, 2):
-        return Fraction(0)
-    total = 0  # 6 H(n)
+        return 0
+    total = 0
     for b in range(n % 2, math.isqrt(n // 3) + 1, 2):
         m = (b * b + n) // 4
         for a in range(max(b, 1), math.isqrt(m) + 1):
@@ -52,14 +44,29 @@ def hurwitz_class_number(n: int) -> Fraction:
                 continue
             c = m // a
             if a == b == c:
-                total += 2
+                total += 4
             elif b == 0 and a == c:
-                total += 3
+                total += 6
             elif b == 0 or b == a or a == c:
-                total += 6  # (a, -b, c) is not reduced, or is (a, b, c)
+                total += 12  # (a, -b, c) is not reduced, or is (a, b, c)
             else:
-                total += 12  # (a, b, c) and (a, -b, c)
-    return Fraction(total, 6)
+                total += 24  # (a, b, c) and (a, -b, c)
+    return total
+
+
+def hurwitz_class_number(n: int):
+    """Hurwitz class number H(n) as an exact fractions.Fraction.
+
+    H(0) = -1/12; zero for n = 1, 2 mod 4; otherwise the number of
+    reduced positive binary quadratic forms of discriminant -n, with
+    forms proportional to x^2 + y^2 weighted 1/2 and forms proportional
+    to x^2 + xy + y^2 weighted 1/3.
+    """
+    from fractions import Fraction
+
+    if n < 0:
+        raise ValueError("negative discriminant argument")
+    return Fraction(_hurwitz12(n), 12)
 
 
 def weight_poly(k: int, t: int, n: int) -> int:
@@ -75,6 +82,22 @@ def weight_poly(k: int, t: int, n: int) -> int:
     return u
 
 
+def _terms24(n: int, k: int):
+    """24 times the elliptic and the hyperbolic part of the trace, as integers."""
+    if n < 1:
+        raise ValueError("Hecke index must be >= 1")
+    if k < 4 or k % 2:
+        raise ValueError("weight must be even and >= 4, got %d" % k)
+    elliptic = 0
+    # for even k both factors are even in t, so -t repeats the term of t
+    for t in range(math.isqrt(4 * n) + 1):
+        h = _hurwitz12(4 * n - t * t)
+        if h:
+            elliptic += weight_poly(k, t, n) * h * (2 if t else 1)
+    hyperbolic = sum(min(d, n // d) ** (k - 1) for d in divisors(n))
+    return -elliptic, -12 * hyperbolic
+
+
 def trace_terms(n: int, k: int):
     """The two pieces of the trace formula, before assembly.
 
@@ -82,29 +105,22 @@ def trace_terms(n: int, k: int):
     -1/2 sum P_(k-1)(t,n) H(4n - t^2), hyperbolic is
     -1/2 sum min(d, n/d)^(k-1).
     """
-    if n < 1:
-        raise ValueError("Hecke index must be >= 1")
-    if k < 4 or k % 2:
-        raise ValueError("weight must be even and >= 4, got %d" % k)
-    elliptic = Fraction(0)
-    # for even k both factors are even in t, so -t repeats the term of t
-    for t in range(math.isqrt(4 * n) + 1):
-        h = hurwitz_class_number(4 * n - t * t)
-        if h:
-            elliptic += weight_poly(k, t, n) * h * (2 if t else 1)
-    hyperbolic = sum(min(d, n // d) ** (k - 1) for d in divisors(n))
-    return -elliptic / 2, Fraction(-hyperbolic, 2)
+    from fractions import Fraction
+
+    elliptic, hyperbolic = _terms24(n, k)
+    return Fraction(elliptic, 24), Fraction(hyperbolic, 24)
 
 
 def trace(n: int, k: int) -> int:
     """Exact trace of T_n on the weight-k cusp space."""
-    elliptic, hyperbolic = trace_terms(n, k)
+    elliptic, hyperbolic = _terms24(n, k)
     total = elliptic + hyperbolic
-    if total.denominator != 1:
+    if total % 24:
+        g = math.gcd(total, 24)
         raise NonIntegralTrace(
-            "trace formula gave %s for n=%d k=%d" % (total, n, k)
+            "trace formula gave %d/%d for n=%d k=%d" % (total // g, 24 // g, n, k)
         )
-    return int(total)
+    return total // 24
 
 
 def trace_mod_periodicity(n: int, ell: int, kclass: int, k_start=None, max_steps=None) -> int:

@@ -117,6 +117,19 @@ def test_period_not_found_is_exit_3(capsys):
     assert "falsification" in err
 
 
+@pytest.mark.parametrize(
+    "command", [("table", "--ell", "5"), ("period", "--prime", "2", "--ell", "5", "--kclass", "0")]
+)
+@pytest.mark.parametrize("single", [(), ("--single-period",)])
+@pytest.mark.parametrize("max_weight", ["4", "-10"])
+def test_window_below_the_first_weight_is_a_usage_error(capsys, command, single, max_weight):
+    # a window with no weight of the class checks nothing, so it falsifies nothing
+    code, out, err = run_cli(capsys, *command, "--max-weight", max_weight, *single)
+    assert (code, out) == (1, "")
+    assert "falsification" not in err
+    assert "class 0 mod 4 up to weight %s: the class starts at weight 12" % max_weight in err
+
+
 def test_certify_output(capsys):
     code, out, _ = run_cli(capsys, "certify", "--prime", "2", "--weight", "24")
     assert code == 0
@@ -346,8 +359,22 @@ def test_cold_cli_import_loads_neither_dataclasses_nor_inspect():
 
     added = modules("import heckemod.cli") - modules("pass")
     assert "heckemod.cli" in added
-    assert "dataclasses" not in added
-    assert "inspect" not in added
+    for name in ("dataclasses", "inspect", "fractions", "decimal", "json", "csv"):
+        assert name not in added, name
+    # bench/tracing.py rebinds names only in the modules this import loads
+    package = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "heckemod")
+    own = {"heckemod." + f[:-3] for f in os.listdir(package) if f.endswith(".py")}
+    assert own - {"heckemod.__init__", "heckemod.__main__"} <= added
+
+    # a trace runs without fractions or json
+    added = modules(
+        "import io, contextlib\n"
+        "from heckemod.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "    assert main(['trace', '--n', '2809', '--weight', '72']) == 0\n"
+        "assert out.getvalue().strip().lstrip('-').isdigit()"
+    ) - modules("pass")
+    assert "fractions" not in added and "json" not in added
 
 
 def test_benchmark_tracer_wraps_every_target_and_keeps_table_output(capsys):

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from heckemod import traceformula
-from heckemod.errors import PeriodNotFound
+from heckemod.cli import main
+from heckemod.errors import NonIntegralTrace, PeriodNotFound
 from heckemod.hecke import charpoly, dim_cusp, hecke_matrix
 from heckemod.traceformula import (
     hurwitz_class_number,
@@ -149,18 +150,40 @@ def test_trace_terms_match_the_full_sum_with_one_class_number_per_t(monkeypatch)
     grid = [(n, k) for n in list(range(1, 31)) + [49, 64, 97, 100] for k in (4, 12, 24, 50)]
     expected = {(n, k): full_trace_terms(n, k) for n, k in grid}
     arguments = []
-    counted = traceformula.hurwitz_class_number
+    counted = traceformula._hurwitz12
 
     def counting(m):
         arguments.append(m)
         return counted(m)
 
-    monkeypatch.setattr(traceformula, "hurwitz_class_number", counting)
+    monkeypatch.setattr(traceformula, "_hurwitz12", counting)
     for n, k in grid:
         arguments.clear()
         assert trace_terms(n, k) == expected[n, k]
         assert len(arguments) == math.isqrt(4 * n) + 1
         assert len(set(arguments)) == len(arguments)
+
+
+def test_trace_is_the_full_sum():
+    for n in list(range(1, 41)) + [841, 2809]:
+        for k in (4, 12, 24, 50, 96):
+            assert trace(n, k) == sum(full_trace_terms(n, k))
+
+
+@pytest.mark.parametrize("error", [1, 2])
+def test_a_wrong_class_number_is_a_non_integral_trace(monkeypatch, capsys, error):
+    # 12 H(7) off by `error` moves 24 * trace by -2 U_23(1, 2) * error
+    expected = Fraction(24 * trace(2, 24) - 2 * weight_poly(24, 1, 2) * error, 24)
+    assert expected.denominator > 1
+    counted = traceformula._hurwitz12
+    monkeypatch.setattr(traceformula, "_hurwitz12", lambda m: counted(m) + (error if m == 7 else 0))
+    with pytest.raises(NonIntegralTrace) as exc:
+        trace(2, 24)
+    assert str(exc.value) == "trace formula gave %s for n=2 k=24" % expected
+    assert main(["trace", "--n", "2", "--weight", "24"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "falsification: trace formula gave %s for n=2 k=24\n" % expected
 
 
 def test_trace_input_validation():
