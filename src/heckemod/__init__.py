@@ -25,8 +25,6 @@ from .galois import (
     corollary_conclusion,
     cycle_type,
     deduce,
-    prop2_shape_filter,
-    remark_rule,
     residues_qualify,
     theorem1_conclusion,
 )
@@ -35,8 +33,6 @@ from .hecke import IntPoly, charpoly, dim_cusp, hecke_matrix, monomial_basis
 from .modfactor import (
     charpoly_mod,
     congruence_class_invariance,
-    lemma1_check,
-    quotient_sequence,
     root_sequence,
     serre_classification_check,
     serre_eigenvalue_set,
@@ -81,13 +77,9 @@ __all__ = [
     "factor",
     "hecke_matrix",
     "hurwitz_class_number",
-    "lemma1_check",
     "monomial_basis",
     "poly_str",
-    "prop2_shape_filter",
-    "quotient_sequence",
     "reduce_mod",
-    "remark_rule",
     "residues_qualify",
     "root_sequence",
     "roots",

@@ -28,9 +28,7 @@ types already seen before reducing any new prime.  Each prime is
 reduced at most once per certificate.
 
 The second half of the module packages the deductions specific to
-Hecke polynomials: the shape filter (under "some T_n irreducible",
-T_p is an r-th power of an irreducible with r dividing every root
-multiplicity mod ell), the residue-class criterion with its periodic
+Hecke polynomials: the residue-class criterion with its periodic
 table evidence, and the dimension parity corollaries.  Those verdicts
 carry their assumptions explicitly; discharging the assumption with an
 unconditional anchor certificate upgrades them.
@@ -43,11 +41,11 @@ from functools import reduce
 from itertools import chain
 from math import gcd as _gcd
 
-from ._primes import divisors, is_prime, primes_up_to, require_prime
+from ._primes import is_prime, primes_up_to, require_prime
 from ._record import record
-from .gfpoly import _distinct_degree, derivative, factor, gcd, reduce_mod, roots
+from .gfpoly import _distinct_degree, derivative, gcd, reduce_mod
 from .hecke import charpoly, dim_cusp
-from .modfactor import ROW_PRIMES, charpoly_mod, root_sequence
+from .modfactor import ROW_PRIMES, root_sequence
 
 RULE_IRREDUCIBLE_MOD_ELL = "IrreducibleModEll"
 RULE_DEGREE_SET_SIEVE = "DegreeSetSieve"
@@ -55,8 +53,6 @@ RULE_JORDAN = "JordanCriterion"
 RULE_THEOREM1 = "Theorem1"
 RULE_COROLLARY_I = "Corollary-i"
 RULE_COROLLARY_II = "Corollary-ii"
-RULE_REMARK_14 = "PaperRemark14"
-RULE_REMARK_28 = "PaperRemark28"
 
 CLAIM_IRREDUCIBLE = "irreducible"
 CLAIM_FULL_SYMMETRIC = "full-symmetric-group"
@@ -296,66 +292,6 @@ def certify_full_symmetric(p: int, k: int, bound: int = 200, cache=None):
 # deductions that lean on the periodic tables
 
 
-@record
-class ShapeVerdict:
-    """Prop-2 style shape filter for T_p at one weight.
-
-    possible_r lists the exponents r (dividing dim) such that
-    T_p = g^r with g irreducible stays consistent with every observed
-    root multiplicity; (1,) plus an excluded linear power pins the
-    polynomial to "irreducible with full group" under the stated
-    assumptions.
-    """
-
-    p: int
-    k: int
-    dim: int
-    evidence: tuple
-    possible_r: tuple
-    linear_power_excluded: bool
-
-    @property
-    def irreducible_if_some_irreducible(self) -> bool:
-        return self.possible_r == (1,)
-
-    @property
-    def full_if_some_full(self) -> bool:
-        return self.possible_r == (1,) and (self.linear_power_excluded or self.dim == 1)
-
-
-def prop2_shape_filter(p: int, k: int, ells=(5, 7)) -> ShapeVerdict:
-    """Constrain the shape of T_p at weight k from its splittings mod ells."""
-    require_prime(p, "p")
-    d = dim_cusp(k)
-    if d < 1:
-        raise ValueError("weight %d has trivial cusp space" % k)
-    evidence = []
-    mults = []
-    max_distinct = 0
-    for ell in ells:
-        if ell == p:
-            continue
-        fm = factor(charpoly_mod(p, k, ell), ell)
-        counts = {}
-        for g, m in fm.factors:
-            if len(g) == 2:
-                counts[(-g[0]) % ell] = m
-        evidence.append({"kind": "root-multiplicities", "ell": ell, "roots": counts})
-        mults.extend(counts.values())
-        max_distinct = max(max_distinct, len(counts))
-    possible = tuple(
-        r for r in divisors(d) if all(m % r == 0 for m in mults)
-    )
-    return ShapeVerdict(
-        p=p,
-        k=k,
-        dim=d,
-        evidence=tuple(evidence),
-        possible_r=possible,
-        linear_power_excluded=max_distinct >= 2,
-    )
-
-
 def _qualifying_ell(p: int):
     """The modulus whose table row applies to p, or None."""
     for ell in (5, 7):
@@ -432,10 +368,11 @@ def corollary_conclusion(p: int, k: int):
     assuming some T_n at weight k is.
 
     Case i: dim odd and p's residues qualify mod 5 or 7.  Case ii:
-    dim = 2 mod 4 and p = 3 or 5 mod 7.  Both force r = 1 in the shape
-    filter because the gcd of root multiplicities in the table row's
-    first dim terms is 1.  Returns a Certificate, or NotFound saying
-    which condition failed.
+    dim = 2 mod 4 and p = 3 or 5 mod 7.  Under the assumption T_p is
+    g^r with g irreducible and r dividing every root multiplicity mod
+    ell; both cases force r = 1 because the gcd of root multiplicities
+    in the table row's first dim terms is 1.  Returns a Certificate, or
+    NotFound saying which condition failed.
     """
     require_prime(p, "p")
     d = dim_cusp(k)
@@ -460,37 +397,6 @@ def corollary_conclusion(p: int, k: int):
         reason = "multiplicity gcd %d leaves powers r > 1 possible" % g
         return NotFound(CLAIM_IRREDUCIBLE, _hecke_subject(p, k), reason)
     return _table_certificate(CLAIM_IRREDUCIBLE, rule, p, k, ell, class_prime, row_period, first)
-
-
-def remark_rule(k: int):
-    """Dimension-vs-14 bookkeeping, flagged as a remark-grade rule.
-
-    When dim is not a multiple of 14, the mod-13 root multiplicities of
-    T_2 at weight k have gcd 1, so T_2 is irreducible under the usual
-    assumption.  When dim is 14 times an odd number, dim = 2 mod 4 and
-    case ii applies to T_3 instead.  Returns a Certificate for T_2 or
-    T_3, or NotFound.
-    """
-    d = dim_cusp(k)
-    if d == 0:
-        return NotFound(CLAIM_IRREDUCIBLE, _hecke_subject(2, k), "trivial cusp space")
-    if d % 14:
-        rts = roots(charpoly_mod(2, k, 13), 13)
-        g = _multiplicity_gcd(rts)
-        if g == 1:
-            return _table_certificate(CLAIM_IRREDUCIBLE, RULE_REMARK_14, 2, k, 13, 2, (), rts)
-        reason = "mod-13 multiplicity gcd %d for T_2 (dim %d not a multiple of 14)" % (g, d)
-        return NotFound(CLAIM_IRREDUCIBLE, _hecke_subject(2, k), reason)
-    if d % 28:
-        inner = corollary_conclusion(3, k)
-        if isinstance(inner, Certificate):
-            return Certificate(
-                inner.claim, inner.subject, d, RULE_REMARK_28, inner.evidence, inner.assumptions
-            )
-        reason = "dim %d = 14 * odd, so dim = 2 mod 4 and case ii covers T_3; " % d
-        return NotFound(CLAIM_IRREDUCIBLE, _hecke_subject(3, k), reason + inner.reason)
-    reason = "dim %d is a multiple of 28; the remark gives nothing" % d
-    return NotFound(CLAIM_IRREDUCIBLE, _hecke_subject(2, k), reason)
 
 
 @record

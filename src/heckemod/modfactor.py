@@ -68,29 +68,6 @@ def charpoly_mod(p: int, k: int, ell: int) -> tuple:
     return charpoly(p, k, ell).coeffs
 
 
-def lemma1_check(p: int, ell: int, k: int) -> tuple:
-    """Quotient T_p(k + ell - 1) / T_p(k) in F_ell[x].
-
-    The divisibility is guaranteed for ell >= 5; an inexact division is
-    re-raised as Lemma1Violation with the remainder attached.
-    """
-    if ell < 5:
-        raise ValueError("divisibility step needs ell >= 5, got %d" % ell)
-    low, high = charpoly_mod(p, k, ell), charpoly_mod(p, k + ell - 1, ell)
-    return _lemma1_quotient(p, ell, k, low, high)
-
-
-def _lemma1_quotient(p: int, ell: int, k: int, low, high) -> tuple:
-    """high / low, the polynomials of T_p mod ell at weights k and k + ell - 1."""
-    try:
-        return divide_exact(high, low, ell)
-    except InexactDivision as exc:
-        raise Lemma1Violation(
-            "T_%d at weight %d does not divide weight %d mod %d (remainder %s)"
-            % (p, k, k + ell - 1, ell, poly_str(exc.remainder))
-        ) from exc
-
-
 def first_weight_in_class(kclass: int, ell: int) -> int:
     """Smallest even weight >= 12 congruent to kclass mod (ell - 1)."""
     step = ell - 1
@@ -172,7 +149,14 @@ def root_sequence(
                 % (p, ell, kclass, _increment_cutoff(ell))
             )
         f = charpoly_mod(p, k, ell)
-        new = roots(_lemma1_quotient(p, ell, k - ell + 1, prev, f), ell, seed=seed)
+        try:
+            quotient = divide_exact(f, prev, ell)
+        except InexactDivision as exc:
+            raise Lemma1Violation(
+                "T_%d at weight %d does not divide weight %d mod %d (remainder %s)"
+                % (p, k - ell + 1, k, ell, poly_str(exc.remainder))
+            ) from exc
+        new = roots(quotient, ell, seed=seed)
         d = dim_cusp(k)
         if len(terms) + len(new) != d:
             raise SplittingViolation(
@@ -197,49 +181,6 @@ def root_sequence(
         term_weights=tuple(term_weights),
         period=period,
         max_weight=max_weight,
-    )
-
-
-@record
-class QuotientSequence:
-    """Successive quotients f_j = T_p(k0 + j(ell-1)) / T_p(k0 + (j-1)(ell-1)) mod ell."""
-
-    p: int
-    ell: int
-    kclass: int
-    start_weight: int
-    quotients: tuple
-    period: object  # int or None
-
-
-def quotient_sequence(p, ell, kclass, max_weight=None) -> QuotientSequence:
-    """The divisibility quotients along a weight class, with empirical period.
-
-    Each quotient degree equals the dimension jump at its step; the
-    running product against the first polynomial reassembles every
-    later one (checked by construction through exact division).
-    """
-    if ell < 5:
-        raise ValueError("quotients need ell >= 5, got %d" % ell)
-    _validate(p, ell)
-    k0 = first_weight_in_class(kclass, ell)
-    if max_weight is None:
-        max_weight = DEFAULT_MAX_WEIGHT.get(ell, 24 * (ell - 1) + k0)
-    quotients = []
-    k = k0
-    low = charpoly_mod(p, k, ell)
-    while k + ell - 1 <= max_weight:
-        high = charpoly_mod(p, k + ell - 1, ell)
-        quotients.append(_lemma1_quotient(p, ell, k, low, high))
-        low = high
-        k += ell - 1
-    return QuotientSequence(
-        p=p,
-        ell=ell,
-        kclass=kclass % (ell - 1),
-        start_weight=k0,
-        quotients=tuple(quotients),
-        period=minimal_period(quotients),
     )
 
 

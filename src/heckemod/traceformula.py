@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import math
 
-from ._primes import divisors, minimal_period
-from .errors import NonIntegralTrace, PeriodNotFound
+from ._primes import divisors
+from .errors import NonIntegralTrace
 
 
 def _hurwitz12(n: int) -> int:
@@ -121,46 +121,3 @@ def trace(n: int, k: int) -> int:
             "trace formula gave %d/%d for n=%d k=%d" % (total // g, 24 // g, n, k)
         )
     return total // 24
-
-
-def trace_mod_periodicity(n: int, ell: int, kclass: int, k_start=None, max_steps=None) -> int:
-    """Least L, a multiple of ell - 1, with trace(n, k + L) = trace(n, k) mod ell
-    for every sampled k = kclass (mod ell - 1) in the verification window.
-
-    The scan walks even weights in the class, demands two full periods
-    inside the window before accepting, and gives up (PeriodNotFound)
-    once candidate periods would exceed ell * (ell^2 - 1); the group
-    structure behind the recursion caps any true period there.
-    """
-    if ell < 5:
-        raise ValueError("need ell >= 5, got %d" % ell)
-    step = ell - 1
-    kclass %= step
-    if kclass % 2:
-        raise ValueError("no even weights fall in class %d mod %d" % (kclass, step))
-    if k_start is None:
-        k_start = 4 + (kclass - 4) % step
-    if max_steps is None:
-        max_steps = 2 * ell * (ell + 1)  # 2 * L_cap / (ell - 1)
-    values = []
-    k = k_start
-    # grow the sample window geometrically; re-scan for the minimal period
-    target = 16
-    while True:
-        while len(values) < min(target, max_steps):
-            values.append(trace(n, k) % ell)
-            k += step
-        period_steps = minimal_period(values)
-        if period_steps is not None:
-            # confirm with slack samples beyond the bare two periods
-            need = 2 * period_steps + max(8, period_steps // 2)
-            if len(values) >= min(need, max_steps):
-                return period_steps * step
-            target = need
-            continue
-        if len(values) >= max_steps:
-            raise PeriodNotFound(
-                "no trace period for n=%d mod %d in class %d within %d samples"
-                % (n, ell, kclass, max_steps)
-            )
-        target *= 2

@@ -23,12 +23,11 @@ from heckemod.galois import (
     deduce,
     residues_qualify,
 )
-from heckemod.gfpoly import roots
+from heckemod.gfpoly import divide_exact, roots
 from heckemod.hecke import dim_cusp, hecke_matrix
 from heckemod.modfactor import (
     charpoly_mod,
     congruence_class_invariance,
-    lemma1_check,
     serre_classification_check,
     small_ell_rule,
     table_rows,
@@ -181,7 +180,8 @@ def test_criterion_06_divisibility():
             if p == ell:
                 continue
             for k in range(12, 121, 2):
-                lemma1_check(p, ell, k)  # raises on failure
+                # raises InexactDivision unless T_p(k) divides T_p(k + ell - 1) mod ell
+                divide_exact(charpoly_mod(p, k + ell - 1, ell), charpoly_mod(p, k, ell), ell)
                 checked += 1
     elapsed = time.perf_counter() - start
     ok = checked == 13 * 55 and elapsed < 120

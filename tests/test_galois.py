@@ -25,9 +25,7 @@ from heckemod.galois import (
     deduce,
     powers_to_prime_cycle,
     powers_to_transposition,
-    prop2_shape_filter,
     proper_degree_sums,
-    remark_rule,
     residues_qualify,
     theorem1_conclusion,
 )
@@ -173,6 +171,22 @@ def test_sieve_gap_is_genuine():
     assert isinstance(res, NotFound)
 
 
+@pytest.mark.parametrize(
+    "left, right, surviving",
+    [((2, 24), (2, 36), [2, 3]), ((2, 24), (3, 24), [2])],
+    ids=("T2-24-times-T2-36", "T2-24-times-T3-24"),
+)
+def test_no_certificate_for_a_product_of_hecke_polynomials(shared_cache, left, right, surviving):
+    # soundness control: a product of two Hecke polynomials is reducible,
+    # so the degree of a factor must survive the sieve at every bound;
+    # T_2 and T_3 at weight 24 generate one quadratic field, so only 2 does
+    f = _int_product(shared_cache.charpoly(*left).coeffs, shared_cache.charpoly(*right).coeffs)
+    irr, full = certify_poly(f, 500)
+    assert isinstance(irr, NotFound) and isinstance(full, NotFound)
+    assert irr.reason == "degrees %s survive the sieve below 500" % surviving
+    assert full.reason == "irreducibility not established: " + irr.reason
+
+
 def test_certify_hecke_examples(shared_cache):
     cert = certify_irreducible(2, 24, cache=shared_cache)
     assert isinstance(cert, Certificate)
@@ -228,18 +242,6 @@ def test_certificates_serialize(shared_cache):
     assert json.loads(json.dumps(missing.to_dict()))["found"] is False
 
 
-def test_prop2_shape_filter():
-    verdict = prop2_shape_filter(2, 24)
-    assert verdict.possible_r == (1,)
-    assert verdict.linear_power_excluded
-    assert verdict.irreducible_if_some_irreducible
-    assert verdict.full_if_some_full
-    ells = [e["ell"] for e in verdict.evidence]
-    assert ells == [5, 7]
-    with pytest.raises(ValueError):
-        prop2_shape_filter(2, 14)
-
-
 def test_residue_density_is_twenty_of_twentyfour():
     units = [a for a in range(35) if a % 5 and a % 7]
     assert len(units) == 24
@@ -280,19 +282,6 @@ def test_corollary_conclusion():
     # dim = 0 mod 4 with p = 1 mod 7 fits neither case
     m = corollary_conclusion(29, 48)
     assert isinstance(m, NotFound)
-
-
-def test_remark_rule():
-    r = remark_rule(24)
-    assert isinstance(r, Certificate) and r.rule == "PaperRemark14" and r.subject["p"] == 2
-    assert sorted(r.evidence[0]["first_terms"]) == sorted(roots(charpoly_mod(2, 24, 13), 13))
-
-    # weight 168 is the first dimension divisible by 14 (14 = 2 mod 4)
-    r28 = remark_rule(168)
-    assert isinstance(r28, Certificate) and r28.rule == "PaperRemark28" and r28.subject["p"] == 3
-
-    r0 = remark_rule(10)
-    assert isinstance(r0, NotFound)
 
 
 def test_table_row_certificates_replay_against_the_kernel():

@@ -2,14 +2,12 @@ import pytest
 
 from heckemod import modfactor
 from heckemod.errors import Lemma1Violation, PeriodNotFound, SplittingViolation
-from heckemod.gfpoly import mul, roots
+from heckemod.gfpoly import divide_exact, mul, roots
 from heckemod.hecke import IntPoly, dim_cusp
 from heckemod.modfactor import (
     charpoly_mod,
     congruence_class_invariance,
     first_weight_in_class,
-    lemma1_check,
-    quotient_sequence,
     root_sequence,
     serre_classification_check,
     serre_eigenvalue_set,
@@ -42,14 +40,17 @@ def test_charpoly_mod_basics():
         charpoly_mod(2, 12, 6)
 
 
+def lemma1_quotient(p, ell, k):
+    """T_p(k + ell - 1) / T_p(k) in F_ell[x]; raises InexactDivision if Lemma 1 fails."""
+    return divide_exact(charpoly_mod(p, k + ell - 1, ell), charpoly_mod(p, k, ell), ell)
+
+
 def test_lemma1_quotients():
-    assert lemma1_check(2, 5, 12) == (1,)
-    assert lemma1_check(2, 5, 20) == (1, 1)  # new root 4
+    assert lemma1_quotient(2, 5, 12) == (1,)
+    assert lemma1_quotient(2, 5, 20) == (1, 1)  # new root 4
     for k in range(12, 42, 2):
-        q = lemma1_check(2, 5, k)
+        q = lemma1_quotient(2, 5, k)
         assert len(q) - 1 == dim_cusp(k + 4) - dim_cusp(k)
-    with pytest.raises(ValueError):
-        lemma1_check(2, 3, 12)
 
 
 def test_first_weight_in_class():
@@ -164,32 +165,13 @@ def test_violation_messages(monkeypatch, key, poly, error, message):
     assert str(info.value) == message
 
 
-def test_lemma1_violation_detected(monkeypatch):
-    poison(monkeypatch, (2, 16), IntPoly((1, 1)))
-    with pytest.raises(Lemma1Violation):
-        lemma1_check(2, 5, 12)
-
-
-def test_quotient_sequence_reassembles(monkeypatch):
-    weights = []
-    real = modfactor.charpoly_mod
-
-    def counted(p, k, ell):
-        weights.append(k)
-        return real(p, k, ell)
-
-    monkeypatch.setattr(modfactor, "charpoly_mod", counted)
-    qs = quotient_sequence(2, 5, 0, max_weight=60)
-    monkeypatch.undo()
-    assert weights == list(range(12, 61, 4))  # one kernel call per weight
-    assert qs.start_weight == 12
+def test_quotient_sequence_reassembles():
     running = charpoly_mod(2, 12, 5)
-    k = 12
-    for q in qs.quotients:
+    for k in range(12, 57, 4):
+        q = lemma1_quotient(2, 5, k)
         assert len(q) - 1 == dim_cusp(k + 4) - dim_cusp(k)
         running = mul(running, q, 5)
-        k += 4
-        assert running == charpoly_mod(2, k, 5)
+        assert running == charpoly_mod(2, k + 4, 5)
 
 
 def test_small_ell_closed_forms():

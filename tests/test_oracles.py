@@ -1,9 +1,11 @@
-"""gfpoly and cycle types checked against independent references.
+"""gfpoly, cycle types and certificates checked against independent references.
 
 sympy's factorization over GF(ell) is the oracle for `factor`; a
 hypothesis property ties the degree-only cycle types to full
-factorizations.  Both libraries are test-only and skip when missing.
-`is_prime` is checked against the sieve and, past it, against sympy.
+factorizations; sympy's irreducibility test and Galois groups over Q
+are the oracle for `certify`.  Both libraries are test-only and skip
+when missing.  `is_prime` is checked against the sieve and, past it,
+against sympy.
 """
 
 import random
@@ -11,8 +13,17 @@ import random
 import pytest
 
 from heckemod._primes import is_prime, primes_up_to
-from heckemod.galois import CycleType, SquarefreeFailure, cycle_type
+from heckemod.galois import (
+    CLAIM_FULL_SYMMETRIC,
+    CLAIM_IRREDUCIBLE,
+    Certificate,
+    CycleType,
+    SquarefreeFailure,
+    certify,
+    cycle_type,
+)
 from heckemod.gfpoly import factor, reduce_mod
+from heckemod.hecke import dim_cusp
 from heckemod.modfactor import charpoly_mod
 
 
@@ -77,6 +88,31 @@ def test_factor_matches_sympy_on_random_polynomials():
 def test_factor_matches_sympy_on_hecke_charpolys():
     for p, k, ell in [(2, 96, 5), (3, 72, 7), (2, 120, 13), (5, 100, 11), (2, 150, 101), (7, 84, 3)]:
         _assert_matches_sympy(charpoly_mod(p, k, ell), ell)
+
+
+def test_certificates_agree_with_sympy_over_q(shared_cache):
+    # sympy's Galois groups are named for degree <= 6
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    weights = [k for k in range(12, 100, 2) if 2 <= dim_cusp(k) <= 6]
+    assert (weights[0], weights[-1], len(weights)) == (24, 86, 30)
+    checked = []
+    for p in (2, 3, 5):
+        for k in weights:
+            f = shared_cache.charpoly(p, k)
+            poly = sympy.Poly(list(reversed(f.coeffs)), x)
+            for verdict in certify(p, k, bound=200, cache=shared_cache):
+                if not isinstance(verdict, Certificate):
+                    continue
+                if verdict.claim == CLAIM_IRREDUCIBLE:
+                    assert poly.is_irreducible, (p, k)
+                else:
+                    assert verdict.claim == CLAIM_FULL_SYMMETRIC
+                    group, _ = sympy.galois_group(poly, by_name=True)
+                    assert group.name == "S%d" % f.degree, (p, k, group)
+                checked.append(verdict.claim)
+    # every pair is certified on both claims, so the oracle is never vacuous
+    assert checked.count(CLAIM_IRREDUCIBLE) == checked.count(CLAIM_FULL_SYMMETRIC) == 90
 
 
 def test_cycle_type_is_the_factor_degree_partition():

@@ -6,12 +6,11 @@ import pytest
 
 from heckemod import traceformula
 from heckemod.cli import main
-from heckemod.errors import NonIntegralTrace, PeriodNotFound
+from heckemod.errors import NonIntegralTrace
 from heckemod.hecke import charpoly, dim_cusp, hecke_matrix
 from heckemod.traceformula import (
     hurwitz_class_number,
     trace,
-    trace_mod_periodicity,
     trace_terms,
     weight_poly,
 )
@@ -193,37 +192,3 @@ def test_trace_input_validation():
         trace(2, 13)
     with pytest.raises(ValueError):
         trace(2, 2)
-
-
-def scan_period(n, ell, kclass, samples):
-    step = ell - 1
-    k0 = 4 + (kclass - 4) % step
-    values = [trace(n, k0 + i * step) % ell for i in range(samples)]
-    for p in range(1, samples):
-        if all(values[i] == values[i + p] for i in range(samples - p)):
-            return p * step
-    return None
-
-
-def test_trace_mod_periodicity_against_direct_scan():
-    for n, ell, kclass in ((2, 5, 0), (3, 5, 2), (2, 7, 0)):
-        period = trace_mod_periodicity(n, ell, kclass)
-        assert period % (ell - 1) == 0
-        # the direct scan over a window longer than two periods agrees
-        samples = 3 * period // (ell - 1) + 5
-        assert scan_period(n, ell, kclass, samples) == period
-        # and shifting by the period preserves values well past the window
-        step = ell - 1
-        k0 = 4 + (kclass - 4) % step
-        for i in range(samples):
-            k = k0 + i * step
-            assert trace(n, k) % ell == trace(n, k + period) % ell
-
-
-def test_trace_mod_periodicity_validation():
-    with pytest.raises(ValueError):
-        trace_mod_periodicity(2, 3, 0)
-    with pytest.raises(ValueError):
-        trace_mod_periodicity(2, 5, 1)
-    with pytest.raises(PeriodNotFound):
-        trace_mod_periodicity(2, 5, 0, max_steps=3)
