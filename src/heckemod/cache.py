@@ -8,14 +8,17 @@ terminators::
 
 Coefficients are canonical decimal strings, ascending by degree, so
 records survive any JSON number-precision concerns and recomputation
-reproduces them byte for byte.  A cache constructed with directory
-None memoizes in memory only.
+reproduces them byte for byte.  A format string writes the line and one
+regular expression reads it, with no json module and no int-string
+limit.  A cache constructed with directory None memoizes in memory only.
 
-Lines that do not parse, name another p, or are not monic of degree
-d = dim S_k are skipped on load.  On the first `get` of (p, k), so are
-those whose two top coefficients disagree with the trace formula: for
-x^d + c_(d-1) x^(d-1) + c_(d-2) x^(d-2) + ..., trace(T_p) = -c_(d-1)
-and, since T_p^2 = T_(p^2) + p^(k-1), trace(T_(p^2)) + p^(k-1) d =
+Only that canonical line is accepted: any other line (other spacing or
+key order, a number such as 24.0 or 024) is skipped on load, and so are
+lines that name another p or are not monic of degree d = dim S_k.  On
+the first `get` of (p, k), so are those whose two top coefficients
+disagree with the trace formula: for x^d + c_(d-1) x^(d-1) +
+c_(d-2) x^(d-2) + ..., trace(T_p) = -c_(d-1) and, since
+T_p^2 = T_(p^2) + p^(k-1), trace(T_(p^2)) + p^(k-1) d =
 c_(d-1)^2 - 2 c_(d-2).  A record that passes both is then compared,
 every coefficient, with the Hecke kernel run mod KERNEL_CHECK_PRIME,
 which catches a wrong low coefficient that the traces cannot see.
@@ -28,8 +31,10 @@ O_APPEND descriptor.  Only `charpoly`, `certify` and the anchor of
 from __future__ import annotations
 
 import os
+import re
 
 from .errors import ComputationError
+from .gfpoly import from_decimal, to_decimal
 from .hecke import IntPoly, charpoly, dim_cusp
 from .traceformula import trace
 
@@ -118,18 +123,21 @@ def _agrees_with_kernel(p: int, k: int, poly: IntPoly) -> bool:
     return reduced == charpoly(p, k, KERNEL_CHECK_PRIME).coeffs
 
 
-def _parse_record(line: str, p: int):
-    """((p, k), IntPoly) for a monic record of prime p and degree dim S_k, else None."""
-    import json
+# the one line `record_line` writes, which is json.dumps(record, sort_keys=True)
+_INTEGER = r"(?:0|-?[1-9][0-9]*)"
+_RECORD = re.compile(
+    r'\{"coeffs": \[("%s"(?:, "%s")*)\], "k": (0|[1-9][0-9]*), "p": ([1-9][0-9]*)\}'
+    % (_INTEGER, _INTEGER)
+)
 
-    try:
-        rec = json.loads(line)
-        k = rec["k"]
-        coeffs = tuple(int(c) for c in rec["coeffs"])
-        if rec["p"] != p or type(k) is not int:
-            return None
-    except (ValueError, KeyError, TypeError):
+
+def _parse_record(line: str, p: int):
+    """((p, k), IntPoly) for a canonical monic record of prime p and degree dim S_k, else None."""
+    match = _RECORD.fullmatch(line)
+    if match is None or match[3] != "%d" % p:
         return None
+    k = from_decimal(match[2])
+    coeffs = tuple(map(from_decimal, match[1][1:-1].split('", "')))
     d = dim_cusp(k)
     if len(coeffs) != d + 1 or coeffs[-1] != 1:
         return None
@@ -137,7 +145,5 @@ def _parse_record(line: str, p: int):
 
 
 def record_line(p: int, k: int, poly: IntPoly) -> str:
-    import json
-
-    rec = {"coeffs": [str(c) for c in poly.coeffs], "k": k, "p": p}
-    return json.dumps(rec, sort_keys=True) + "\n"
+    coeffs = '", "'.join(map(to_decimal, poly.coeffs))
+    return '{"coeffs": ["%s"], "k": %d, "p": %d}\n' % (coeffs, k, p)

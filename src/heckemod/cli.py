@@ -27,7 +27,7 @@ from .galois import (
     certify,
     deduce,
 )
-from .gfpoly import factor, poly_str
+from .gfpoly import factor, poly_str, to_decimal
 from .hecke import dim_cusp
 from .modfactor import KCLASSES, ROW_PRIMES, root_sequence, table_rows
 from .traceformula import trace
@@ -86,7 +86,7 @@ def cmd_charpoly(args) -> None:
             "p": args.prime,
             "k": args.weight,
             "dim": d,
-            "coeffs": [str(c) for c in f.coeffs],
+            "coeffs": [to_decimal(c) for c in f.coeffs],
         }
         if fm is not None:
             obj["ell"] = args.ell
@@ -100,7 +100,7 @@ def cmd_charpoly(args) -> None:
             args.prime,
             args.weight,
             d,
-            ";".join(str(c) for c in f.coeffs),
+            ";".join(map(to_decimal, f.coeffs)),
             args.ell if args.ell is not None else "",
             factor_str(fm) if fm is not None else "",
         ]
@@ -171,11 +171,11 @@ def cmd_table(args) -> None:
 
 
 def cmd_trace(args) -> None:
-    value = trace(args.n, args.weight)
+    value = to_decimal(trace(args.n, args.weight))
     if args.format == "text":
         print(value)
     elif args.format == "json":
-        _emit_json({"n": args.n, "k": args.weight, "trace": str(value)})
+        _emit_json({"n": args.n, "k": args.weight, "trace": value})
     else:
         _emit_csv(["n", "k", "trace"], [[args.n, args.weight, value]])
 

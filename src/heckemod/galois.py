@@ -43,7 +43,7 @@ from math import gcd as _gcd
 
 from ._primes import is_prime, primes_up_to, require_prime
 from ._record import record
-from .gfpoly import _distinct_degree, derivative, gcd, reduce_mod
+from .gfpoly import _distinct_degree, derivative, gcd, reduce_mod, to_decimal
 from .hecke import charpoly, dim_cusp
 from .modfactor import ROW_PRIMES, root_sequence
 
@@ -194,7 +194,7 @@ def certify_poly(f, bound: int, skip=(), subject=None):
     coeffs = tuple(getattr(f, "coeffs", f))
     d = len(coeffs) - 1
     if subject is None:
-        subject = {"coeffs": [str(c) for c in coeffs]}
+        subject = {"coeffs": [to_decimal(c) for c in coeffs]}
     if d < 1:
         raise ValueError("constant polynomial has no irreducibility question")
     reductions = (cycle_type(coeffs, ell) for ell in primes_up_to(bound) if ell not in skip)

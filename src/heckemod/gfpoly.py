@@ -7,6 +7,13 @@ prime.  The public entries that take outside input (reduce_mod,
 distinct_degree, factor, roots) reduce it and check ell once; the
 arithmetic helpers trust their caller to pass canonical tuples.
 
+Products, powers and gcds run on Kronecker-packed operands, one int per
+polynomial with w bits (a multiple of 8) per coefficient.  gcd is a
+remainder-only Euclid that reduces slots mod ell only when a tracked
+bound would pass 2^(w - 2); pow_mod reads the exponent left to right,
+so x^ell mod f is a squaring per bit and a one-slot shift per set bit.
+quo_rem and divide_exact, one or two steps a call, stay on lists.
+
 Factorization runs distinct-degree splitting, then equal-degree
 splitting (Cantor-Zassenhaus), and reads each irreducible's
 multiplicity off repeated division of the running cofactor.  Repeated
@@ -16,15 +23,13 @@ squarefree decomposition is needed.  That stage reads Frobenius off the
 Berlekamp Q-matrix of f, whose row i is x^(ell i) mod f: since
 h^ell = sum h_i x^(ell i) over F_ell, the step x^(ell^d) -> x^(ell^(d+1))
 mod f is one vector-matrix product h Q (von zur Gathen and Gerhard,
-Modern Computer Algebra, ch. 14).  Q is built when a second degree step
-is needed, from one power x^ell mod f and successive products.  The
-equal-degree stage draws its random elements from a generator seeded
-explicitly (default seed 0), and the ell = 2 branch replaces the
-quadratic-residue test with the additive trace map
-t + t^2 + ... + t^(2^(d-1)), walking t over odd-degree monomials, so
-results are reproducible bit for bit.  Factors are reported in a
-canonical order: by degree, then lexicographically on the ascending
-coefficient tuple.
+Modern Computer Algebra, ch. 8 and 14).  The equal-degree stage draws
+its random elements from a generator seeded explicitly (default seed
+0), and the ell = 2 branch replaces the quadratic-residue test with the
+additive trace map t + t^2 + ... + t^(2^(d-1)), walking t over
+odd-degree monomials, so results are reproducible bit for bit.  Factors
+are reported in a canonical order: by degree, then lexicographically on
+the ascending coefficient tuple.
 """
 
 from __future__ import annotations
@@ -47,6 +52,23 @@ class InexactDivision(ComputationError):
         self.remainder = remainder
 
 
+def to_decimal(n: int) -> str:
+    """str(n), split into pieces short enough for any int-string limit (at least 640 digits)."""
+    if n.bit_length() < 1990:  # under 600 digits
+        return str(n)
+    m = n.bit_length() * 3 // 20  # about half the digits
+    high, low = divmod(abs(n), 10**m)
+    return ("-" if n < 0 else "") + to_decimal(high) + to_decimal(low).zfill(m)
+
+
+def from_decimal(s: str) -> int:
+    """int(s) for a decimal string, split like to_decimal."""
+    if len(s) < 600:
+        return int(s)
+    m, sign = len(s) // 2, -1 if s[0] == "-" else 1
+    return from_decimal(s[:m]) * 10 ** (len(s) - m) + sign * from_decimal(s[m:])
+
+
 def poly_str(coeffs) -> str:
     """Human-readable polynomial text, highest degree first."""
     terms = []
@@ -55,10 +77,10 @@ def poly_str(coeffs) -> str:
         if c == 0:
             continue
         if d == 0:
-            body = str(abs(c))
+            body = to_decimal(abs(c))
         else:
             xpart = "x" if d == 1 else "x^%d" % d
-            body = xpart if abs(c) == 1 else "%d%s" % (abs(c), xpart)
+            body = xpart if abs(c) == 1 else to_decimal(abs(c)) + xpart
         if not terms:
             terms.append(body if c > 0 else "-" + body)
         else:
@@ -103,21 +125,11 @@ def sub(a, b, ell: int) -> tuple:
     return _trim([(x - y) % ell for x, y in zip_longest(a, b, fillvalue=0)])
 
 
-def _convolve(a, b) -> list:
-    """Product coefficients of a and b, not yet reduced."""
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
 def mul(a, b, ell: int) -> tuple:
+    n = len(a) + len(b) - 1
+    w = _width(ell, n)
     # over a field the leading product is nonzero, so nothing to trim
-    return tuple(c % ell for c in _convolve(a, b))
+    return tuple(_unpack(_pack(a, w) * _pack(b, w), n, w, ell)) if a and b else ()
 
 
 def quo_rem(a, b, ell: int):
@@ -137,10 +149,6 @@ def quo_rem(a, b, ell: int):
     return _trim(q), _trim([x % ell for x in r[:n]])
 
 
-def _mulmod(a, b, f, ell: int) -> tuple:
-    return quo_rem(_convolve(a, b), f, ell)[1]
-
-
 def monic(a, ell: int) -> tuple:
     if not a:
         raise ValueError("zero polynomial has no monic form")
@@ -154,26 +162,85 @@ def derivative(a, ell: int) -> tuple:
     return _trim([i * c % ell for i, c in enumerate(a)][1:])
 
 
+# -- packed operands: one int per polynomial, coefficient i in bits [w i, w (i + 1)) --
+
+
+def _width(ell: int, n: int, spare: int = 2) -> int:
+    """Slot width, a multiple of 8, with `spare` bits above 2 (n + 1) ell^2."""
+    return -(-((2 * (n + 1) * ell * ell).bit_length() + spare) // 8) * 8
+
+
+def _pack(coeffs, w: int) -> int:
+    nb = w // 8
+    return int.from_bytes(b"".join([c.to_bytes(nb, "little") for c in coeffs]), "little")
+
+
+def _unpack(a: int, n: int, w: int, ell: int) -> list:
+    """Slots 0 .. n - 1 of packed a, each reduced mod ell."""
+    mask = (1 << w) - 1
+    return [(a >> w * j & mask) % ell for j in range(n)]
+
+
+def _packed_rem(a: int, top: int, b: int, db: int, ell: int, w: int) -> int:
+    """Remainder of packed a (slots 0 .. top) by packed b of degree db; slots unreduced.
+
+    Step i adds the multiple of b that makes slot i divisible by ell.
+    The slots of a above top and of b above db must be divisible by ell
+    too, so (a >> w i) % ell is slot i mod ell, unmasked.  Slot bound
+    invariant: the caller keeps a's slot bound plus (top - db + 1)
+    (ell - 1) times b's below 2^(w - 2), so no slot at or below slot i
+    reaches 2^w and carries into the next; adding never borrows.
+    """
+    inv = pow(b >> w * db, -1, ell)
+    for i in range(top, db - 1, -1):
+        c = (a >> w * i) * inv % ell
+        if c:
+            a += (ell - c) * (b << w * (i - db))
+    return a & ((1 << w * db) - 1)
+
+
 def gcd(a, b, ell: int) -> tuple:
-    """Monic greatest common divisor."""
-    while b:
-        a, b = b, quo_rem(a, b, ell)[1]
-    return monic(a, ell) if a else a
+    """Monic greatest common divisor, by remainder-only Euclid on packed operands."""
+    if not b:
+        return monic(a, ell) if a else a
+    n = max(len(a), len(b))
+    # room for a division of reduced operands, and bits(2 ell) per later one up to 128
+    w = _width(ell, n, min(n * (2 * ell).bit_length(), 128))
+    pa, da, ba = _pack(a, w), len(a) - 1, ell - 1  # ba, bb: bounds on the slots in use
+    pb, db, bb = _pack(b, w), len(b) - 1, ell - 1
+    while True:
+        steps = max(da - db + 1, 0)
+        if ba + steps * (ell - 1) * bb >= 1 << (w - 2):
+            pa, pb = _pack(_unpack(pa, da + 1, w, ell), w), _pack(_unpack(pb, db + 1, w, ell), w)
+            ba = bb = ell - 1
+        r = _packed_rem(pa, da, pb, db, ell, w)
+        dr = db - 1  # the top slots of r may be nonzero multiples of ell
+        while dr >= 0 and not (r >> w * dr) % ell:
+            dr -= 1
+        if dr < 0:
+            return monic(tuple(_unpack(pb, db + 1, w, ell)), ell)
+        pa, da, ba, pb, db, bb = pb, db, bb, r, dr, ba + steps * (ell - 1) * bb
 
 
 def pow_mod(base, e: int, mod, ell: int) -> tuple:
-    """base**e reduced mod `mod`, by square and multiply."""
+    """base**e reduced mod `mod` of degree n >= 1, left to right over the bits of e.
+
+    Slots stay below 2 n (ell - 1)^2.  A set bit shifts the square by one
+    slot when base is x, else costs one more packed product and remainder.
+    """
     if e < 0:
         raise ValueError("negative exponent")
-    result = (1,)
+    n = len(mod) - 1
+    w = _width(ell, n)
+    pm, h = _pack(mod, w), [1]
     base = quo_rem(base, mod, ell)[1]
-    while e:
-        if e & 1:
-            result = _mulmod(result, base, mod, ell)
-        e >>= 1
-        if e:
-            base = _mulmod(base, base, mod, ell)
-    return result
+    shift, pb = (w if base == X else 0), _pack(base, w)
+    for bit in bin(e)[2:]:
+        square = _pack(h, w) ** 2 << (shift if bit == "1" else 0)
+        h = _unpack(_packed_rem(square, 2 * n - 1, pm, n, ell, w), n, w, ell)
+        if bit == "1" and not shift:
+            h = _unpack(_packed_rem(_pack(h, w) * pb, 2 * n - 2, pm, n, ell, w), n, w, ell)
+    return _trim(h)
 
 
 def divide_exact(a, b, ell: int) -> tuple:
@@ -210,38 +277,24 @@ class FrobeniusMatrix:
     vector h times Q.  Each row is packed into one integer, a coefficient
     to a slot wide enough for a sum of deg f products (Kronecker
     substitution), so a product costs deg f integer multiply-adds and one
-    unpack.  Row i + 1 is row i times xq, through the matrix of that
-    product, whose rows x^j xq mod f are each x times the last.
+    unpack.  Row i + 1 is row i times xq: a packed product and remainder.
     """
 
     def __init__(self, f, ell: int, xq):
         n = self.n = len(f) - 1
-        self.ell, self.width = ell, max(n * (ell - 1) ** 2, 1).bit_length()
-        by_xq = [list(xq) + [0] * (n - len(xq))]
-        while len(by_xq) < n:
-            g = by_xq[-1]  # x g mod f: shift up, then subtract g's top coefficient times f
-            by_xq.append([(y - g[-1] * z) % ell for y, z in zip([0] + g[:-1], f)])
-        by_xq = self._pack(by_xq)
-        rows = [(1,)][:n]
-        while len(rows) < n:
-            rows.append(self._times(rows[-1], by_xq))
-        self.rows = self._pack(rows)
-
-    def _pack(self, rows) -> list:
-        w = self.width
-        return [sum(c << (w * j) for j, c in enumerate(r)) for r in rows]
-
-    def _times(self, h, packed_rows) -> tuple:
-        acc = 0
-        for c, row in zip(h, packed_rows):
-            acc += c * row
-        w, ell = self.width, self.ell
-        mask = (1 << w) - 1
-        return _trim([(acc >> (w * j) & mask) % ell for j in range(self.n)])
+        w = self.width = _width(ell, n)
+        self.ell, pf, pxq = ell, _pack(f, w), _pack(xq, w)
+        self.rows = [1][:n]
+        while len(self.rows) < n:
+            row = _packed_rem(self.rows[-1] * pxq, 2 * n - 2, pf, n, ell, w)
+            self.rows.append(_pack(_unpack(row, n, w, ell), w))
 
     def frobenius(self, h) -> tuple:
         """h^ell mod f, for h already reduced mod f."""
-        return self._times(h, self.rows)
+        acc = 0
+        for c, row in zip(h, self.rows):
+            acc += c * row
+        return _trim(_unpack(acc, self.n, self.width, self.ell))
 
 
 def _distinct_degree(f, ell: int):
@@ -291,7 +344,7 @@ def _equal_degree(f, d: int, rng: random.Random, ell: int):
             r = quo_rem(t, f, 2)[1]
             h = r
             for _ in range(d - 1):
-                r = _mulmod(r, r, f, 2)
+                r = pow_mod(r, 2, f, 2)
                 h = add(h, r, 2)
             t = (0, 0) + t
             factors = _refine(factors, h, d, 2)

@@ -1,7 +1,9 @@
 import json
 
+import pytest
+
 from heckemod import cache as cache_module
-from heckemod.cache import CharpolyCache, record_line
+from heckemod.cache import CharpolyCache, _parse_record, record_line
 from heckemod.hecke import IntPoly, charpoly
 
 
@@ -10,6 +12,52 @@ def test_record_line_is_canonical():
     assert line == '{"coeffs": ["24", "1"], "k": 12, "p": 2}\n'
     rec = json.loads(line)
     assert [int(c) for c in rec["coeffs"]] == [24, 1]
+    records = [
+        (2, 24, charpoly(2, 24)),
+        (3, 24, charpoly(3, 24)),
+        (97, 60, IntPoly((0, -1, 10**30, 1))),
+    ]
+    for p, k, f in records:
+        rec = {"coeffs": [str(c) for c in f.coeffs], "k": k, "p": p}
+        assert record_line(p, k, f) == json.dumps(rec, sort_keys=True) + "\n"
+
+
+def test_parse_record_reads_the_canonical_line_only():
+    f = charpoly(2, 24)
+    line = record_line(2, 24, f)[:-1]
+    assert _parse_record(line, 2) == ((2, 24), f)
+    assert _parse_record(line, 3) is None
+    rec = {"coeffs": [str(c) for c in f.coeffs], "k": 24, "p": 2}
+    rejected = [
+        json.dumps(rec, sort_keys=True, separators=(",", ":")),
+        json.dumps(rec, sort_keys=True, indent=1).replace("\n", ""),
+        " " + line,
+        line + " ",
+        line + "\r",
+        json.dumps({"p": 2, "k": 24, "coeffs": rec["coeffs"]}),
+        line.replace('"k": 24', '"k": 24.0'),
+        line.replace('"k": 24', '"k": -24'),
+        line.replace('"k": 24', '"k": "24"'),
+        line.replace('"1"]', '"01"]'),
+        line.replace('"1"]', '1]'),
+        line.replace('"-1080"', '"-1080.0"'),
+        line.replace('"1"]', '"\u0661"]'),  # ARABIC-INDIC DIGIT ONE, which int() accepts
+    ]
+    for variant in rejected:
+        # each one is valid JSON
+        assert variant != line and json.loads(variant)
+        assert _parse_record(variant, 2) is None, variant
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_records_past_the_int_string_limit(sign):
+    big = sign * (10**5000 + 7)
+    f = IntPoly((big, -big, 1))  # degree dim S_24
+    line = record_line(2, 24, f)
+    text = ("-" if sign < 0 else "") + "1" + "0" * 4999 + "7"
+    neg = ("-" if sign > 0 else "") + "1" + "0" * 4999 + "7"
+    assert line == '{"coeffs": ["%s", "%s", "1"], "k": 24, "p": 2}\n' % (text, neg)
+    assert _parse_record(line[:-1], 2) == ((2, 24), f)
 
 
 def test_memory_cache_round_trip():

@@ -67,6 +67,19 @@ def test_charpoly_csv_fixed_columns(capsys):
     assert rows_b[1][4] == "7"
 
 
+def test_charpoly_prints_coefficients_past_the_int_string_limit(capsys, monkeypatch):
+    # T_2 at weight 600 has such coefficients; a planted cache skips the computation
+    big = 10**5000 + 7
+    text = "1" + "0" * 4999 + "7"
+    monkeypatch.setattr(CharpolyCache, "charpoly", lambda self, p, k: IntPoly((-big, big, 1)))
+    args = ["charpoly", "--prime", "2", "--weight", "600"]
+    assert run_cli(capsys, *args) == (0, "x^2 + %sx - %s\n" % (text, text), "")
+    code, out, _ = run_cli(capsys, *args, "--format", "json")
+    assert code == 0 and json.loads(out)["coeffs"] == ["-" + text, text, "1"]
+    code, out, _ = run_cli(capsys, *args, "--format", "csv")
+    assert code == 0 and parse_csv(out)[1][3] == "-%s;%s;1" % (text, text)
+
+
 def test_trace_outputs(capsys):
     code, out, _ = run_cli(capsys, "trace", "--n", "2", "--weight", "12")
     assert code == 0 and out == "-24\n"

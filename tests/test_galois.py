@@ -9,6 +9,7 @@ import pytest
 
 from heckemod import galois
 from heckemod._primes import primes_up_to
+from heckemod.gfpoly import from_decimal
 from heckemod.galois import (
     CLAIM_FULL_SYMMETRIC,
     CLAIM_IRREDUCIBLE,
@@ -240,6 +241,14 @@ def test_certificates_serialize(shared_cache):
     assert parsed["found"] and parsed["claim"] == CLAIM_FULL_SYMMETRIC
     missing = NotFound(claim="x", subject={"p": 2, "k": 14}, reason="nothing")
     assert json.loads(json.dumps(missing.to_dict()))["found"] is False
+
+
+def test_subject_coefficients_past_the_int_string_limit():
+    big = 10**5000 + 7
+    verdict = next(certify_poly((-big, 1, 1), bound=30))  # x^2 + x - big
+    coeffs = json.loads(json.dumps(verdict.to_dict()))["subject"]["coeffs"]
+    assert coeffs == ["-1" + "0" * 4999 + "7", "1", "1"]
+    assert [from_decimal(c) for c in coeffs] == [-big, 1, 1]
 
 
 def test_residue_density_is_twenty_of_twentyfour():

@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import product, zip_longest
 
 import pytest
 
@@ -13,6 +13,7 @@ from heckemod.gfpoly import (
     distinct_degree,
     divide_exact,
     factor,
+    from_decimal,
     gcd,
     monic,
     mul,
@@ -22,7 +23,9 @@ from heckemod.gfpoly import (
     reduce_mod,
     roots,
     sub,
+    to_decimal,
 )
+from heckemod import gfpoly
 
 
 def expand(fm):
@@ -40,6 +43,15 @@ def test_poly_str_examples():
     assert poly_str((1,)) == "1"
     assert poly_str((0,)) == "0"
     assert poly_str((-1, -1)) == "-x - 1"
+
+
+def test_decimals_past_the_int_string_limit():
+    # 10^5000 + 7 has 5001 digits, past the default limit of 4300
+    big = 10**5000 + 7
+    text = "1" + "0" * 4999 + "7"
+    for n, s in ((big, text), (-big, "-" + text), (0, "0"), (-12, "-12")):
+        assert to_decimal(n) == s and from_decimal(s) == n
+    assert poly_str((-big, big, 1)) == "x^2 + %sx - %s" % (text, text)
 
 
 def test_tuple_normalization_and_arithmetic():
@@ -287,3 +299,114 @@ def test_non_prime_modulus_rejected_at_each_entry():
         ):
             with pytest.raises(ValueError, match="not prime"):
                 call()
+
+
+# -- the packed kernel against test-local schoolbook arithmetic ---------------
+
+PACKED_ELLS = (2, 3, 5, 13, 199, 1000003, 2**61 - 1)
+
+
+def _school_trim(r):
+    while r and r[-1] == 0:
+        r.pop()
+    return r
+
+
+def _school_mul(a, b, ell):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % ell
+    return _school_trim(out)
+
+
+def _school_rem(a, b, ell):
+    r = _school_trim([c % ell for c in a])
+    inv = pow(b[-1], -1, ell)
+    while len(r) >= len(b):
+        c, s = r[-1] * inv % ell, len(r) - len(b)
+        for j, y in enumerate(b):
+            r[s + j] = (r[s + j] - c * y) % ell
+        _school_trim(r)
+    return r
+
+
+def _school_gcd(a, b, ell):
+    a, b = list(a), list(b)
+    while b:
+        a, b = b, _school_rem(a, b, ell)
+    return tuple(c * pow(a[-1], -1, ell) % ell for c in a) if a else ()
+
+
+def _school_pow(base, e, f, ell):
+    # right to left, the other order from pow_mod's
+    result, base = _school_rem([1], f, ell), _school_rem(base, f, ell)
+    while e:
+        if e & 1:
+            result = _school_rem(_school_mul(result, base, ell), f, ell)
+        base, e = _school_rem(_school_mul(base, base, ell), f, ell), e >> 1
+    return tuple(result)
+
+
+def _euclid_chain(quotients, g, ell):
+    """a, b whose remainder sequence drops one degree a step, both times g."""
+    a, b = [1], []
+    for q in quotients:
+        qa = _school_mul(q, a, ell)
+        a, b = [(x + y) % ell for x, y in zip_longest(qa, b, fillvalue=0)], a
+    return tuple(_school_mul(a, g, ell)), tuple(_school_mul(b, g, ell))
+
+
+def _draw_poly(data, st, ell, max_degree, lead_one=False):
+    tail = data.draw(st.lists(st.integers(0, ell - 1), max_size=max_degree))
+    top = 1 if lead_one else data.draw(st.integers(1, ell - 1))
+    return tuple(tail) + (top,)
+
+
+def test_packed_gcd_and_powers_match_schoolbook():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=200, deadline=None, database=None)
+    @hypothesis.given(data=st.data(), ell=st.sampled_from(PACKED_ELLS))
+    def check(data, ell):
+        # a long degree-by-one remainder chain, so the tracked bound forces re-reduction
+        quotients = [
+            [data.draw(st.integers(0, ell - 1)), data.draw(st.integers(1, ell - 1))]
+            for _ in range(data.draw(st.integers(0, 40)))
+        ]
+        g = _draw_poly(data, st, ell, 4)
+        a, b = _euclid_chain(quotients, g, ell)
+        assert gcd(a, b, ell) == gcd(b, a, ell) == _school_gcd(a, b, ell) == monic(g, ell)
+        r = _draw_poly(data, st, ell, 30)
+        assert gcd(r, a, ell) == _school_gcd(r, a, ell)
+        for constant in ((data.draw(st.integers(1, ell - 1)),), ()):
+            assert gcd(r, constant, ell) == _school_gcd(r, constant, ell)
+            assert gcd(constant, r, ell) == _school_gcd(constant, r, ell)
+        assert gcd((), (), ell) == ()
+        f = _draw_poly(data, st, ell, 12, lead_one=True)
+        e = data.draw(st.integers(0, 10**6) | st.just(ell) | st.just(ell**3))
+        base = _draw_poly(data, st, ell, 15)
+        assert pow_mod(X, e, f, ell) == _school_pow([0, 1], e, f, ell)
+        assert pow_mod(base, e, f, ell) == _school_pow(list(base), e, f, ell)
+
+    check()
+
+
+def test_long_remainder_chains_reduce_their_slots(monkeypatch):
+    unpacked = []
+    real = gfpoly._unpack
+
+    def counted(a, n, w, ell):
+        unpacked.append(n)
+        return real(a, n, w, ell)
+
+    monkeypatch.setattr(gfpoly, "_unpack", counted)
+    rng = random.Random(47)
+    for ell in (199, 2**61 - 1):
+        quotients = [[rng.randrange(ell), rng.randrange(1, ell)] for _ in range(60)]
+        a, b = _euclid_chain(quotients, [3, 1], ell)
+        unpacked.clear()
+        assert gcd(a, b, ell) == (3, 1)
+        # two per re-reduction, then one for the answer
+        assert len(unpacked) >= 3, ell

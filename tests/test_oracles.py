@@ -1,11 +1,11 @@
 """gfpoly, cycle types and certificates checked against independent references.
 
-sympy's factorization over GF(ell) is the oracle for `factor`; a
-hypothesis property ties the degree-only cycle types to full
-factorizations; sympy's irreducibility test and Galois groups over Q
-are the oracle for `certify`.  Both libraries are test-only and skip
-when missing.  `is_prime` is checked against the sieve and, past it,
-against sympy.
+sympy's factorization over GF(ell) is the oracle for `factor` and, by
+its factor degrees, for the degree-only cycle types (a hypothesis
+property, and T_2 at three weights for every odd prime ell < 200);
+sympy's irreducibility test and Galois groups over Q are the oracle for
+`certify`.  Both libraries are test-only and skip when missing.
+`is_prime` is checked against the sieve and, past it, against sympy.
 """
 
 import random
@@ -115,6 +115,16 @@ def test_certificates_agree_with_sympy_over_q(shared_cache):
     assert checked.count(CLAIM_IRREDUCIBLE) == checked.count(CLAIM_FULL_SYMMETRIC) == 90
 
 
+def _assert_cycle_type_matches_sympy(f, ell):
+    _, pairs = _sympy_factors(reduce_mod(f, ell), ell)
+    ct = cycle_type(f, ell)
+    if any(m > 1 for _, m in pairs):
+        assert isinstance(ct, SquarefreeFailure), (f, ell)
+    else:
+        degrees = tuple(sorted((len(g) - 1 for g, _ in pairs), reverse=True))
+        assert ct == CycleType(ell=ell, partition=degrees), (f, ell)
+
+
 def test_cycle_type_is_the_factor_degree_partition():
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
@@ -122,15 +132,16 @@ def test_cycle_type_is_the_factor_degree_partition():
     @hypothesis.settings(max_examples=300, deadline=None, database=None)
     @hypothesis.given(
         tail=st.lists(st.integers(-50, 50), min_size=1, max_size=12),
-        ell=st.sampled_from((2, 3, 5, 7, 11, 13, 31, 199)),
+        ell=st.sampled_from((2, 3, 5, 7, 11, 13, 31, 199, 1000003)),
     )
     def check(tail, ell):
-        f = tuple(tail) + (1,)
-        ct = cycle_type(f, ell)
-        fm = factor(f, ell)
-        if fm.is_squarefree():
-            assert ct == CycleType(ell=ell, partition=tuple(sorted(fm.degrees(), reverse=True)))
-        else:
-            assert isinstance(ct, SquarefreeFailure)
+        _assert_cycle_type_matches_sympy(tuple(tail) + (1,), ell)
 
     check()
+
+
+def test_hecke_cycle_types_match_sympy(shared_cache):
+    for k in (120, 184, 228):
+        f = shared_cache.charpoly(2, k).coeffs
+        for ell in primes_up_to(199)[1:]:
+            _assert_cycle_type_matches_sympy(f, ell)
