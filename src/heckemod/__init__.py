@@ -6,6 +6,7 @@ Galois-theoretic irreducibility certificates."""
 from .cache import CharpolyCache
 from .errors import (
     ComputationError,
+    EigenvalueViolation,
     FalsificationError,
     InsufficientPrecision,
     Lemma1Violation,
@@ -34,7 +35,6 @@ from .modfactor import (
     charpoly_mod,
     congruence_class_invariance,
     root_sequence,
-    serre_classification_check,
     serre_eigenvalue_set,
     small_ell_rule,
     table_rows,
@@ -49,6 +49,7 @@ __all__ = [
     "Certificate",
     "ComputationError",
     "CycleType",
+    "EigenvalueViolation",
     "FactorMultiset",
     "FalsificationError",
     "InsufficientPrecision",
@@ -83,7 +84,6 @@ __all__ = [
     "residues_qualify",
     "root_sequence",
     "roots",
-    "serre_classification_check",
     "serre_eigenvalue_set",
     "small_ell_rule",
     "table_rows",

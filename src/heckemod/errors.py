@@ -11,7 +11,8 @@ to different exit codes:
     the theory says must hold fails to hold (a Hecke image outside the
     cusp space, an inexact quotient where divisibility is guaranteed, a
     polynomial that does not split where complete splitting is
-    guaranteed, a period that never appears).  Root multisets along a
+    guaranteed, a root outside the set Serre's classification allows,
+    a period that never appears).  Root multisets along a
     weight class nest by construction, since each weight's polynomial
     is divided exactly by the last.
     They are never caught and papered over.
@@ -42,6 +43,10 @@ class Lemma1Violation(FalsificationError):
 
 class SplittingViolation(FalsificationError):
     """A Hecke polynomial did not split completely mod ell where it must."""
+
+
+class EigenvalueViolation(FalsificationError):
+    """A root of a Hecke polynomial mod ell fell outside {p^m + p^n mod ell}."""
 
 
 class PeriodNotFound(FalsificationError):

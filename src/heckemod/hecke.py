@@ -18,9 +18,16 @@ a matrix reads a small share of them.  Over Z/ell one table of those
 factors per ell serves the whole process, each factor packed once into
 one integer, and each basis element is one product of its two packed
 factors cut to the n dim + 1 coefficients that T_n reads (a modulus
-too large for slots of 8 bytes falls back to dot products).  Charpolys
-come from Hessenberg reduction over F_ell (ell prime) and from the
-division-free Berkowitz algorithm over Z.
+too large for slots of 8 bytes falls back to dot products).
+
+Over F_ell the rest runs on ints packed in gfpoly's slot layout too.
+Back-substitution packs each basis row and each image, so a coordinate
+is one slot read mod ell and peeling it one multiply-add.  Hessenberg
+reduction works on column-packed ints, a step's row operations one
+multiply-add per column, and the charpoly recurrence on packed
+polynomials; matrix slots are read mod ell, never reduced, within the
+bound `hessenberg_charpoly` states.  Over Z, back-substitution is exact
+and the charpoly comes from the division-free Berkowitz algorithm.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ from . import qseries
 from ._primes import is_prime
 from ._record import record
 from .errors import InsufficientPrecision, SpanViolation
-from .gfpoly import poly_str
+from .gfpoly import _pack, _unpack, _width, poly_str
 
 
 @record
@@ -65,7 +72,7 @@ def dim_cusp(k: int) -> int:
 
     The number of monomials delta^a E4^b E6^c that `monomial_basis` lists.
     """
-    return 0 if k % 2 else len(monomial_basis(k))
+    return 0 if k % 2 or k < 0 else max(k // 12 - (k % 12 == 2), 0)
 
 
 def monomial_basis(k: int) -> list:
@@ -84,10 +91,6 @@ def monomial_basis(k: int) -> list:
         elif rem >= 6 and (rem - 6) % 4 == 0:
             triples.append((a, (rem - 6) // 4, 1))
     return triples
-
-
-def _mod(x: int, modulus) -> int:
-    return x if modulus is None else x % modulus
 
 
 # unsigned machine integers by size in bytes: the slot types of packed products
@@ -138,9 +141,7 @@ class _Factors:
     def _pack(self, key, coeffs) -> int:
         packed = self._packed.get(key)
         if packed is None:
-            w = self._width
-            slots = b"".join([x.to_bytes(w, "little") for x in coeffs])
-            packed = self._packed[key] = int.from_bytes(slots, "little")
+            packed = self._packed[key] = _pack(coeffs, 8 * self._width)
         return packed
 
     def _check(self, t: int):
@@ -153,7 +154,8 @@ class _Factors:
         if t < a:  # delta^a starts at q^a
             return 0
         delta, tail = self._delta(a), self._tail(b, c)
-        return _mod(sum(map(operator.mul, delta[a : t + 1], tail[t - a :: -1])), self.modulus)
+        dot = sum(map(operator.mul, delta[a : t + 1], tail[t - a :: -1]))
+        return dot if self.modulus is None else dot % self.modulus
 
     def read(self, a: int, b: int, c: int, exponents):
         """delta^a E4^b E6^c at each t in `exponents`, indexed by t.
@@ -194,7 +196,8 @@ def basis_expansions(k: int, prec: int, modulus=None) -> list:
     """q-expansions of the monomial basis to `prec` coefficients, mod `modulus` if given."""
     table = _factors(prec, modulus)
     reads = [table.read(a, b, c, range(prec)) for a, b, c in monomial_basis(k)]
-    return [qseries.QExpansion(tuple(_mod(f[t], modulus) for t in range(prec))) for f in reads]
+    expansions = [qseries.QExpansion(tuple(f[t] for t in range(prec))) for f in reads]
+    return [qseries.reduce(f, modulus) for f in expansions]
 
 
 def _reads(m: int, n: int) -> list:
@@ -248,19 +251,31 @@ def hecke_matrix(n: int, k: int, modulus=None) -> tuple:
     exponents.update(range(d + 1), range(0, n * (d + 1), n))
     # the back-substitution rows come from the same reads as the images
     elements = [table.read(a, b, c, exponents) for a, b, c in monomial_basis(k)]
-    basis = [[_mod(f[t], modulus) for t in range(d + 1)] for f in elements]
+    if modulus is None:
+        basis = [[f[t] for t in range(d + 1)] for f in elements]
+    else:  # packed rows and images, slots below modulus + d (modulus - 1)^2
+        w = _width(modulus, d)
+        mask = (1 << w) - 1
+        basis = [_pack([f[t] % modulus for t in range(d + 1)], w) for f in elements]
     rows = [[0] * d for _ in range(d)]
     for j, f in enumerate(elements):
-        image = [_mod(x, modulus) for x in hecke_action(f, n, k, d + 1).coeffs]
+        image = hecke_action(f, n, k, d + 1).coeffs
         # basis element i leads with q^(i+1), so peel coordinates upward
-        for i, row in enumerate(basis):
-            coord = rows[i][j] = _mod(image[i + 1], modulus)
-            if coord:
-                image[i + 1 :] = [x - coord * y for x, y in zip(image[i + 1 :], row[i + 1 :])]
-        if any(_mod(x, modulus) for x in image):
-            raise SpanViolation(
-                "T_%d image of basis element %d not in the span at k=%d" % (n, j, k)
-            )
+        if modulus is None:
+            image = list(image)
+            for i, row in enumerate(basis):
+                coord = rows[i][j] = image[i + 1]
+                if coord:
+                    image[i + 1 :] = [x - coord * y for x, y in zip(image[i + 1 :], row[i + 1 :])]
+        else:  # a coordinate is one slot read, peeling it one multiply-add
+            image = _pack([x % modulus for x in image], w)
+            for i, row in enumerate(basis):
+                coord = rows[i][j] = (image >> w * (i + 1) & mask) % modulus
+                if coord:
+                    image += (modulus - coord) * row
+            image = _unpack(image, d + 1, w, modulus)  # every slot, slot 0 included
+        if any(image):
+            raise SpanViolation("T_%d image of basis element %d not in the span at k=%d" % (n, j, k))
     return tuple(tuple(r) for r in rows)
 
 
@@ -302,34 +317,53 @@ def hessenberg_charpoly(matrix, ell: int) -> IntPoly:
     Upper Hessenberg form H by similarity, then the charpolys p_m of the
     leading blocks of H: p_(m+1) = x p_m - sum_(i<=m) H[i][m] H[i+1][i]
     ... H[m][m-1] p_i.  O(d^3) (Cohen, GTM 138, Alg. 2.2.9).
+
+    Each column of H is one packed int, read mod ell.  At step m the row
+    operations R_i -= u_i R_m (i > m) are C += (ell - C[m]) U per column,
+    U packing the u_i, and the column operation is C_m += sum u_i C_i.
+    Slot bound: a column with only row operations stays below (m + 1) ell^2
+    after step m; only such columns are summed into the step-m target, so
+    it reaches n ell times that, and row operations add (ell - 1)^2 a step:
+    every slot stays below n^2 ell^3.  The packed p_m are reduced once each.
     """
     n = len(matrix)
-    h = [[x % ell for x in row] for row in matrix]
+    w = _width(ell, n, (n * ell).bit_length())
+    mask = (1 << w) - 1
+    cols = [_pack([x % ell for x in col], w) for col in zip(*matrix)]
     for m in range(1, n - 1):
-        pivot = next((i for i in range(m, n) if h[i][m - 1]), None)
-        if pivot is None:  # column m - 1 is already zero below the subdiagonal
-            continue
-        h[m], h[pivot] = h[pivot], h[m]
-        for row in h:
-            row[m], row[pivot] = row[pivot], row[m]
-        inv = pow(h[m][m - 1], -1, ell)
-        for i in range(m + 1, n):
-            u = h[i][m - 1] * inv % ell
-            if u:  # row i -= u row m, then column m += u column i
-                h[i] = [(x - u * y) % ell for x, y in zip(h[i], h[m])]
-                for row in h:
-                    row[m] = (row[m] + u * row[i]) % ell
-    p = [[1]]  # ascending coefficients
-    for m in range(n):
-        nxt, t = [0] + p[m], 1
+        below = _unpack(cols[m - 1] >> w * m, n - m, w, ell)  # rows m .. n - 1
+        if not below[0]:  # swap rows m and m + pivot, then the same columns
+            pivot = next((i for i, x in enumerate(below) if x), None)
+            if pivot is None:  # column m - 1 is already zero below the subdiagonal
+                continue
+            swap = (1 << w * m) - (1 << w * (m + pivot))
+            for c in range(m - 1, n):  # the columns before hold zeros in both rows
+                col = cols[c]
+                cols[c] = col + ((col >> w * (m + pivot) & mask) - (col >> w * m & mask)) * swap
+            cols[m], cols[m + pivot] = cols[m + pivot], cols[m]
+            below[0], below[pivot] = below[pivot], below[0]
+        inv = pow(below[0], -1, ell)
+        us = [x * inv % ell for x in below[1:]]  # u_i for rows m + 1 .. n - 1
+        lift = _pack(us, w) << w * (m + 1)
+        for c in range(m, n):  # in the columns before, row m is zero
+            x = (cols[c] >> w * m & mask) % ell
+            if x:
+                cols[c] += (ell - x) * lift
+        cols[m - 1] &= (1 << w * (m + 1)) - 1  # what the row operations cleared
+        cols[m] += sum(map(operator.mul, us, cols[m + 1 :]))
+    sub = [0] + [(cols[i - 1] >> w * i & mask) % ell for i in range(1, n)]  # H[i][i-1]
+    p = [1]  # packed, ascending coefficients
+    for m, col in enumerate(cols):
+        nxt, t = p[m] << w, 1
         for i in range(m, -1, -1):
-            for j, x in enumerate(p[i]):
-                nxt[j] -= h[i][m] * t * x
-            t = t * h[i][i - 1] % ell if i else 0
+            c = (col >> w * i & mask) * t % ell
+            if c:
+                nxt += (ell - c) * p[i]
+            t = t * sub[i] % ell
             if not t:
                 break
-        p.append([x % ell for x in nxt])
-    return IntPoly(tuple(p[n]))
+        p.append(_pack(_unpack(nxt, m + 2, w, ell), w))
+    return IntPoly(tuple(_unpack(p[n], n + 1, w, ell)))
 
 
 def charpoly(n: int, k: int, modulus=None) -> IntPoly:

@@ -27,14 +27,15 @@ construction.
 
 Violations raise, they are never smoothed over: an inexact quotient is
 a Lemma1Violation, a polynomial with too few roots in F_ell is a
-SplittingViolation.
+SplittingViolation, and for ell in {5, 7} a root outside
+{p^m + p^n mod ell} is an EigenvalueViolation.
 """
 
 from __future__ import annotations
 
 from ._primes import minimal_period, require_prime
 from ._record import record
-from .errors import Lemma1Violation, PeriodNotFound, SplittingViolation
+from .errors import EigenvalueViolation, Lemma1Violation, PeriodNotFound, SplittingViolation
 from .gfpoly import InexactDivision, divide_exact, mul, poly_str, roots
 from .hecke import charpoly, dim_cusp
 
@@ -120,11 +121,12 @@ def root_sequence(
 
     Each polynomial is divided exactly by the previous one in the class
     (see the module docstring), and the quotient must split completely
-    in F_ell; a failure raises.  Period detection demands that every
-    term equal the one a period later across the whole window, with two
-    full periods in it; when require_two_periods is set and no period
-    emerges, PeriodNotFound is raised.  A window that ends below the
-    class's first weight checks nothing and is a ValueError.
+    in F_ell, into roots in `serre_eigenvalue_set` when ell < 13; a
+    failure raises.  Period detection demands that every term equal the
+    one a period later across the whole window, with two full periods in
+    it; when require_two_periods is set and no period emerges,
+    PeriodNotFound is raised.  A window that ends below the class's
+    first weight checks nothing and is a ValueError.
     """
     if ell not in (5, 7, 13):
         raise ValueError("root sequences are defined for ell in {5, 7, 13}")
@@ -138,6 +140,7 @@ def root_sequence(
             "no weight of class %d mod %d up to weight %d: the class starts at weight %d"
             % (kclass, ell - 1, max_weight, k0)
         )
+    allowed = serre_eigenvalue_set(p, ell) if ell < 13 else frozenset(range(ell))
     terms = []
     term_weights = []
     prev = (1,)  # the polynomial one step below k0 has degree 0
@@ -162,6 +165,12 @@ def root_sequence(
             raise SplittingViolation(
                 "T_%d at weight %d mod %d has %d roots in F_%d, dimension is %d"
                 % (p, k, ell, len(terms) + len(new), ell, d)
+            )
+        stray = sorted(set(new) - allowed)
+        if stray:
+            raise EigenvalueViolation(
+                "T_%d at weight %d mod %d has root %d outside {p^m + p^n mod %d} = {%s}"
+                % (p, k, ell, stray[0], ell, ", ".join(map(str, sorted(allowed))))
             )
         terms.extend(new)
         term_weights.extend([k] * len(new))
@@ -239,12 +248,3 @@ def serre_eigenvalue_set(p: int, ell: int) -> frozenset:
     """{p^m + p^n mod ell} over exponents 0 <= m <= n <= ell - 2."""
     powers = [pow(p, m, ell) for m in range(ell - 1)]
     return frozenset((a + b) % ell for a in powers for b in powers)
-
-
-def serre_classification_check(ell: int, p: int, k: int, seed: int = 0) -> bool:
-    """Whether every root of T_p mod ell lies in {p^m + p^n mod ell}."""
-    if ell not in (3, 5, 7):
-        raise ValueError("classification check covers ell in {3, 5, 7}")
-    f = charpoly_mod(p, k, ell)
-    allowed = serre_eigenvalue_set(p, ell)
-    return all(r in allowed for r in roots(f, ell, seed=seed))

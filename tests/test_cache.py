@@ -3,6 +3,7 @@ import json
 import pytest
 
 from heckemod import cache as cache_module
+from heckemod import hecke
 from heckemod.cache import CharpolyCache, _parse_record, record_line
 from heckemod.hecke import IntPoly, charpoly
 
@@ -132,3 +133,17 @@ def test_records_are_trace_checked_only_when_read(tmp_path, monkeypatch):
     assert calls == [(2, 48), (4, 48)]
     assert kernel_calls == [(2, 48, cache_module.KERNEL_CHECK_PRIME)]
     assert path.read_text().count("\n") == 28
+
+
+def test_a_planted_huge_weight_is_rejected_without_listing_its_basis(tmp_path, monkeypatch):
+    # dim_cusp is closed form, so the degree check costs the same at any k
+    def listing(k):
+        raise AssertionError("monomial_basis(%d) was called" % k)
+
+    monkeypatch.setattr(hecke, "monomial_basis", listing)
+    line = '{"coeffs": ["1"], "k": 1000000, "p": 2}'
+    assert _parse_record(line, 2) is None
+    (tmp_path / "p2.jsonl").write_text(line + "\n")
+    cache = CharpolyCache(str(tmp_path))
+    assert cache.get(2, 1000000) is None
+    assert cache._unchecked == {}

@@ -112,6 +112,17 @@ def test_table_json_and_csv_mod5(capsys):
     assert ["5", "2", "2", "0", "2", "110", "1;4"] in rows
 
 
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_table_mod7_full_output(capsys, fmt):
+    # T_29 mod 7 runs to dimension 17, the longest walks of any table
+    with open(os.path.join(DATA, "table_ell7." + fmt), encoding="ascii", newline="") as fh:
+        expected = fh.read()
+    assert run_cli(capsys, "table", "--ell", "7", "--format", fmt) == (0, expected, "")
+
+
 def test_period_output(capsys):
     code, out, _ = run_cli(capsys, "period", "--prime", "2", "--ell", "5", "--kclass", "0")
     assert code == 0 and out == "2\n"
@@ -338,7 +349,8 @@ def test_computation_errors_exit_2(capsys, monkeypatch):
     assert code == 2 and "planted" in err
 
 
-def test_span_failure_exits_3(capsys, monkeypatch):
+def plant_off_span(monkeypatch):
+    """Give every Hecke image the constant term 1, which no cusp form has."""
     from heckemod import hecke
 
     real = hecke.hecke_action
@@ -348,10 +360,37 @@ def test_span_failure_exits_3(capsys, monkeypatch):
         return type(image)((1,) + image.coeffs[1:])
 
     monkeypatch.setattr(hecke, "hecke_action", off_span)
+
+
+def test_span_failure_exits_3(capsys, monkeypatch):
+    plant_off_span(monkeypatch)
     code, out, err = run_cli(capsys, "charpoly", "--prime", "2", "--weight", "24")
     assert code == 3 and out == ""
     assert "falsification" in err and "not in the span" in err
     assert "Traceback" not in err
+
+
+def test_span_failure_mod_ell_exits_3(capsys, monkeypatch):
+    plant_off_span(monkeypatch)
+    code, out, err = run_cli(capsys, "table", "--ell", "5")
+    assert code == 3 and out == ""
+    assert "falsification" in err and "not in the span" in err
+    assert "Traceback" not in err
+
+
+def test_eigenvalue_failure_exits_3(capsys, monkeypatch):
+    from heckemod import modfactor
+
+    real = modfactor.charpoly
+
+    def planted(p, k, modulus=None):
+        # 11 = 1 mod 5 allows only the root 2
+        return IntPoly((-3, 1)) if (p, k, modulus) == (11, 12, 5) else real(p, k, modulus)
+
+    monkeypatch.setattr(modfactor, "charpoly", planted)
+    code, out, err = run_cli(capsys, "table", "--ell", "5")
+    assert (code, out) == (3, "")
+    assert err == "falsification: T_11 at weight 12 mod 5 has root 3 outside {p^m + p^n mod 5} = {2}\n"
 
 
 def test_console_script_runs():

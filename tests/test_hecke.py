@@ -52,6 +52,11 @@ def test_dim_cusp_against_triple_loop():
     assert dim_cusp(14) == 0
 
 
+def test_dim_cusp_closed_form_counts_the_monomial_basis():
+    for k in range(-30, 3001):
+        assert dim_cusp(k) == (0 if k % 2 else len(monomial_basis(k))), k
+
+
 def test_monomial_basis_examples():
     assert monomial_basis(12) == [(1, 0, 0)]
     assert monomial_basis(24) == [(1, 3, 0), (2, 0, 0)]
@@ -224,6 +229,65 @@ def test_kernel_mod_ell_matches_reduced_integer_charpoly():
     check()
 
 
+WIDE_ELLS = (2, 3, 13, 1000003, 2**61 - 1)
+
+
+def _pivot_free(rng, n, ell):
+    # every third column is already zero below the subdiagonal, and every
+    # fifth subdiagonal entry is zero, so steps skip or swap rows
+    a = [[rng.randrange(ell) for _ in range(n)] for _ in range(n)]
+    for j in range(n):
+        for i in range(j + 1, n):
+            if j % 3 == 0 and i > j + 1 or j % 5 == 1 and i == j + 1:
+                a[i][j] = 0
+    return a
+
+
+MATRIX_KINDS = {
+    # all ell - 1: rank one, so every step after the first finds no pivot
+    "all-top": lambda rng, n, ell: [[ell - 1] * n for _ in range(n)],
+    "dense": lambda rng, n, ell: [[rng.randrange(ell) for _ in range(n)] for _ in range(n)],
+    "near-top": lambda rng, n, ell: [[ell - 1 - rng.randrange(2) for _ in range(n)] for _ in range(n)],
+    "signed": lambda rng, n, ell: [[rng.randint(-3 * ell, 3 * ell) for _ in range(n)] for _ in range(n)],
+    "pivot-free": _pivot_free,
+}
+
+
+def list_hessenberg(matrix, ell):
+    """Coefficients of det(xI - A) over F_ell by list-based Hessenberg reduction.
+
+    The reference the packed hessenberg_charpoly is checked against:
+    every entry is reduced after every operation, so no bound is involved.
+    """
+    n = len(matrix)
+    h = [[x % ell for x in row] for row in matrix]
+    for m in range(1, n - 1):
+        pivot = next((i for i in range(m, n) if h[i][m - 1]), None)
+        if pivot is None:
+            continue
+        h[m], h[pivot] = h[pivot], h[m]
+        for row in h:
+            row[m], row[pivot] = row[pivot], row[m]
+        inv = pow(h[m][m - 1], -1, ell)
+        for i in range(m + 1, n):
+            u = h[i][m - 1] * inv % ell
+            if u:  # row i -= u row m, then column m += u column i
+                h[i] = [(x - u * y) % ell for x, y in zip(h[i], h[m])]
+                for row in h:
+                    row[m] = (row[m] + u * row[i]) % ell
+    p = [[1]]
+    for m in range(n):
+        nxt, t = [0] + p[m], 1
+        for i in range(m, -1, -1):
+            for j, x in enumerate(p[i]):
+                nxt[j] -= h[i][m] * t * x
+            t = t * h[i][i - 1] % ell if i else 0
+            if not t:
+                break
+        p.append([x % ell for x in nxt])
+    return tuple(p[n])
+
+
 def test_hessenberg_matches_berkowitz_mod_ell():
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
@@ -247,6 +311,25 @@ def test_hessenberg_matches_berkowitz_mod_ell():
         assert hessenberg_charpoly(a, ell).coeffs == expected
 
     check()
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.given(
+        n=st.integers(0, 40),
+        ell=st.sampled_from(WIDE_ELLS),
+        kind=st.sampled_from(sorted(MATRIX_KINDS)),
+        seed=st.integers(0, 2**32),
+    )
+    def check_large(n, ell, kind, seed):
+        a = MATRIX_KINDS[kind](random.Random(seed), n, ell)
+        assert hessenberg_charpoly(a, ell).coeffs == list_hessenberg(a, ell)
+
+    check_large()
+    # the largest size of every kind, whatever hypothesis draws: with slots
+    # sized for ell^2 alone, each kind but all-top fails here for ell >= 13
+    for ell in WIDE_ELLS:
+        for kind, make in sorted(MATRIX_KINDS.items()):
+            a = make(random.Random(ell), 40, ell)
+            assert hessenberg_charpoly(a, ell).coeffs == list_hessenberg(a, ell), (ell, kind)
     with pytest.raises(ValueError):
         charpoly(2, 24, 4)  # the field algorithm needs a prime modulus
 

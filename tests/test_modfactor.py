@@ -1,7 +1,12 @@
 import pytest
 
 from heckemod import modfactor
-from heckemod.errors import Lemma1Violation, PeriodNotFound, SplittingViolation
+from heckemod.errors import (
+    EigenvalueViolation,
+    Lemma1Violation,
+    PeriodNotFound,
+    SplittingViolation,
+)
 from heckemod.gfpoly import divide_exact, mul, roots
 from heckemod.hecke import IntPoly, dim_cusp
 from heckemod.modfactor import (
@@ -9,7 +14,6 @@ from heckemod.modfactor import (
     congruence_class_invariance,
     first_weight_in_class,
     root_sequence,
-    serre_classification_check,
     serre_eigenvalue_set,
     small_ell_rule,
     table_rows,
@@ -154,13 +158,16 @@ def test_nesting_violation_detected(monkeypatch):
         # (x - 1)(x^2 + 2): the previous root 1 divides, the quotient does not split
         ((2, 24), IntPoly(mul((4, 1), (2, 0, 1), 5)), SplittingViolation,
          "T_2 at weight 24 mod 5 has 1 roots in F_5, dimension is 2"),
+        # 11 = 1 mod 5 allows only the root 1 + 1 = 2; x - 3 divides and splits
+        ((11, 12), IntPoly((-3, 1)), EigenvalueViolation,
+         "T_11 at weight 12 mod 5 has root 3 outside {p^m + p^n mod 5} = {2}"),
     ],
-    ids=("no-root", "lost-root", "quotient-does-not-split"),
+    ids=("no-root", "lost-root", "quotient-does-not-split", "root-outside-serre-set"),
 )
 def test_violation_messages(monkeypatch, key, poly, error, message):
     poison(monkeypatch, key, poly)
     with pytest.raises(error) as info:
-        root_sequence(2, 5, 0)
+        root_sequence(key[0], 5, 0)
     assert type(info.value) is error
     assert str(info.value) == message
 
@@ -208,7 +215,6 @@ def test_serre_eigenvalue_sets():
 
 def test_serre_classification_sample():
     for k in range(12, 42, 2):
-        assert serre_classification_check(7, 2, k)
-        assert serre_classification_check(5, 3, k)
-    with pytest.raises(ValueError):
-        serre_classification_check(11, 2, 12)
+        for ell, p in ((7, 2), (5, 3)):
+            allowed = serre_eigenvalue_set(p, ell)
+            assert set(roots(charpoly_mod(p, k, ell), ell)) <= allowed
