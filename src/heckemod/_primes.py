@@ -3,6 +3,8 @@
 Sizes here are mostly tiny (primes below a few thousand, divisors of
 Hecke indices).  `is_prime` also vets moduli ell as large as 2^61 - 1,
 so it runs a deterministic Miller-Rabin test past trial division.
+`to_decimal` and `from_decimal` convert integers past Python's
+int-string limit.
 """
 
 from __future__ import annotations
@@ -90,3 +92,20 @@ def minimal_period(seq):
         if all(seq[i] == seq[i + p] for i in range(n - p)):
             return p
     return None
+
+
+def to_decimal(n: int) -> str:
+    """str(n), split into pieces short enough for any int-string limit (at least 640 digits)."""
+    if n.bit_length() < 1990:  # under 600 digits
+        return str(n)
+    m = n.bit_length() * 3 // 20  # about half the digits
+    high, low = divmod(abs(n), 10**m)
+    return ("-" if n < 0 else "") + to_decimal(high) + to_decimal(low).zfill(m)
+
+
+def from_decimal(s: str) -> int:
+    """int(s) for a decimal string, split like to_decimal."""
+    if len(s) < 600:
+        return int(s)
+    m, sign = len(s) // 2, -1 if s[0] == "-" else 1
+    return from_decimal(s[:m]) * 10 ** (len(s) - m) + sign * from_decimal(s[m:])

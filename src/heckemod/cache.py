@@ -33,8 +33,8 @@ from __future__ import annotations
 import os
 import re
 
+from ._primes import from_decimal, to_decimal
 from .errors import ComputationError
-from .gfpoly import from_decimal, to_decimal
 from .hecke import IntPoly, charpoly, dim_cusp
 from .traceformula import trace
 

@@ -5,7 +5,8 @@ period, certify, deduce.  Every subcommand takes --format text|csv|json
 plus --cache-dir/--seed; the environment variable HECKE_MOD_CACHE
 overrides --cache-dir when set.  The cache holds integer polynomials
 for charpoly, certify and deduce's anchor; table and period compute
-mod ell and never open it.
+mod ell and never open it.  charpoly --ell 2 or 3 also checks the
+reduction against its closed form.
 
 Exit codes: 0 success, 1 usage or invalid argument, 2 computation or OS
 error, 3 falsification event (a checked mathematical invariant failed,
@@ -18,23 +19,13 @@ import argparse
 import os
 import sys
 
-from ._primes import require_prime
-from .cache import CharpolyCache
-from .errors import ComputationError, FalsificationError
-from .galois import (
-    CLAIM_FULL_SYMMETRIC,
-    Certificate,
-    certify,
-    deduce,
-)
-from .gfpoly import factor, poly_str, to_decimal
-from .hecke import dim_cusp
-from .modfactor import KCLASSES, ROW_PRIMES, root_sequence, table_rows
-from .traceformula import trace
+from . import cache, galois, gfpoly, hecke, modfactor, traceformula
+from ._primes import require_prime, to_decimal
+from .errors import ClosedFormViolation, ComputationError, FalsificationError
 
 
-def _open_cache(args) -> CharpolyCache:
-    return CharpolyCache(os.environ.get("HECKE_MOD_CACHE") or args.cache_dir)
+def _open_cache(args) -> cache.CharpolyCache:
+    return cache.CharpolyCache(os.environ.get("HECKE_MOD_CACHE") or args.cache_dir)
 
 
 def factor_str(fm) -> str:
@@ -43,7 +34,7 @@ def factor_str(fm) -> str:
     if fm.unit != 1 or not fm.factors:
         parts.append(str(fm.unit))
     for g, m in fm.factors:
-        parts.append("(%s)" % poly_str(g) + ("^%d" % m if m > 1 else ""))
+        parts.append("(%s)" % gfpoly.poly_str(g) + ("^%d" % m if m > 1 else ""))
     return "%s over F_%d" % ("".join(parts), fm.modulus)
 
 
@@ -77,7 +68,15 @@ def cmd_charpoly(args) -> None:
     d = f.degree
     fm = None
     if args.ell is not None:
-        fm = factor(f, args.ell, seed=args.seed)
+        if args.ell in (2, 3):
+            reduced = gfpoly.reduce_mod(f, args.ell)
+            rule = modfactor.small_ell_rule(args.prime, args.weight, args.ell)
+            if reduced != rule:
+                raise ClosedFormViolation(
+                    "T_%d at weight %d is %s mod %d, not the closed form %s"
+                    % (args.prime, args.weight, gfpoly.poly_str(reduced), args.ell, gfpoly.poly_str(rule))
+                )
+        fm = gfpoly.factor(f, args.ell, seed=args.seed)
     if args.format == "text":
         body = str(f) if fm is None else factor_str(fm)
         print(body + (" (dim 0)" if d == 0 else ""))
@@ -108,7 +107,7 @@ def cmd_charpoly(args) -> None:
 
 
 def cmd_table(args) -> None:
-    cells = table_rows(args.ell, args.max_weight, args.single_period)
+    cells = modfactor.table_rows(args.ell, args.max_weight, args.single_period)
     max_weight = cells[0].max_weight
     unverified = any(c.period is None for c in cells)
     if args.format == "text":
@@ -123,9 +122,9 @@ def cmd_table(args) -> None:
                 )
         else:
             lines.append(
-                "columns: k mod %d in %s" % (args.ell - 1, list(KCLASSES[args.ell]))
+                "columns: k mod %d in %s" % (args.ell - 1, list(modfactor.KCLASSES[args.ell]))
             )
-            for p in ROW_PRIMES[args.ell]:
+            for p in modfactor.ROW_PRIMES[args.ell]:
                 row = [c for c in cells if c.p == p]
                 body = " | ".join(
                     "(%s)" % ", ".join(map(str, c.one_period())) for c in row
@@ -171,7 +170,7 @@ def cmd_table(args) -> None:
 
 
 def cmd_trace(args) -> None:
-    value = to_decimal(trace(args.n, args.weight))
+    value = to_decimal(traceformula.trace(args.n, args.weight))
     if args.format == "text":
         print(value)
     elif args.format == "json":
@@ -181,7 +180,7 @@ def cmd_trace(args) -> None:
 
 
 def cmd_period(args) -> None:
-    seq = root_sequence(
+    seq = modfactor.root_sequence(
         args.prime,
         args.ell,
         args.kclass,
@@ -219,7 +218,7 @@ def cmd_period(args) -> None:
 
 
 def _cert_text(name, cert) -> str:
-    if isinstance(cert, Certificate):
+    if isinstance(cert, galois.Certificate):
         tail = "" if cert.unconditional else "; assumes: " + "; ".join(cert.assumptions)
         return "%s: yes (rule %s%s)" % (name, cert.rule, tail)
     return "%s: not established (%s)" % (name, cert.reason)
@@ -228,9 +227,9 @@ def _cert_text(name, cert) -> str:
 def cmd_certify(args) -> None:
     require_prime(args.prime, "p")
     _require_even_weight(args.weight)
-    irr, full = certify(args.prime, args.weight, bound=args.bound, cache=_open_cache(args))
+    irr, full = galois.certify(args.prime, args.weight, bound=args.bound, cache=_open_cache(args))
     if args.format == "text":
-        print("T_%d at weight %d, degree %d" % (args.prime, args.weight, dim_cusp(args.weight)))
+        print("T_%d at weight %d, degree %d" % (args.prime, args.weight, hecke.dim_cusp(args.weight)))
         print(_cert_text("irreducible", irr))
         print(_cert_text("full symmetric group", full))
     elif args.format == "json":
@@ -246,7 +245,7 @@ def cmd_certify(args) -> None:
     else:
         rows = []
         for claim, cert in (("irreducible", irr), ("full-symmetric-group", full)):
-            found = isinstance(cert, Certificate)
+            found = isinstance(cert, galois.Certificate)
             rows.append(
                 [
                     args.prime,
@@ -263,7 +262,7 @@ def cmd_certify(args) -> None:
 def cmd_deduce(args) -> None:
     require_prime(args.target_prime, "p")
     _require_even_weight(args.weight)
-    result = deduce(
+    result = galois.deduce(
         args.target_prime,
         args.weight,
         anchor_n=args.anchor,
@@ -273,12 +272,12 @@ def cmd_deduce(args) -> None:
     target = result.target
     p, k = args.target_prime, args.weight
     if args.format == "text":
-        if not isinstance(target, Certificate):
+        if not isinstance(target, galois.Certificate):
             print("T_%d at weight %d: no deduction (%s)" % (p, k, target.reason))
             return
         claim = (
             "irreducible with full symmetric Galois group"
-            if target.claim == CLAIM_FULL_SYMMETRIC
+            if target.claim == galois.CLAIM_FULL_SYMMETRIC
             else "irreducible"
         )
         status = (
@@ -309,7 +308,7 @@ def cmd_deduce(args) -> None:
         obj = dict(result.to_dict(), p=p, k=k, anchor_n=args.anchor)
         _emit_json(obj)
     else:
-        found = isinstance(target, Certificate)
+        found = isinstance(target, galois.Certificate)
         first_terms = ""
         if found:
             for ev in target.evidence:

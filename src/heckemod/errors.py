@@ -12,7 +12,7 @@ to different exit codes:
     cusp space, an inexact quotient where divisibility is guaranteed, a
     polynomial that does not split where complete splitting is
     guaranteed, a root outside the set Serre's classification allows,
-    a period that never appears).  Root multisets along a
+    a period that never appears, T_p mod 2 or 3 off its closed form).  Root multisets along a
     weight class nest by construction, since each weight's polynomial
     is divided exactly by the last.
     They are never caught and papered over.
@@ -55,3 +55,7 @@ class PeriodNotFound(FalsificationError):
 
 class NonIntegralTrace(FalsificationError):
     """The trace formula assembled to a non-integer."""
+
+
+class ClosedFormViolation(FalsificationError):
+    """T_p mod 2 or 3 differed from its closed form, a power of x or x - 2."""

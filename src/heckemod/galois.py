@@ -41,11 +41,11 @@ from functools import reduce
 from itertools import chain
 from math import gcd as _gcd
 
-from ._primes import is_prime, primes_up_to, require_prime
+from . import modfactor  # through the module: certify never runs modfactor
+from ._primes import is_prime, primes_up_to, require_prime, to_decimal
 from ._record import record
-from .gfpoly import _distinct_degree, derivative, gcd, reduce_mod, to_decimal
+from .gfpoly import _distinct_degree, derivative, gcd, reduce_mod
 from .hecke import charpoly, dim_cusp
-from .modfactor import ROW_PRIMES, root_sequence
 
 RULE_IRREDUCIBLE_MOD_ELL = "IrreducibleModEll"
 RULE_DEGREE_SET_SIEVE = "DegreeSetSieve"
@@ -302,7 +302,7 @@ def _qualifying_ell(p: int):
 
 def _class_prime(p: int, ell: int) -> int:
     """The published row prime in p's residue class mod ell."""
-    return next(q for q in ROW_PRIMES[ell] if q % ell == p % ell)
+    return next(q for q in modfactor.ROW_PRIMES[ell] if q % ell == p % ell)
 
 
 def residues_qualify(p: int) -> bool:
@@ -325,7 +325,7 @@ def _table_certificate(claim, rule, p, k, ell, class_prime, row_period=(), first
 
 
 def _row_first_terms(ell, class_prime, k, dim):
-    seq = root_sequence(class_prime, ell, k % (ell - 1))
+    seq = modfactor.root_sequence(class_prime, ell, k % (ell - 1))
     return seq.one_period(), seq.first_terms(dim)
 
 

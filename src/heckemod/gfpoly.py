@@ -37,7 +37,7 @@ from __future__ import annotations
 import random
 from itertools import zip_longest
 
-from ._primes import is_prime
+from ._primes import is_prime, to_decimal
 from ._record import record
 from .errors import ComputationError
 
@@ -50,23 +50,6 @@ class InexactDivision(ComputationError):
     def __init__(self, remainder):
         super().__init__("division left remainder %s" % poly_str(remainder))
         self.remainder = remainder
-
-
-def to_decimal(n: int) -> str:
-    """str(n), split into pieces short enough for any int-string limit (at least 640 digits)."""
-    if n.bit_length() < 1990:  # under 600 digits
-        return str(n)
-    m = n.bit_length() * 3 // 20  # about half the digits
-    high, low = divmod(abs(n), 10**m)
-    return ("-" if n < 0 else "") + to_decimal(high) + to_decimal(low).zfill(m)
-
-
-def from_decimal(s: str) -> int:
-    """int(s) for a decimal string, split like to_decimal."""
-    if len(s) < 600:
-        return int(s)
-    m, sign = len(s) // 2, -1 if s[0] == "-" else 1
-    return from_decimal(s[:m]) * 10 ** (len(s) - m) + sign * from_decimal(s[m:])
 
 
 def poly_str(coeffs) -> str:

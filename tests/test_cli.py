@@ -393,6 +393,15 @@ def test_eigenvalue_failure_exits_3(capsys, monkeypatch):
     assert err == "falsification: T_11 at weight 12 mod 5 has root 3 outside {p^m + p^n mod 5} = {2}\n"
 
 
+def test_closed_form_failure_exits_3(capsys, monkeypatch):
+    # T_3 mod 2 at weight 24 must be x^2; plant x^2 + x + 1
+    monkeypatch.setattr(CharpolyCache, "charpoly", lambda self, p, k: IntPoly((1, 1, 1)))
+    code, out, err = run_cli(capsys, "charpoly", "--prime", "3", "--weight", "24", "--ell", "2")
+    assert (code, out) == (3, "")
+    assert err.startswith("falsification: ") and "closed form" in err
+    assert "Traceback" not in err
+
+
 def test_console_script_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "heckemod", "charpoly", "--prime", "2", "--weight", "12"],
@@ -429,6 +438,61 @@ def test_cold_cli_import_loads_neither_dataclasses_nor_inspect():
     assert "fractions" not in added and "json" not in added
 
 
+# the 44 names `heckemod` exported when it still imported every module
+PUBLIC_NAMES = """
+    CharpolyCache Certificate ComputationError CycleType EigenvalueViolation
+    FactorMultiset FalsificationError InsufficientPrecision IntPoly
+    Lemma1Violation NonIntegralTrace NotFound PeriodNotFound QExpansion
+    SpanViolation SplittingViolation SquarefreeFailure certify
+    certify_full_symmetric certify_irreducible charpoly charpoly_mod
+    congruence_class_invariance corollary_conclusion cycle_type deduce delta
+    dim_cusp eisenstein4 eisenstein6 factor hecke_matrix hurwitz_class_number
+    monomial_basis poly_str reduce_mod residues_qualify root_sequence roots
+    serre_eigenvalue_set small_ell_rule table_rows theorem1_conclusion trace
+""".split()
+
+
+def test_package_reads_each_public_name_from_its_module():
+    import heckemod
+
+    assert len(PUBLIC_NAMES) == 44 and sorted(heckemod.__all__) == sorted(PUBLIC_NAMES)
+    for name in PUBLIC_NAMES:
+        obj = getattr(heckemod, name)
+        assert obj.__module__.startswith("heckemod.")
+        assert getattr(sys.modules[obj.__module__], name) is obj, name
+    assert set(PUBLIC_NAMES) <= set(dir(heckemod))
+    with pytest.raises(AttributeError):
+        heckemod.no_such_name
+
+
+@pytest.mark.parametrize(
+    "argv, runs, skips",
+    [
+        ("trace --n 2 --weight 24", {"traceformula"},
+         {"cache", "galois", "gfpoly", "hecke", "modfactor", "qseries"}),
+        ("charpoly --prime 2 --weight 24", {"cache", "hecke"}, {"galois", "modfactor"}),
+        ("table --ell 5", {"modfactor"}, {"cache", "galois", "traceformula"}),
+        ("certify --prime 2 --weight 24", {"galois", "cache"}, {"modfactor"}),
+    ],
+)
+def test_a_cold_command_runs_only_the_modules_it_calls(argv, runs, skips):
+    # a lazy submodule is registered but has not run until its type is ModuleType
+    script = """
+import contextlib, io, json, sys, types
+sys.path.insert(0, %r)
+from heckemod.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(%r)
+ran = [n.partition(".")[2] for n, m in sys.modules.items() if n.startswith("heckemod.") and type(m) is types.ModuleType]
+print(json.dumps([code, ran]))
+""" % (os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"), argv.split())
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    code, ran = json.loads(proc.stdout)
+    assert code == 0
+    assert runs <= set(ran) and not skips & set(ran), ran
+
+
 def test_benchmark_tracer_wraps_every_target_and_keeps_table_output(capsys):
     # bench/tracing.py rebinds module attributes, so it runs in a fresh process
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -442,13 +506,20 @@ missing = tracing.install(tracer)
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     code = cli.main(["table", "--ell", "5", "--single-period"])
-print(json.dumps([sorted(missing), code, out.getvalue(), dict(tracer.calls)]))
+table_calls = dict(tracer.calls)
+# certify and trace call into modules the table never ran
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["certify", "--prime", "2", "--weight", "24"]) == 0
+    assert cli.main(["trace", "--n", "2", "--weight", "24"]) == 0
+print(json.dumps([sorted(missing), code, out.getvalue(), table_calls, dict(tracer.calls)]))
 """ % (os.path.join(root, "src"), os.path.join(root, "bench"))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    missing, code, traced, calls = json.loads(proc.stdout)
+    missing, code, traced, calls, later_calls = json.loads(proc.stdout)
     assert missing == []
     assert (code, traced) == run_cli(capsys, "table", "--ell", "5", "--single-period")[:2]
     # the table runs through the spans whose self time the benchmark reports
     for span in ("qseries.mul", "hecke.hecke_matrix", "hecke.hecke_action", "hecke.charpoly"):
         assert calls.get(span, 0) > 0, span
+    for span in ("galois.cycle_type", "cache.get", "traceformula.trace"):
+        assert later_calls.get(span, 0) > 0, span

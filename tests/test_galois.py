@@ -8,8 +8,7 @@ from math import gcd
 import pytest
 
 from heckemod import galois
-from heckemod._primes import primes_up_to
-from heckemod.gfpoly import from_decimal
+from heckemod._primes import from_decimal, primes_up_to
 from heckemod.galois import (
     CLAIM_FULL_SYMMETRIC,
     CLAIM_IRREDUCIBLE,

@@ -13,7 +13,6 @@ from heckemod.gfpoly import (
     distinct_degree,
     divide_exact,
     factor,
-    from_decimal,
     gcd,
     monic,
     mul,
@@ -23,9 +22,9 @@ from heckemod.gfpoly import (
     reduce_mod,
     roots,
     sub,
-    to_decimal,
 )
 from heckemod import gfpoly
+from heckemod._primes import from_decimal, to_decimal
 
 
 def expand(fm):
