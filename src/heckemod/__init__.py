@@ -29,7 +29,7 @@ def _lazy(name):
 
 globals().update(
     (name, _lazy(name))
-    for name in ("_primes", "_record", "errors", "qseries", "gfpoly", "hecke",
+    for name in ("_primes", "_record", "_kron", "errors", "qseries", "gfpoly", "hecke",
                  "traceformula", "cache", "modfactor", "galois")
 )
 
@@ -37,6 +37,7 @@ globals().update(
 _OWNER = {
     name: module
     for module, names in (
+        ("_primes", "poly_str"),
         ("cache", "CharpolyCache"),
         ("errors", "ComputationError EigenvalueViolation FalsificationError "
          "InsufficientPrecision Lemma1Violation NonIntegralTrace PeriodNotFound "
@@ -44,7 +45,7 @@ _OWNER = {
         ("galois", "Certificate CycleType NotFound SquarefreeFailure certify "
          "certify_full_symmetric certify_irreducible corollary_conclusion "
          "cycle_type deduce residues_qualify theorem1_conclusion"),
-        ("gfpoly", "FactorMultiset factor poly_str reduce_mod roots"),
+        ("gfpoly", "FactorMultiset factor reduce_mod roots"),
         ("hecke", "IntPoly charpoly dim_cusp hecke_matrix monomial_basis"),
         ("modfactor", "charpoly_mod congruence_class_invariance root_sequence "
          "serre_eigenvalue_set small_ell_rule table_rows"),

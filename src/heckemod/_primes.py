@@ -3,7 +3,7 @@
 Sizes here are mostly tiny (primes below a few thousand, divisors of
 Hecke indices).  `is_prime` also vets moduli ell as large as 2^61 - 1,
 so it runs a deterministic Miller-Rabin test past trial division.
-`to_decimal` and `from_decimal` convert integers past Python's
+`to_decimal`, `from_decimal` and `poly_str` work past Python's
 int-string limit.
 """
 
@@ -101,6 +101,25 @@ def to_decimal(n: int) -> str:
     m = n.bit_length() * 3 // 20  # about half the digits
     high, low = divmod(abs(n), 10**m)
     return ("-" if n < 0 else "") + to_decimal(high) + to_decimal(low).zfill(m)
+
+
+def poly_str(coeffs) -> str:
+    """Human-readable polynomial text, highest degree first."""
+    terms = []
+    for d in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[d]
+        if c == 0:
+            continue
+        if d == 0:
+            body = to_decimal(abs(c))
+        else:
+            xpart = "x" if d == 1 else "x^%d" % d
+            body = xpart if abs(c) == 1 else to_decimal(abs(c)) + xpart
+        if not terms:
+            terms.append(body if c > 0 else "-" + body)
+        else:
+            terms.append(("+ " if c > 0 else "- ") + body)
+    return " ".join(terms) if terms else "0"
 
 
 def from_decimal(s: str) -> int:

@@ -20,7 +20,7 @@ import os
 import sys
 
 from . import cache, galois, gfpoly, hecke, modfactor, traceformula
-from ._primes import require_prime, to_decimal
+from ._primes import poly_str, require_prime, to_decimal
 from .errors import ClosedFormViolation, ComputationError, FalsificationError
 
 
@@ -34,7 +34,7 @@ def factor_str(fm) -> str:
     if fm.unit != 1 or not fm.factors:
         parts.append(str(fm.unit))
     for g, m in fm.factors:
-        parts.append("(%s)" % gfpoly.poly_str(g) + ("^%d" % m if m > 1 else ""))
+        parts.append("(%s)" % poly_str(g) + ("^%d" % m if m > 1 else ""))
     return "%s over F_%d" % ("".join(parts), fm.modulus)
 
 
@@ -74,7 +74,7 @@ def cmd_charpoly(args) -> None:
             if reduced != rule:
                 raise ClosedFormViolation(
                     "T_%d at weight %d is %s mod %d, not the closed form %s"
-                    % (args.prime, args.weight, gfpoly.poly_str(reduced), args.ell, gfpoly.poly_str(rule))
+                    % (args.prime, args.weight, poly_str(reduced), args.ell, poly_str(rule))
                 )
         fm = gfpoly.factor(f, args.ell, seed=args.seed)
     if args.format == "text":

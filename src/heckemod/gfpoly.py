@@ -7,9 +7,8 @@ prime.  The public entries that take outside input (reduce_mod,
 distinct_degree, factor, roots) reduce it and check ell once; the
 arithmetic helpers trust their caller to pass canonical tuples.
 
-Products, powers and gcds run on Kronecker-packed operands, one int per
-polynomial with w bits (a multiple of 8) per coefficient.  gcd is a
-remainder-only Euclid that reduces slots mod ell only when a tracked
+Products, powers and gcds run on operands packed by `_kron`, w bits a
+coefficient.  gcd is a remainder-only Euclid that reduces slots mod ell only when a tracked
 bound would pass 2^(w - 2); pow_mod reads the exponent left to right,
 so x^ell mod f is a squaring per bit and a one-slot shift per set bit.
 quo_rem and divide_exact, one or two steps a call, stay on lists.
@@ -37,7 +36,8 @@ from __future__ import annotations
 import random
 from itertools import zip_longest
 
-from ._primes import is_prime, to_decimal
+from ._kron import pack, unpack_mod, width
+from ._primes import is_prime, poly_str
 from ._record import record
 from .errors import ComputationError
 
@@ -50,25 +50,6 @@ class InexactDivision(ComputationError):
     def __init__(self, remainder):
         super().__init__("division left remainder %s" % poly_str(remainder))
         self.remainder = remainder
-
-
-def poly_str(coeffs) -> str:
-    """Human-readable polynomial text, highest degree first."""
-    terms = []
-    for d in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[d]
-        if c == 0:
-            continue
-        if d == 0:
-            body = to_decimal(abs(c))
-        else:
-            xpart = "x" if d == 1 else "x^%d" % d
-            body = xpart if abs(c) == 1 else to_decimal(abs(c)) + xpart
-        if not terms:
-            terms.append(body if c > 0 else "-" + body)
-        else:
-            terms.append(("+ " if c > 0 else "- ") + body)
-    return " ".join(terms) if terms else "0"
 
 
 def _require_prime(ell):
@@ -110,9 +91,9 @@ def sub(a, b, ell: int) -> tuple:
 
 def mul(a, b, ell: int) -> tuple:
     n = len(a) + len(b) - 1
-    w = _width(ell, n)
+    w = width(n * ell * ell)  # a slot sums at most n products of residues
     # over a field the leading product is nonzero, so nothing to trim
-    return tuple(_unpack(_pack(a, w) * _pack(b, w), n, w, ell)) if a and b else ()
+    return tuple(unpack_mod(pack(a, w) * pack(b, w), n, w, ell)) if a and b else ()
 
 
 def quo_rem(a, b, ell: int):
@@ -145,34 +126,14 @@ def derivative(a, ell: int) -> tuple:
     return _trim([i * c % ell for i, c in enumerate(a)][1:])
 
 
-# -- packed operands: one int per polynomial, coefficient i in bits [w i, w (i + 1)) --
-
-
-def _width(ell: int, n: int, spare: int = 2) -> int:
-    """Slot width, a multiple of 8, with `spare` bits above 2 (n + 1) ell^2."""
-    return -(-((2 * (n + 1) * ell * ell).bit_length() + spare) // 8) * 8
-
-
-def _pack(coeffs, w: int) -> int:
-    nb = w // 8
-    return int.from_bytes(b"".join([c.to_bytes(nb, "little") for c in coeffs]), "little")
-
-
-def _unpack(a: int, n: int, w: int, ell: int) -> list:
-    """Slots 0 .. n - 1 of packed a, each reduced mod ell."""
-    mask = (1 << w) - 1
-    return [(a >> w * j & mask) % ell for j in range(n)]
-
-
 def _packed_rem(a: int, top: int, b: int, db: int, ell: int, w: int) -> int:
     """Remainder of packed a (slots 0 .. top) by packed b of degree db; slots unreduced.
 
     Step i adds the multiple of b that makes slot i divisible by ell.
     The slots of a above top and of b above db must be divisible by ell
-    too, so (a >> w i) % ell is slot i mod ell, unmasked.  Slot bound
-    invariant: the caller keeps a's slot bound plus (top - db + 1)
-    (ell - 1) times b's below 2^(w - 2), so no slot at or below slot i
-    reaches 2^w and carries into the next; adding never borrows.
+    too, so (a >> w i) % ell is slot i mod ell, unmasked.  The caller
+    keeps a's slot bound plus (top - db + 1) (ell - 1) times b's below
+    2^(w - 2), which keeps every slot below 2^w.
     """
     inv = pow(b >> w * db, -1, ell)
     for i in range(top, db - 1, -1):
@@ -188,20 +149,20 @@ def gcd(a, b, ell: int) -> tuple:
         return monic(a, ell) if a else a
     n = max(len(a), len(b))
     # room for a division of reduced operands, and bits(2 ell) per later one up to 128
-    w = _width(ell, n, min(n * (2 * ell).bit_length(), 128))
-    pa, da, ba = _pack(a, w), len(a) - 1, ell - 1  # ba, bb: bounds on the slots in use
-    pb, db, bb = _pack(b, w), len(b) - 1, ell - 1
+    w = width(2 * (n + 1) * ell * ell << min(n * (2 * ell).bit_length(), 128))
+    pa, da, ba = pack(a, w), len(a) - 1, ell - 1  # ba, bb: bounds on the slots in use
+    pb, db, bb = pack(b, w), len(b) - 1, ell - 1
     while True:
         steps = max(da - db + 1, 0)
         if ba + steps * (ell - 1) * bb >= 1 << (w - 2):
-            pa, pb = _pack(_unpack(pa, da + 1, w, ell), w), _pack(_unpack(pb, db + 1, w, ell), w)
+            pa, pb = pack(unpack_mod(pa, da + 1, w, ell), w), pack(unpack_mod(pb, db + 1, w, ell), w)
             ba = bb = ell - 1
         r = _packed_rem(pa, da, pb, db, ell, w)
         dr = db - 1  # the top slots of r may be nonzero multiples of ell
         while dr >= 0 and not (r >> w * dr) % ell:
             dr -= 1
         if dr < 0:
-            return monic(tuple(_unpack(pb, db + 1, w, ell)), ell)
+            return monic(tuple(unpack_mod(pb, db + 1, w, ell)), ell)
         pa, da, ba, pb, db, bb = pb, db, bb, r, dr, ba + steps * (ell - 1) * bb
 
 
@@ -214,15 +175,15 @@ def pow_mod(base, e: int, mod, ell: int) -> tuple:
     if e < 0:
         raise ValueError("negative exponent")
     n = len(mod) - 1
-    w = _width(ell, n)
-    pm, h = _pack(mod, w), [1]
+    w = width(8 * (n + 1) * ell * ell)  # _packed_rem's slots stay below 2^(w - 2)
+    pm, h = pack(mod, w), [1]
     base = quo_rem(base, mod, ell)[1]
-    shift, pb = (w if base == X else 0), _pack(base, w)
+    shift, pb = (w if base == X else 0), pack(base, w)
     for bit in bin(e)[2:]:
-        square = _pack(h, w) ** 2 << (shift if bit == "1" else 0)
-        h = _unpack(_packed_rem(square, 2 * n - 1, pm, n, ell, w), n, w, ell)
+        square = pack(h, w) ** 2 << (shift if bit == "1" else 0)
+        h = unpack_mod(_packed_rem(square, 2 * n - 1, pm, n, ell, w), n, w, ell)
         if bit == "1" and not shift:
-            h = _unpack(_packed_rem(_pack(h, w) * pb, 2 * n - 2, pm, n, ell, w), n, w, ell)
+            h = unpack_mod(_packed_rem(pack(h, w) * pb, 2 * n - 2, pm, n, ell, w), n, w, ell)
     return _trim(h)
 
 
@@ -257,27 +218,26 @@ class FrobeniusMatrix:
     """Berlekamp Q-matrix of monic f over F_ell, given xq = x^ell mod f.
 
     Row i is x^(ell i) mod f for i < deg f, so h^ell mod f is the row
-    vector h times Q.  Each row is packed into one integer, a coefficient
-    to a slot wide enough for a sum of deg f products (Kronecker
-    substitution), so a product costs deg f integer multiply-adds and one
-    unpack.  Row i + 1 is row i times xq: a packed product and remainder.
+    vector h times Q.  Each row is one packed int, so that product costs
+    deg f multiply-adds and one unpack.  Row i + 1 is row i times xq: a
+    packed product and remainder.
     """
 
     def __init__(self, f, ell: int, xq):
         n = self.n = len(f) - 1
-        w = self.width = _width(ell, n)
-        self.ell, pf, pxq = ell, _pack(f, w), _pack(xq, w)
+        w = self.width = width(8 * (n + 1) * ell * ell)  # as in pow_mod
+        self.ell, pf, pxq = ell, pack(f, w), pack(xq, w)
         self.rows = [1][:n]
         while len(self.rows) < n:
             row = _packed_rem(self.rows[-1] * pxq, 2 * n - 2, pf, n, ell, w)
-            self.rows.append(_pack(_unpack(row, n, w, ell), w))
+            self.rows.append(pack(unpack_mod(row, n, w, ell), w))
 
     def frobenius(self, h) -> tuple:
         """h^ell mod f, for h already reduced mod f."""
         acc = 0
         for c, row in zip(h, self.rows):
             acc += c * row
-        return _trim(_unpack(acc, self.n, self.width, self.ell))
+        return _trim(unpack_mod(acc, self.n, self.width, self.ell))
 
 
 def _distinct_degree(f, ell: int):

@@ -15,19 +15,16 @@ so a Hecke matrix reads each basis element only at 0 .. dim and at the
 exponents m n / e^2, m <= dim.  Over Z each read is one dot product of
 delta^a with E4^b E6^c: at large n the coefficients run to kilobits and
 a matrix reads a small share of them.  Over Z/ell one table of those
-factors per ell serves the whole process, each factor packed once into
-one integer, and each basis element is one product of its two packed
-factors cut to the n dim + 1 coefficients that T_n reads (a modulus
-too large for slots of 8 bytes falls back to dot products).
+factors per ell serves the whole process, each factor packed once by
+`_kron`, and each basis element is one product of its two packed
+factors cut to the n dim + 1 coefficients that T_n reads.
 
-Over F_ell the rest runs on ints packed in gfpoly's slot layout too.
-Back-substitution packs each basis row and each image, so a coordinate
-is one slot read mod ell and peeling it one multiply-add.  Hessenberg
-reduction works on column-packed ints, a step's row operations one
-multiply-add per column, and the charpoly recurrence on packed
-polynomials; matrix slots are read mod ell, never reduced, within the
-bound `hessenberg_charpoly` states.  Over Z, back-substitution is exact
-and the charpoly comes from the division-free Berkowitz algorithm.
+Over F_ell the weights e^(k-1) are reduced before they multiply, and
+the rest runs on packed ints too: back-substitution packs each basis
+row and each image, so a coordinate is one slot read mod ell and
+peeling it one multiply-add, and Hessenberg reduction packs each column
+(see `hessenberg_charpoly`).  Over Z, back-substitution is exact and the
+charpoly comes from the division-free Berkowitz algorithm.
 """
 
 from __future__ import annotations
@@ -35,14 +32,12 @@ from __future__ import annotations
 import functools
 import math
 import operator
-import sys
-from array import array
 
 from . import qseries
-from ._primes import is_prime
+from ._kron import pack, unpack, unpack_mod, width
+from ._primes import is_prime, poly_str
 from ._record import record
 from .errors import InsufficientPrecision, SpanViolation
-from .gfpoly import _pack, _unpack, _width, poly_str
 
 
 @record
@@ -93,19 +88,13 @@ def monomial_basis(k: int) -> list:
     return triples
 
 
-# unsigned machine integers by size in bytes: the slot types of packed products
-_SLOT_TYPES = {array(code).itemsize: code for code in "BHILQ"}
-
-
 class _Factors:
     """delta^a and the tail chains E4^(b0 + 3j) E6^c (b0 < 3, c < 2), mod `modulus`.
 
     All hold `prec` coefficients and grow on demand.  Truncated products
     are prefix-consistent, so a longer table gives the same coefficients.
-    Mod ell, when prec (ell - 1)^2 fits a machine word, each factor is
-    also packed once into one int, a slot of that word's width per
-    residue, so that one product of two packed factors holds a basis
-    element with no carry between slots.
+    Mod ell each factor is also packed once, in slots wide enough for
+    prec (ell - 1)^2, so one product of two is a basis element.
     """
 
     def __init__(self, prec: int, modulus):
@@ -115,10 +104,8 @@ class _Factors:
         self._deltas = [qseries.reduce(qseries.delta(prec), modulus)]
         self._tails = {}
         self._packed = {}  # ("delta", a) or ("tail", b, c) -> packed factor
-        self._width = None  # None: dot products only
         if modulus is not None:
-            bits = (prec * (modulus - 1) ** 2).bit_length()
-            self._width = next((w for w in sorted(_SLOT_TYPES) if 8 * w >= bits), None)
+            self._width = width(prec * (modulus - 1) ** 2)
 
     def _delta(self, a: int) -> tuple:
         deltas = self._deltas
@@ -141,42 +128,26 @@ class _Factors:
     def _pack(self, key, coeffs) -> int:
         packed = self._packed.get(key)
         if packed is None:
-            packed = self._packed[key] = _pack(coeffs, 8 * self._width)
+            packed = self._packed[key] = pack(coeffs, self._width)
         return packed
-
-    def _check(self, t: int):
-        if not 0 <= t < self.prec:
-            raise InsufficientPrecision("q^%d is beyond a table of %d terms" % (t, self.prec))
-
-    def coeff(self, a: int, b: int, c: int, t: int) -> int:
-        """Coefficient of q^t in delta^a E4^b E6^c, one dot product of its factors."""
-        self._check(t)
-        if t < a:  # delta^a starts at q^a
-            return 0
-        delta, tail = self._delta(a), self._tail(b, c)
-        dot = sum(map(operator.mul, delta[a : t + 1], tail[t - a :: -1]))
-        return dot if self.modulus is None else dot % self.modulus
 
     def read(self, a: int, b: int, c: int, exponents):
         """delta^a E4^b E6^c at each t in `exponents`, indexed by t.
 
-        The values are congruent to the coefficients mod `modulus`.  With
-        packed factors they are the slots of one product of the two, each
-        cut to the slots up to the top exponent; otherwise a dict of one
-        dot product per exponent.
+        Mod ell, values congruent to the coefficients: the slots of one
+        product of the packed factors, cut at the top exponent.  Over Z, a
+        dict of one dot product per exponent.
         """
         top = max(exponents)
-        self._check(top)
-        if self._width is None:
-            return {t: self.coeff(a, b, c, t) for t in exponents}
-        size = self._width * (top + 1)
-        cut = (1 << 8 * size) - 1
+        if top >= self.prec:
+            raise InsufficientPrecision("q^%d is beyond a table of %d terms" % (top, self.prec))
+        if self.modulus is None:  # delta^a starts at q^a, so t < a reads no products
+            delta, tail = self._delta(a), self._tail(b, c)
+            return {t: sum(map(operator.mul, delta[a : t + 1], tail[t - a :: -1])) for t in exponents}
+        cut = (1 << self._width * (top + 1)) - 1
         delta = self._pack(("delta", a), self._delta(a)) & cut
         tail = self._pack(("tail", b, c), self._tail(b, c)) & cut
-        slots = array(_SLOT_TYPES[self._width], (delta * tail & cut).to_bytes(size, "little"))
-        if sys.byteorder == "big":
-            slots.byteswap()
-        return slots
+        return unpack(delta * tail, top + 1, self._width)
 
 
 # One table per modulus for the process; over Z, with kilobit coefficients, none is kept.
@@ -207,15 +178,15 @@ def _reads(m: int, n: int) -> list:
 
 
 @functools.lru_cache(maxsize=None)
-def _weighted_reads(n: int, k: int, out_prec: int) -> tuple:
-    """(m, e^(k-1), m n / e^2) for m < out_prec and e > 1: (T_n f)_m beyond f_(m n)."""
+def _weighted_reads(n: int, k: int, out_prec: int, modulus=None) -> tuple:
+    """(m, e^(k-1) mod `modulus`, m n / e^2) for m < out_prec, e > 1: (T_n f)_m beyond f_(m n)."""
     return tuple(
-        (m, e ** (k - 1), t) for m in range(out_prec) for e, t in _reads(m, n) if e > 1
+        (m, pow(e, k - 1, modulus), t) for m in range(out_prec) for e, t in _reads(m, n) if e > 1
     )
 
 
-def hecke_action(coeffs, n: int, k: int, out_prec: int) -> qseries.QExpansion:
-    """T_n applied to a weight-k expansion, truncated to out_prec coefficients.
+def hecke_action(coeffs, n: int, k: int, out_prec: int, modulus=None) -> qseries.QExpansion:
+    """T_n applied to a weight-k expansion, to out_prec coefficients mod `modulus` if given.
 
     `coeffs` maps exponents to coefficients (a sequence or a dict); lacking
     one that T_n reads raises InsufficientPrecision, never truncates.
@@ -224,12 +195,12 @@ def hecke_action(coeffs, n: int, k: int, out_prec: int) -> qseries.QExpansion:
         raise ValueError("Hecke index must be >= 1")
     try:
         out = [coeffs[t] for t in range(0, n * out_prec, n)]
-        for m, w, t in _weighted_reads(n, k, out_prec):
+        for m, w, t in _weighted_reads(n, k, out_prec, modulus):
             out[m] += w * coeffs[t]
     except (IndexError, KeyError):
         msg = "T_%d to %d coefficients needs coefficients up to q^%d"
         raise InsufficientPrecision(msg % (n, out_prec, n * (out_prec - 1))) from None
-    return qseries.QExpansion(tuple(out))
+    return qseries.reduce(qseries.QExpansion(tuple(out)), modulus)
 
 
 def hecke_matrix(n: int, k: int, modulus=None) -> tuple:
@@ -247,19 +218,19 @@ def hecke_matrix(n: int, k: int, modulus=None) -> tuple:
     if d == 0:
         return ()
     table = _factors(n * d + 1, modulus)
-    exponents = {t for _, _, t in _weighted_reads(n, k, d + 1)}
+    exponents = {t for _, _, t in _weighted_reads(n, k, d + 1, modulus)}
     exponents.update(range(d + 1), range(0, n * (d + 1), n))
     # the back-substitution rows come from the same reads as the images
     elements = [table.read(a, b, c, exponents) for a, b, c in monomial_basis(k)]
     if modulus is None:
         basis = [[f[t] for t in range(d + 1)] for f in elements]
-    else:  # packed rows and images, slots below modulus + d (modulus - 1)^2
-        w = _width(modulus, d)
+    else:  # packed rows and images, slots below modulus + d modulus (modulus - 1)
+        w = width((d + 1) * modulus * modulus)
         mask = (1 << w) - 1
-        basis = [_pack([f[t] % modulus for t in range(d + 1)], w) for f in elements]
+        basis = [pack([f[t] % modulus for t in range(d + 1)], w) for f in elements]
     rows = [[0] * d for _ in range(d)]
     for j, f in enumerate(elements):
-        image = hecke_action(f, n, k, d + 1).coeffs
+        image = hecke_action(f, n, k, d + 1, modulus).coeffs
         # basis element i leads with q^(i+1), so peel coordinates upward
         if modulus is None:
             image = list(image)
@@ -268,12 +239,12 @@ def hecke_matrix(n: int, k: int, modulus=None) -> tuple:
                 if coord:
                     image[i + 1 :] = [x - coord * y for x, y in zip(image[i + 1 :], row[i + 1 :])]
         else:  # a coordinate is one slot read, peeling it one multiply-add
-            image = _pack([x % modulus for x in image], w)
+            image = pack(image, w)
             for i, row in enumerate(basis):
                 coord = rows[i][j] = (image >> w * (i + 1) & mask) % modulus
                 if coord:
                     image += (modulus - coord) * row
-            image = _unpack(image, d + 1, w, modulus)  # every slot, slot 0 included
+            image = unpack_mod(image, d + 1, w, modulus)  # every slot, slot 0 included
         if any(image):
             raise SpanViolation("T_%d image of basis element %d not in the span at k=%d" % (n, j, k))
     return tuple(tuple(r) for r in rows)
@@ -327,11 +298,11 @@ def hessenberg_charpoly(matrix, ell: int) -> IntPoly:
     every slot stays below n^2 ell^3.  The packed p_m are reduced once each.
     """
     n = len(matrix)
-    w = _width(ell, n, (n * ell).bit_length())
+    w = width(n * n * ell**3)
     mask = (1 << w) - 1
-    cols = [_pack([x % ell for x in col], w) for col in zip(*matrix)]
+    cols = [pack([x % ell for x in col], w) for col in zip(*matrix)]
     for m in range(1, n - 1):
-        below = _unpack(cols[m - 1] >> w * m, n - m, w, ell)  # rows m .. n - 1
+        below = unpack_mod(cols[m - 1] >> w * m, n - m, w, ell)  # rows m .. n - 1
         if not below[0]:  # swap rows m and m + pivot, then the same columns
             pivot = next((i for i, x in enumerate(below) if x), None)
             if pivot is None:  # column m - 1 is already zero below the subdiagonal
@@ -344,7 +315,7 @@ def hessenberg_charpoly(matrix, ell: int) -> IntPoly:
             below[0], below[pivot] = below[pivot], below[0]
         inv = pow(below[0], -1, ell)
         us = [x * inv % ell for x in below[1:]]  # u_i for rows m + 1 .. n - 1
-        lift = _pack(us, w) << w * (m + 1)
+        lift = pack(us, w) << w * (m + 1)
         for c in range(m, n):  # in the columns before, row m is zero
             x = (cols[c] >> w * m & mask) % ell
             if x:
@@ -362,8 +333,8 @@ def hessenberg_charpoly(matrix, ell: int) -> IntPoly:
             t = t * sub[i] % ell
             if not t:
                 break
-        p.append(_pack(_unpack(nxt, m + 2, w, ell), w))
-    return IntPoly(tuple(_unpack(p[n], n + 1, w, ell)))
+        p.append(pack(unpack_mod(nxt, m + 2, w, ell), w))
+    return IntPoly(tuple(unpack_mod(p[n], n + 1, w, ell)))
 
 
 def charpoly(n: int, k: int, modulus=None) -> IntPoly:

@@ -33,10 +33,10 @@ SplittingViolation, and for ell in {5, 7} a root outside
 
 from __future__ import annotations
 
-from ._primes import minimal_period, require_prime
+from ._primes import minimal_period, poly_str, require_prime
 from ._record import record
 from .errors import EigenvalueViolation, Lemma1Violation, PeriodNotFound, SplittingViolation
-from .gfpoly import InexactDivision, divide_exact, mul, poly_str, roots
+from .gfpoly import InexactDivision, divide_exact, mul, roots
 from .hecke import charpoly, dim_cusp
 
 # Row labels of the published mod-5 and mod-7 tables: the smallest prime

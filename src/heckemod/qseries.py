@@ -10,11 +10,9 @@ Conventions:
   * products truncate to the smaller precision of the operands and,
     given a modulus, reduce every coefficient mod it, which is all the
     level-1 pipeline needs to run over Z/m (it never divides);
-  * a product is one big-integer multiplication (Kronecker
-    substitution): each operand is packed into a single int with one
-    slot of whole bytes per coefficient, wide enough for any product
-    coefficient and its sign, and the first prec slots of the result
-    are read back;
+  * a product is one big-integer multiplication of the operands in
+    `_kron`'s signed slots (Kronecker substitution), wide enough for any
+    product coefficient, and the first prec slots are read back;
   * the Eisenstein series are normalized to constant term 1.
 
 Generators supplied here: E4 = 1 + 240 sum sigma_3(n) q^n,
@@ -26,6 +24,7 @@ independent checks of each other.
 
 from __future__ import annotations
 
+from ._kron import pack_signed, unpack_signed, width
 from ._primes import divisor_power_sum
 from ._record import record
 
@@ -55,22 +54,11 @@ def mul(a: QExpansion, b: QExpansion, modulus=None) -> QExpansion:
     prec = min(a.prec, b.prec)
     x, y = a.coeffs[:prec], b.coeffs[:prec]
     # with A = max(1, max|x|) and B = max(1, max|y|), every operand and
-    # product coefficient has |c| <= prec A B < half
-    width = (prec * max(1, *map(abs, x)) * max(1, *map(abs, y))).bit_length() // 8 + 1
-    half = 1 << (8 * width - 1)
-    size = width * prec
-    offset = int.from_bytes(half.to_bytes(width, "little") * prec, "little")  # half in every slot
-
-    def pack(coeffs):
-        slots = b"".join([(c + half).to_bytes(width, "little") for c in coeffs])
-        return int.from_bytes(slots, "little") - offset
-
-    px = pack(x)
-    product = px * (px if y is x else pack(y))
-    # with half added to each of the low slots, none borrows from the next
-    low = ((product + offset) & ((1 << 8 * size) - 1)).to_bytes(size, "little")
-    out = [int.from_bytes(low[i : i + width], "little") - half for i in range(0, size, width)]
-    return reduce(QExpansion(tuple(out)), modulus)
+    # product coefficient has |c| <= prec A B
+    w = width(2 * prec * max(1, *map(abs, x)) * max(1, *map(abs, y)))
+    px = pack_signed(x, w)
+    product = px * (px if y is x else pack_signed(y, w))
+    return reduce(QExpansion(tuple(unpack_signed(product, prec, w))), modulus)
 
 
 def power(a: QExpansion, e: int, modulus=None) -> QExpansion:

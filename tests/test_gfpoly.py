@@ -16,7 +16,6 @@ from heckemod.gfpoly import (
     gcd,
     monic,
     mul,
-    poly_str,
     pow_mod,
     quo_rem,
     reduce_mod,
@@ -24,7 +23,7 @@ from heckemod.gfpoly import (
     sub,
 )
 from heckemod import gfpoly
-from heckemod._primes import from_decimal, to_decimal
+from heckemod._primes import from_decimal, poly_str, to_decimal
 
 
 def expand(fm):
@@ -394,13 +393,13 @@ def test_packed_gcd_and_powers_match_schoolbook():
 
 def test_long_remainder_chains_reduce_their_slots(monkeypatch):
     unpacked = []
-    real = gfpoly._unpack
+    real = gfpoly.unpack_mod
 
     def counted(a, n, w, ell):
         unpacked.append(n)
         return real(a, n, w, ell)
 
-    monkeypatch.setattr(gfpoly, "_unpack", counted)
+    monkeypatch.setattr(gfpoly, "unpack_mod", counted)
     rng = random.Random(47)
     for ell in (199, 2**61 - 1):
         quotients = [[rng.randrange(ell), rng.randrange(1, ell)] for _ in range(60)]

@@ -201,7 +201,7 @@ def test_kernel_mod_ell_fixed_large_case():
     # p = 29 at k = 200 is the largest Hecke matrix of the mod-7 table
     assert charpoly(29, 200, 7).coeffs == tuple(c % 7 for c in charpoly(29, 200).coeffs)
     # at k = 84, T_97 reads 15 of the 680 slots of each basis product;
-    # mod 2^31 - 1 no machine word holds a slot, so dot products serve
+    # mod 2^31 - 1 a slot holds 680 (2^31 - 2)^2 and takes 9 bytes
     exact = charpoly(97, 84).coeffs
     for ell in (7, 1000003, 2**31 - 1):
         assert charpoly(97, 84, ell).coeffs == tuple(c % ell for c in exact)
@@ -351,7 +351,9 @@ def test_integer_path_shares_nothing(monkeypatch):
 
 
 def test_dot_product_past_the_table_raises():
-    table = hecke._Factors(10, 7)
-    assert table.coeff(1, 0, 0, 9) == qseries.delta(10).coeffs[9] % 7
+    table = hecke._Factors(10, None)
+    assert table.read(1, 0, 0, [0, 9]) == {0: 0, 9: qseries.delta(10).coeffs[9]}
     with pytest.raises(InsufficientPrecision):
-        table.coeff(1, 0, 0, 10)
+        table.read(1, 0, 0, [10])
+    with pytest.raises(InsufficientPrecision):
+        hecke._Factors(10, 7).read(1, 0, 0, [10])
