@@ -12,13 +12,13 @@ reproduces them byte for byte.  A format string writes the line and one
 regular expression reads it, with no json module and no int-string
 limit.  A cache constructed with directory None memoizes in memory only.
 
-Only that canonical line is accepted: any other line (other spacing or
-key order, a number such as 24.0 or 024) is skipped on load, and so are
-lines that name another p or are not monic of degree d = dim S_k.  On
-the first `get` of (p, k), so are those whose two top coefficients
-disagree with the trace formula: for x^d + c_(d-1) x^(d-1) +
-c_(d-2) x^(d-2) + ..., trace(T_p) = -c_(d-1) and, since
-T_p^2 = T_(p^2) + p^(k-1), trace(T_(p^2)) + p^(k-1) d =
+Only that canonical line is accepted.  The first `get` of (p, k) parses
+only the lines that end in its `"k": K, "p": P}` tail.  Of those it skips
+any that is not canonical (other spacing or key order, a number such as
+24.0 or 024), names another p or is not monic of degree d = dim S_k, and
+any whose two top coefficients disagree with the trace formula: for
+x^d + c_(d-1) x^(d-1) + c_(d-2) x^(d-2) + ..., trace(T_p) = -c_(d-1)
+and, since T_p^2 = T_(p^2) + p^(k-1), trace(T_(p^2)) + p^(k-1) d =
 c_(d-1)^2 - 2 c_(d-2).  A record that passes both is then compared,
 every coefficient, with the Hecke kernel run mod KERNEL_CHECK_PRIME,
 which catches a wrong low coefficient that the traces cannot see.
@@ -46,8 +46,8 @@ class CharpolyCache:
     def __init__(self, directory=None):
         self.directory = directory
         self._mem = {}  # records that passed every check
-        self._unchecked = {}  # (p, k) -> records from disk awaiting their checks
-        self._loaded = set()
+        self._lines = {}  # p -> the lines of p<p>.jsonl, read once
+        self._read = set()  # (p, k) whose lines have been checked
         self._torn = set()
         if directory is not None:
             os.makedirs(directory, exist_ok=True)
@@ -55,28 +55,30 @@ class CharpolyCache:
     def _path(self, p: int) -> str:
         return os.path.join(self.directory, "p%d.jsonl" % p)
 
-    def _load(self, p: int):
-        if p in self._loaded or self.directory is None:
-            return
-        self._loaded.add(p)
-        path = self._path(p)
-        if not os.path.exists(path):
-            return
-        with open(path, "r", encoding="ascii", errors="replace") as fh:
-            text = fh.read()
-        if text and not text.endswith("\n"):
-            self._torn.add(p)
-        for line in text.split("\n"):
-            rec = _parse_record(line, p)
-            if rec is not None:
-                self._unchecked.setdefault(rec[0], []).append(rec[1])
+    def _file_lines(self, p: int) -> list:
+        if p not in self._lines:
+            text = ""
+            if self.directory is not None and os.path.exists(self._path(p)):
+                with open(self._path(p), "r", encoding="ascii", errors="replace") as fh:
+                    text = fh.read()
+            if text and not text.endswith("\n"):
+                self._torn.add(p)
+            self._lines[p] = text.split("\n")
+        return self._lines[p]
 
     def get(self, p: int, k: int):
-        self._load(p)
-        for poly in reversed(self._unchecked.pop((p, k), ())):  # first read: last good line wins
-            if _agrees_with_traces(p, k, poly) and _agrees_with_kernel(p, k, poly):
-                self._mem[(p, k)] = poly
-                break
+        lines = self._file_lines(p)
+        if (p, k) not in self._read:
+            self._read.add((p, k))
+            tail = ', "k": %d, "p": %d}' % (k, p)
+            for line in reversed(lines):  # first read: last good line wins
+                rec = _parse_record(line, p) if line.endswith(tail) else None
+                if rec is None:
+                    continue
+                poly = rec[1]
+                if _agrees_with_traces(p, k, poly) and _agrees_with_kernel(p, k, poly):
+                    self._mem[(p, k)] = poly
+                    break
         return self._mem.get((p, k))
 
     def put(self, p: int, k: int, poly: IntPoly):

@@ -98,7 +98,8 @@ def cycle_type(f, ell: int):
     repeated = gcd(fm, derivative(fm, ell), ell)
     if len(repeated) > 1:
         return SquarefreeFailure(ell=ell, repeated=repeated)
-    parts = [d for piece, d in _distinct_degree(fm, ell) for _ in range((len(piece) - 1) // d)]
+    pieces = _distinct_degree(fm, ell, squarefree=True)
+    parts = [d for piece, d in pieces for _ in range((len(piece) - 1) // d)]
     return CycleType(ell=ell, partition=tuple(sorted(parts, reverse=True)))
 
 

@@ -240,7 +240,7 @@ class FrobeniusMatrix:
         return _trim(unpack_mod(acc, self.n, self.width, self.ell))
 
 
-def _distinct_degree(f, ell: int):
+def _distinct_degree(f, ell: int, squarefree: bool = False):
     pieces = []
     v = f
     d = 0
@@ -258,9 +258,9 @@ def _distinct_degree(f, ell: int):
         g = gcd(v, sub(h, X, ell), ell)
         if len(g) > 1:
             pieces.append((g, d))
-        while len(g) > 1:  # strip every copy of the degree-d factors
+        while len(g) > 1:  # strip every copy of the degree-d factors; squarefree f has one
             v = divide_exact(v, g, ell)
-            g = gcd(v, g, ell)
+            g = (1,) if squarefree else gcd(v, g, ell)
     return pieces
 
 

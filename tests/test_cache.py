@@ -146,4 +146,29 @@ def test_a_planted_huge_weight_is_rejected_without_listing_its_basis(tmp_path, m
     (tmp_path / "p2.jsonl").write_text(line + "\n")
     cache = CharpolyCache(str(tmp_path))
     assert cache.get(2, 1000000) is None
-    assert cache._unchecked == {}
+    assert cache._mem == {}
+
+
+def test_get_parses_only_the_lines_of_its_weight(tmp_path, monkeypatch):
+    # 29 records of p = 2 and a torn tail; the later line for k = 48 fails its trace check
+    path = tmp_path / "p2.jsonl"
+    good = record_line(2, 48, charpoly(2, 48))
+    wrong = record_line(2, 48, IntPoly((1, 1, 1, 1)))
+    others = [record_line(2, k, IntPoly((0,) * hecke.dim_cusp(k) + (1,)))
+              for k in range(50, 104, 2)]
+    path.write_text(good + "".join(others) + wrong + good[:20])
+    real = cache_module._parse_record
+    parsed = []
+
+    def counted(line, p):
+        parsed.append(line)
+        return real(line, p)
+
+    monkeypatch.setattr(cache_module, "_parse_record", counted)
+    cache = CharpolyCache(str(tmp_path))
+    assert cache.get(2, 48) == charpoly(2, 48)
+    assert parsed == [wrong[:-1], good[:-1]]
+    assert cache.get(2, 48) == charpoly(2, 48) and len(parsed) == 2
+    # the torn tail still gets its fresh line before the next record
+    cache.charpoly(2, 12)
+    assert path.read_text().endswith(good[:20] + "\n" + record_line(2, 12, charpoly(2, 12)))

@@ -327,6 +327,102 @@ def test_usage_errors_exit_1(capsys):
     assert exc.value.code == 1
 
 
+# each command's own options; every command also takes the common three
+OWN_OPTIONS = {
+    "charpoly": "--prime --weight --ell",
+    "table": "--ell --max-weight --single-period",
+    "trace": "--n --weight",
+    "period": "--prime --ell --kclass --max-weight --single-period",
+    "certify": "--prime --weight --bound",
+    "deduce": "--target-prime --weight --anchor --bound",
+}
+COMMON = {"format": "text", "cache_dir": None, "seed": 0}
+
+
+@pytest.mark.parametrize(
+    "argv, options",
+    [
+        ("trace --n 2 --weight 24", dict(COMMON, n=2, weight=24)),
+        ("charpoly --prime 2 --weight 24", dict(COMMON, prime=2, weight=24, ell=None)),
+        ("table --ell 5", dict(COMMON, ell=5, max_weight=None, single_period=False)),
+        ("certify --prime 2 --weight 24", dict(COMMON, prime=2, weight=24, bound=200)),
+        ("deduce --target-prime 3 --weight 24",
+         dict(COMMON, target_prime=3, weight=24, anchor=2, bound=200)),
+        # --name=value, any order, unique prefixes, the last repeat wins
+        ("trace --weight=24 --format=json --n=2", dict(COMMON, n=2, weight=24, format="json")),
+        ("trace --weig 24 --n 3 --f csv --n 2 --cache-dir=d --se 7",
+         dict(n=2, weight=24, format="csv", cache_dir="d", seed=7)),
+        ("table --single --ell 13 --max-weight -10",
+         dict(COMMON, ell=13, max_weight=-10, single_period=True)),
+        ("period --prime 2 --ell 5 --kclass 0 --single-period --seed=-3",
+         dict(COMMON, prime=2, ell=5, kclass=0, max_weight=None, single_period=True, seed=-3)),
+    ],
+)
+def test_parse_args_reads_options_after_the_command(argv, options):
+    from heckemod import cli
+
+    func, args = cli.parse_args(argv.split())
+    assert func is cli.COMMANDS[argv.split()[0]][0]
+    assert {name: getattr(args, name) for name in options} == options
+    assert {"--" + name.replace("_", "-") for name in vars(args)} == set(
+        OWN_OPTIONS[argv.split()[0]].split() + ["--format", "--cache-dir", "--seed"]
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        ("", "the following arguments are required: command"),
+        ("nosuchcommand", "argument command: invalid choice: 'nosuchcommand'"),
+        # the common options follow the command
+        ("--format json trace --n 2 --weight 24", "argument command: invalid choice: '--format'"),
+        ("table --s --ell 5", "ambiguous option: --s could match --single-period, --seed"),
+        ("trace --n 2 --weight 24 --bogus 1", "unrecognized arguments: --bogus"),
+        ("trace 5 --n 2 --weight 24", "unrecognized arguments: 5"),
+        ("trace --n 2 --weight", "argument --weight: expected one argument"),
+        ("trace --n --weight 24", "argument --n: expected one argument"),
+        ("trace --n x --weight 24", "argument --n: invalid int value: 'x'"),
+        ("trace --n= --weight 24", "argument --n: invalid int value: ''"),
+        ("trace --n 2 --weight 24 --format xml", "argument --format: invalid choice: 'xml'"),
+        ("table --ell 5 --single-period=yes", "argument --single-period: ignored explicit argument 'yes'"),
+        ("charpoly --prime 2", "the following arguments are required: --weight"),
+        ("deduce --bound 7", "the following arguments are required: --target-prime, --weight"),
+    ],
+)
+def test_parse_errors_print_usage_and_exit_1(capsys, argv, error):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    usage, message = err.splitlines()
+    words = argv.split()
+    prog = "heckemod " + words[0] if words and words[0] in OWN_OPTIONS else "heckemod"
+    assert out == "" and usage.startswith("usage: " + prog)
+    assert message.startswith("%s: error: %s" % (prog, error))
+
+
+@pytest.mark.parametrize("command", sorted(OWN_OPTIONS))
+@pytest.mark.parametrize("flag", ["-h", "--help", "--he"])
+def test_help_lists_every_option_and_exits_0(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag])
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.startswith("usage: heckemod %s " % command)
+    listed = {line.split()[0] for line in out.splitlines() if line.startswith("  --")}
+    assert listed == set(OWN_OPTIONS[command].split() + ["--format", "--cache-dir", "--seed"])
+
+
+def test_help_without_a_command_lists_every_command(capsys):
+    for argv in (["-h"], ["--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        out, err = capsys.readouterr()
+        listed = {line.split()[0] for line in out.splitlines() if line.startswith("  ")}
+        assert err == "" and listed == set(OWN_OPTIONS)
+
+
 def test_charpoly_mod_a_61_bit_prime_is_quick_and_larger_ell_is_refused(capsys):
     ell = 2**61 - 1
     start = time.perf_counter()
@@ -484,12 +580,12 @@ from heckemod.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(%r)
 ran = [n.partition(".")[2] for n, m in sys.modules.items() if n.startswith("heckemod.") and type(m) is types.ModuleType]
-print(json.dumps([code, ran]))
+print(json.dumps([code, ran, "argparse" in sys.modules]))
 """ % (os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"), argv.split())
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    code, ran = json.loads(proc.stdout)
-    assert code == 0
+    code, ran, argparse_loaded = json.loads(proc.stdout)
+    assert code == 0 and not argparse_loaded
     assert runs <= set(ran) and not skips & set(ran), ran
 
 

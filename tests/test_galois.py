@@ -29,7 +29,7 @@ from heckemod.galois import (
     residues_qualify,
     theorem1_conclusion,
 )
-from heckemod.gfpoly import factor, reduce_mod, roots
+from heckemod.gfpoly import _distinct_degree, factor, reduce_mod, roots
 from heckemod.modfactor import charpoly_mod
 
 X4_PLUS_1 = (1, 0, 0, 0, 1)
@@ -79,6 +79,20 @@ def test_cycle_type_matches_full_factorization():
                 assert isinstance(ct, SquarefreeFailure) and ct.ell == ell
                 failures += 1
     assert failures > 100
+
+
+def test_squarefree_cycle_types_skip_the_strip_gcd(shared_cache):
+    # cycle_type divides each degree-d piece out once; stripping further
+    # copies with another gcd, as factor does, finds none on T_2's sweep
+    for k in range(120, 229, 4):
+        f = shared_cache.charpoly(2, k).coeffs
+        for ell in primes_up_to(200)[1:]:
+            ct = cycle_type(f, ell)
+            if isinstance(ct, SquarefreeFailure):
+                continue
+            fm = reduce_mod(f, ell)
+            stripped = [d for piece, d in _distinct_degree(fm, ell) for _ in range((len(piece) - 1) // d)]
+            assert ct.partition == tuple(sorted(stripped, reverse=True)), (k, ell)
 
 
 def test_certify_reduces_each_prime_once(shared_cache, monkeypatch):
