@@ -44,13 +44,13 @@ _OWNER = {
          "SpanViolation SplittingViolation"),
         ("galois", "Certificate CycleType NotFound SquarefreeFailure certify "
          "certify_full_symmetric certify_irreducible corollary_conclusion "
-         "cycle_type deduce residues_qualify theorem1_conclusion"),
+         "cycle_type deduce theorem1_conclusion"),
         ("gfpoly", "FactorMultiset factor reduce_mod roots"),
-        ("hecke", "IntPoly charpoly dim_cusp hecke_matrix monomial_basis"),
+        ("hecke", "charpoly dim_cusp hecke_matrix monomial_basis"),
         ("modfactor", "charpoly_mod congruence_class_invariance root_sequence "
          "serre_eigenvalue_set small_ell_rule table_rows"),
         ("qseries", "QExpansion delta eisenstein4 eisenstein6"),
-        ("traceformula", "hurwitz_class_number trace"),
+        ("traceformula", "trace"),
     )
     for name in names.split()
 }

@@ -35,7 +35,7 @@ import re
 
 from ._primes import from_decimal, to_decimal
 from .errors import ComputationError
-from .hecke import IntPoly, charpoly, dim_cusp
+from .hecke import charpoly, dim_cusp
 from .traceformula import trace
 
 # the prime of the mod-ell kernel check on records read from disk
@@ -81,7 +81,7 @@ class CharpolyCache:
                     break
         return self._mem.get((p, k))
 
-    def put(self, p: int, k: int, poly: IntPoly):
+    def put(self, p: int, k: int, poly: tuple):
         if self.get(p, k) is not None:
             return
         self._mem[(p, k)] = poly
@@ -100,7 +100,7 @@ class CharpolyCache:
                 )
             self._torn.discard(p)
 
-    def charpoly(self, p: int, k: int) -> IntPoly:
+    def charpoly(self, p: int, k: int) -> tuple:
         """Cached characteristic polynomial of T_p at weight k."""
         found = self.get(p, k)
         if found is None:
@@ -109,9 +109,9 @@ class CharpolyCache:
         return found
 
 
-def _agrees_with_traces(p: int, k: int, poly: IntPoly) -> bool:
-    """The two top coefficients of `poly` against traces of T_p and T_(p^2)."""
-    d, c = poly.degree, poly.coeffs
+def _agrees_with_traces(p: int, k: int, c: tuple) -> bool:
+    """The two top coefficients of `c` against traces of T_p and T_(p^2)."""
+    d = len(c) - 1
     if d == 0:
         return True
     if c[-2] != -trace(p, k):
@@ -119,10 +119,10 @@ def _agrees_with_traces(p: int, k: int, poly: IntPoly) -> bool:
     return d == 1 or c[-2] ** 2 - 2 * c[-3] == trace(p * p, k) + p ** (k - 1) * d
 
 
-def _agrees_with_kernel(p: int, k: int, poly: IntPoly) -> bool:
+def _agrees_with_kernel(p: int, k: int, poly: tuple) -> bool:
     """Every coefficient of `poly` against T_p's charpoly mod KERNEL_CHECK_PRIME."""
-    reduced = tuple(c % KERNEL_CHECK_PRIME for c in poly.coeffs)
-    return reduced == charpoly(p, k, KERNEL_CHECK_PRIME).coeffs
+    reduced = tuple(c % KERNEL_CHECK_PRIME for c in poly)
+    return reduced == charpoly(p, k, KERNEL_CHECK_PRIME)
 
 
 # the one line `record_line` writes, which is json.dumps(record, sort_keys=True)
@@ -134,7 +134,7 @@ _RECORD = re.compile(
 
 
 def _parse_record(line: str, p: int):
-    """((p, k), IntPoly) for a canonical monic record of prime p and degree dim S_k, else None."""
+    """((p, k), coeffs) for a canonical monic record of prime p and degree dim S_k, else None."""
     match = _RECORD.fullmatch(line)
     if match is None or match[3] != "%d" % p:
         return None
@@ -143,9 +143,9 @@ def _parse_record(line: str, p: int):
     d = dim_cusp(k)
     if len(coeffs) != d + 1 or coeffs[-1] != 1:
         return None
-    return (p, k), IntPoly(coeffs)
+    return (p, k), coeffs
 
 
-def record_line(p: int, k: int, poly: IntPoly) -> str:
-    coeffs = '", "'.join(map(to_decimal, poly.coeffs))
+def record_line(p: int, k: int, poly: tuple) -> str:
+    coeffs = '", "'.join(map(to_decimal, poly))
     return '{"coeffs": ["%s"], "k": %d, "p": %d}\n' % (coeffs, k, p)

@@ -4,8 +4,7 @@ Commands wrap the library one-to-one: charpoly, table, trace, period,
 certify, deduce.  COMMANDS is the one table of them and their options,
 which follow the command as --name value or --name=value, in any order;
 a unique prefix of a name will do and the last repeat wins.  Every
-command takes --format text|csv|json plus --cache-dir/--seed; the
-environment variable HECKE_MOD_CACHE overrides --cache-dir when set.
+command takes --format text|csv|json plus --cache-dir/--seed.
 --help lists the commands, and <command> --help its options.  The
 cache holds integer polynomials for charpoly, certify and deduce's
 anchor; table and period compute mod ell and never open it.  charpoly
@@ -18,17 +17,12 @@ which is worth distinguishing from a plain crash in CI).
 
 from __future__ import annotations
 
-import os
 import sys
 from types import SimpleNamespace
 
 from . import cache, galois, gfpoly, hecke, modfactor, traceformula
 from ._primes import poly_str, require_prime, to_decimal
 from .errors import ClosedFormViolation, ComputationError, FalsificationError
-
-
-def _open_cache(args) -> cache.CharpolyCache:
-    return cache.CharpolyCache(os.environ.get("HECKE_MOD_CACHE") or args.cache_dir)
 
 
 def factor_str(fm) -> str:
@@ -69,8 +63,8 @@ def cmd_charpoly(args) -> None:
         require_prime(args.ell, "ell")
         if args.ell == args.prime:
             raise ValueError("p and ell must be distinct, both %d" % args.prime)
-    f = _open_cache(args).charpoly(args.prime, args.weight)
-    d = f.degree
+    f = cache.CharpolyCache(args.cache_dir).charpoly(args.prime, args.weight)
+    d = len(f) - 1
     fm = None
     if args.ell is not None:
         if args.ell in (2, 3):
@@ -82,14 +76,14 @@ def cmd_charpoly(args) -> None:
                     % (args.prime, args.weight, poly_str(reduced), args.ell, poly_str(rule))
                 )
         fm = gfpoly.factor(f, args.ell, seed=args.seed)
-    coeffs = [to_decimal(c) for c in f.coeffs]
+    coeffs = [to_decimal(c) for c in f]
     obj = {"p": args.prime, "k": args.weight, "dim": d, "coeffs": coeffs}
     row = [args.prime, args.weight, d, ";".join(coeffs), "", ""]
     if fm is not None:
         factors = [{"coeffs": list(g), "multiplicity": m} for g, m in fm.factors]
         obj.update(ell=args.ell, unit=fm.unit, factors=factors)
         row[4:] = args.ell, factor_str(fm)
-    text = (str(f) if fm is None else factor_str(fm)) + (" (dim 0)" if d == 0 else "")
+    text = (poly_str(f) if fm is None else factor_str(fm)) + (" (dim 0)" if d == 0 else "")
     _emit(args, text, obj, ["p", "k", "dim", "coeffs", "ell", "factors"], [row])
 
 
@@ -145,7 +139,7 @@ def cmd_certify(args) -> None:
     require_prime(args.prime, "p")
     _require_even_weight(args.weight)
     p, k = args.prime, args.weight
-    irr, full = galois.certify(p, k, bound=args.bound, cache=_open_cache(args))
+    irr, full = galois.certify(p, k, bound=args.bound, cache=cache.CharpolyCache(args.cache_dir))
     text = "\n".join(("T_%d at weight %d, degree %d" % (p, k, hecke.dim_cusp(k)),
                       _cert_text("irreducible", irr), _cert_text("full symmetric group", full)))
     obj = {"p": p, "k": k, "bound": args.bound, "irreducible": irr.to_dict(),
@@ -162,7 +156,8 @@ def cmd_deduce(args) -> None:
     require_prime(args.target_prime, "p")
     _require_even_weight(args.weight)
     p, k = args.target_prime, args.weight
-    result = galois.deduce(p, k, anchor_n=args.anchor, bound=args.bound, cache=_open_cache(args))
+    result = galois.deduce(p, k, anchor_n=args.anchor, bound=args.bound,
+                           cache=cache.CharpolyCache(args.cache_dir))
     target = result.target
     found = isinstance(target, galois.Certificate)
     table_rows = [ev for ev in target.evidence if ev.get("kind") == "table-row"] if found else []
@@ -206,7 +201,7 @@ OPTIONS = {
     "--bound": (int, "largest ell scanned"),
     "--anchor": (int, "prime anchoring the assumption"),
     "--format": (("text", "csv", "json"), "output format"),
-    "--cache-dir": (str, "directory for charpoly cache files (HECKE_MOD_CACHE overrides)"),
+    "--cache-dir": (str, "directory for charpoly cache files"),
     "--seed": (int, "seed for randomized factoring"),
 }
 # every command takes these after its own options

@@ -71,10 +71,6 @@ class CycleType:
     ell: int
     partition: tuple  # parts descending, summing to the degree
 
-    @property
-    def degree(self) -> int:
-        return sum(self.partition)
-
 
 @record
 class SquarefreeFailure:
@@ -91,10 +87,9 @@ def cycle_type(f, ell: int):
     ell, valid as a Frobenius cycle type by Dedekind's theorem.  It is
     read off the distinct-degree split of the squarefree reduction.
     """
-    coeffs = tuple(getattr(f, "coeffs", f))
-    if coeffs[-1] != 1:
+    if f[-1] != 1:
         raise ValueError("cycle types need a monic polynomial")
-    fm = reduce_mod(coeffs, ell)  # the one check that ell is prime
+    fm = reduce_mod(f, ell)  # the one check that ell is prime
     repeated = gcd(fm, derivative(fm, ell), ell)
     if len(repeated) > 1:
         return SquarefreeFailure(ell=ell, repeated=repeated)
@@ -181,24 +176,22 @@ def certify_poly(f, bound: int, skip=(), subject=None):
     """Irreducibility verdict, then full-symmetric verdict, from one scan.
 
     A generator over a monic integer polynomial f (coefficients
-    ascending, or an object with .coeffs); next() gives irreducibility
-    alone.  Walks the primes ell <= bound (skipping `skip`) once.  A
-    single irreducible reduction settles irreducibility; otherwise the
-    subset-sum sieve runs until its intersection of candidate factor
-    degrees empties.  The second verdict needs the first, and resumes
+    ascending); next() gives irreducibility alone.  Walks the primes
+    ell <= bound (skipping `skip`) once.  A single irreducible reduction
+    settles irreducibility; otherwise the subset-sum sieve runs until
+    its intersection of candidate factor degrees empties.  The second verdict needs the first, and resumes
     the scan only when asked: given irreducibility, degrees 1 and 2 need
     nothing more; beyond that it takes the first transposition witness
     and, unless the degree is prime, the first primitivity witness
     (prime q-cycle, d/2 < q < d) in scan order, earlier cycle types
     included.
     """
-    coeffs = tuple(getattr(f, "coeffs", f))
-    d = len(coeffs) - 1
+    d = len(f) - 1
     if subject is None:
-        subject = {"coeffs": [to_decimal(c) for c in coeffs]}
+        subject = {"coeffs": [to_decimal(c) for c in f]}
     if d < 1:
         raise ValueError("constant polynomial has no irreducibility question")
-    reductions = (cycle_type(coeffs, ell) for ell in primes_up_to(bound) if ell not in skip)
+    reductions = (cycle_type(f, ell) for ell in primes_up_to(bound) if ell not in skip)
     types = (ct for ct in reductions if isinstance(ct, CycleType))
 
     seen = []
@@ -264,7 +257,7 @@ def _hecke_subject(p, k):
 def _hecke_poly(p, k, cache):
     require_prime(p, "p")
     f = charpoly(p, k) if cache is None else cache.charpoly(p, k)
-    if f.degree < 1:
+    if len(f) < 2:
         raise ValueError("weight %d has trivial cusp space" % k)
     return f
 
@@ -304,11 +297,6 @@ def _qualifying_ell(p: int):
 def _class_prime(p: int, ell: int) -> int:
     """The published row prime in p's residue class mod ell."""
     return next(q for q in modfactor.ROW_PRIMES[ell] if q % ell == p % ell)
-
-
-def residues_qualify(p: int) -> bool:
-    """Theorem-1 congruence condition: p not 0, +1, -1 mod 5 or mod 7."""
-    return _qualifying_ell(p) is not None
 
 
 def _table_certificate(claim, rule, p, k, ell, class_prime, row_period=(), first_terms=()):

@@ -3,9 +3,9 @@
 Representation: a polynomial is a plain tuple of coefficients ascending
 by degree, each in [0, ell), with no trailing zeros; the zero polynomial
 is the empty tuple.  Every function takes the modulus ell, which must be
-prime.  The public entries that take outside input (reduce_mod,
-distinct_degree, factor, roots) reduce it and check ell once; the
-arithmetic helpers trust their caller to pass canonical tuples.
+prime.  The public entries that take outside input (reduce_mod, factor,
+roots) reduce it and check ell once; the arithmetic helpers trust their
+caller to pass canonical tuples.
 
 Products, powers and gcds run on operands packed by `_kron`, w bits a
 coefficient.  gcd is a remainder-only Euclid that reduces slots mod ell only when a tracked
@@ -37,7 +37,7 @@ import random
 from itertools import zip_longest
 
 from ._kron import pack, unpack_mod, width
-from ._primes import is_prime, poly_str
+from ._primes import poly_str, require_prime
 from ._record import record
 from .errors import ComputationError
 
@@ -52,11 +52,6 @@ class InexactDivision(ComputationError):
         self.remainder = remainder
 
 
-def _require_prime(ell):
-    if not is_prime(ell):
-        raise ValueError("modulus %r is not prime" % (ell,))
-
-
 def _trim(cs) -> tuple:
     n = len(cs)
     while n and not cs[n - 1]:
@@ -65,16 +60,12 @@ def _trim(cs) -> tuple:
 
 
 def _reduce(f, ell) -> tuple:
-    return _trim([c % ell for c in getattr(f, "coeffs", f)])
+    return _trim([c % ell for c in f])
 
 
 def reduce_mod(f, ell: int) -> tuple:
-    """Reduce an integer-coefficient polynomial mod a prime ell.
-
-    Accepts either a bare coefficient sequence (ascending) or any
-    object exposing ascending integer coefficients as `.coeffs`.
-    """
-    _require_prime(ell)
+    """Reduce integer coefficients, ascending by degree, mod a prime ell."""
+    require_prime(ell, "modulus")
     return _reduce(f, ell)
 
 
@@ -203,16 +194,6 @@ class FactorMultiset:
     unit: int
     factors: tuple  # ((coefficient tuple, multiplicity), ...) in canonical order
 
-    def degrees(self) -> tuple:
-        """Multiset of factor degrees with multiplicity, ascending."""
-        out = []
-        for g, m in self.factors:
-            out.extend([len(g) - 1] * m)
-        return tuple(sorted(out))
-
-    def is_squarefree(self) -> bool:
-        return all(m == 1 for _, m in self.factors)
-
 
 class FrobeniusMatrix:
     """Berlekamp Q-matrix of monic f over F_ell, given xq = x^ell mod f.
@@ -241,6 +222,11 @@ class FrobeniusMatrix:
 
 
 def _distinct_degree(f, ell: int, squarefree: bool = False):
+    """Split monic reduced f into (product of its distinct irreducibles of degree d, d).
+
+    Each irreducible appears once, whatever its multiplicity in f: all
+    copies of the degree-d factors are divided out before degree d + 1.
+    """
     pieces = []
     v = f
     d = 0
@@ -262,16 +248,6 @@ def _distinct_degree(f, ell: int, squarefree: bool = False):
             v = divide_exact(v, g, ell)
             g = (1,) if squarefree else gcd(v, g, ell)
     return pieces
-
-
-def distinct_degree(f, ell: int):
-    """Split monic f into (product of its distinct irreducibles of degree d, d).
-
-    Each irreducible appears once, whatever its multiplicity in f: all
-    copies of the degree-d factors are divided out before degree d + 1.
-    """
-    _require_prime(ell)
-    return _distinct_degree(_reduce(f, ell), ell)
 
 
 def _equal_degree(f, d: int, rng: random.Random, ell: int):
@@ -344,7 +320,7 @@ def factor(f, ell: int, seed: int = 0) -> FactorMultiset:
     coefficient tuple); the seed only steers the internal splitting
     order, never the result.
     """
-    _require_prime(ell)
+    require_prime(ell, "modulus")
     return _factor(_reduce(f, ell), ell, seed)
 
 
@@ -353,7 +329,7 @@ def roots(f, ell: int, seed: int = 0) -> tuple:
 
     The total count equals deg f exactly when f splits completely.
     """
-    _require_prime(ell)
+    require_prime(ell, "modulus")
     f = _reduce(f, ell)
     if not f:
         raise ValueError("zero polynomial has every residue as a root")

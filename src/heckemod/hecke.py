@@ -35,31 +35,8 @@ import operator
 
 from . import qseries
 from ._kron import pack, unpack, unpack_mod, width
-from ._primes import is_prime, poly_str
-from ._record import record
+from ._primes import require_prime
 from .errors import InsufficientPrecision, SpanViolation
-
-
-@record
-class IntPoly:
-    """Integer polynomial, coefficients ascending by degree."""
-
-    coeffs: tuple
-
-    def __post_init__(self):
-        if not self.coeffs:
-            raise ValueError("use (0,) for the zero polynomial")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_monic(self) -> bool:
-        return self.coeffs[-1] == 1
-
-    def __str__(self):
-        return poly_str(self.coeffs)
 
 
 def dim_cusp(k: int) -> int:
@@ -177,7 +154,7 @@ def _reads(m: int, n: int) -> list:
     return [(e, m * n // (e * e)) for e in range(1, g + 1) if g % e == 0]
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=1)  # reused only within one hecke_matrix call
 def _weighted_reads(n: int, k: int, out_prec: int, modulus=None) -> tuple:
     """(m, e^(k-1) mod `modulus`, m n / e^2) for m < out_prec, e > 1: (T_n f)_m beyond f_(m n)."""
     return tuple(
@@ -250,7 +227,7 @@ def hecke_matrix(n: int, k: int, modulus=None) -> tuple:
     return tuple(tuple(r) for r in rows)
 
 
-def berkowitz_charpoly(matrix) -> IntPoly:
+def berkowitz_charpoly(matrix) -> tuple:
     """det(xI - A) for a square integer matrix, division-free.
 
     Berkowitz iterates over principal minors: the characteristic vector
@@ -261,7 +238,7 @@ def berkowitz_charpoly(matrix) -> IntPoly:
 
     n = len(matrix)
     if n == 0:
-        return IntPoly((1,))
+        return (1,)
     a = matrix
     v = [1, -a[n - 1][n - 1]]  # descending coefficients, bottom-right minor
     for s in range(2, n + 1):
@@ -279,10 +256,10 @@ def berkowitz_charpoly(matrix) -> IntPoly:
             sum(t[j] * v[i - j] for j in range(max(0, i - len(v) + 1), min(i, s) + 1))
             for i in range(s + 1)
         ]
-    return IntPoly(tuple(reversed(v)))
+    return tuple(reversed(v))
 
 
-def hessenberg_charpoly(matrix, ell: int) -> IntPoly:
+def hessenberg_charpoly(matrix, ell: int) -> tuple:
     """det(xI - A) over F_ell for a prime ell, coefficients in [0, ell).
 
     Upper Hessenberg form H by similarity, then the charpolys p_m of the
@@ -334,16 +311,16 @@ def hessenberg_charpoly(matrix, ell: int) -> IntPoly:
             if not t:
                 break
         p.append(pack(unpack_mod(nxt, m + 2, w, ell), w))
-    return IntPoly(tuple(unpack_mod(p[n], n + 1, w, ell)))
+    return tuple(unpack_mod(p[n], n + 1, w, ell))
 
 
-def charpoly(n: int, k: int, modulus=None) -> IntPoly:
+def charpoly(n: int, k: int, modulus=None) -> tuple:
     """Characteristic polynomial of T_n on weight-k cusp forms.
 
-    Monic of degree dim S_k; the constant polynomial 1 when the space
-    is trivial.  With a prime modulus, the coefficients are reduced mod it.
+    Coefficients ascending by degree, monic of degree dim S_k; (1,) when
+    the space is trivial.  With a prime modulus, the coefficients are reduced mod it.
     """
-    if modulus is not None and not is_prime(modulus):
-        raise ValueError("modulus must be prime, got %r" % (modulus,))
+    if modulus is not None:
+        require_prime(modulus, "modulus")
     matrix = hecke_matrix(n, k, modulus)
     return berkowitz_charpoly(matrix) if modulus is None else hessenberg_charpoly(matrix, modulus)

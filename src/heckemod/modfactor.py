@@ -7,8 +7,8 @@ root per dimension jump.  The resulting root sequences a_1, a_2, ... are
 periodic, and the roots of T_p mod ell at any weight in the class are
 exactly the first dim terms of the sequence.  This module computes the
 sequences, detects their periods empirically (two full periods
-required inside the verified window, with a hard cutoff), assembles the
-periodic tables, and checks the companion congruences:
+required inside the verified window, which max_weight bounds),
+assembles the periodic tables, and checks the companion congruences:
 
   * mod 2: T_p = x^dim for every odd p;
   * mod 3: T_p = (x - 2)^dim when p = 1 (mod 3), x^dim when p = 2;
@@ -46,10 +46,6 @@ KCLASSES = {5: (0, 2), 7: (0, 2, 4), 13: (0, 2, 4, 6, 8, 10)}
 DEFAULT_MAX_WEIGHT = {5: 110, 7: 200, 13: 370}
 SINGLE_PERIOD_MAX_WEIGHT = 190
 
-# hard cutoff for period hunting, in dimension increments
-def _increment_cutoff(ell: int) -> int:
-    return 4 * (ell * ell - 1)
-
 
 def _validate(p: int, ell: int):
     require_prime(p, "p")
@@ -66,7 +62,7 @@ def charpoly_mod(p: int, k: int, ell: int) -> tuple:
     _validate(p, ell)
     if k % 2:
         raise ValueError("weight must be even, got %d" % k)
-    return charpoly(p, k, ell).coeffs
+    return charpoly(p, k, ell)
 
 
 def first_weight_in_class(kclass: int, ell: int) -> int:
@@ -146,11 +142,6 @@ def root_sequence(
     prev = (1,)  # the polynomial one step below k0 has degree 0
     k = k0
     while k <= max_weight:
-        if len(terms) > _increment_cutoff(ell):
-            raise PeriodNotFound(
-                "no period for p=%d ell=%d class %d within %d increments"
-                % (p, ell, kclass, _increment_cutoff(ell))
-            )
         f = charpoly_mod(p, k, ell)
         try:
             quotient = divide_exact(f, prev, ell)

@@ -76,19 +76,12 @@ def power(a: QExpansion, e: int, modulus=None) -> QExpansion:
     return result
 
 
-def sigma(n: int, e: int) -> int:
-    """Divisor power sum sigma_e(n)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return divisor_power_sum(n, e)
-
-
 def eisenstein4(prec: int) -> QExpansion:
-    return QExpansion(tuple([1] + [240 * sigma(n, 3) for n in range(1, prec)]))
+    return QExpansion(tuple([1] + [240 * divisor_power_sum(n, 3) for n in range(1, prec)]))
 
 
 def eisenstein6(prec: int) -> QExpansion:
-    return QExpansion(tuple([1] + [-504 * sigma(n, 5) for n in range(1, prec)]))
+    return QExpansion(tuple([1] + [-504 * divisor_power_sum(n, 5) for n in range(1, prec)]))
 
 
 def _eta_quotientless(prec: int) -> list:

@@ -16,10 +16,9 @@ form (a, b, c) of discriminant -n with b >= 0 has b = n (mod 2),
 the loop keeps the a up to sqrt((b^2 + n)/4) that divide (b^2 + n)/4.
 
 Everything is summed as the integer 24 * trace; a total that 24 does
-not divide is raised as a falsification, never rounded.  Only the two
-functions that return fractions (hurwitz_class_number, trace_terms)
-import fractions.  This module deliberately shares no code with the
-Hecke-matrix path so the two can check each other.
+not divide is raised as a falsification, never rounded.  This module
+deliberately shares no code with the Hecke-matrix path so the two can
+check each other.
 """
 
 from __future__ import annotations
@@ -54,21 +53,6 @@ def _hurwitz12(n: int) -> int:
     return total
 
 
-def hurwitz_class_number(n: int):
-    """Hurwitz class number H(n) as an exact fractions.Fraction.
-
-    H(0) = -1/12; zero for n = 1, 2 mod 4; otherwise the number of
-    reduced positive binary quadratic forms of discriminant -n, with
-    forms proportional to x^2 + y^2 weighted 1/2 and forms proportional
-    to x^2 + xy + y^2 weighted 1/3.
-    """
-    from fractions import Fraction
-
-    if n < 0:
-        raise ValueError("negative discriminant argument")
-    return Fraction(_hurwitz12(n), 12)
-
-
 def weight_poly(k: int, t: int, n: int) -> int:
     """U_(k-1)(t, n) from U_0 = 0, U_1 = 1, U_j = t U_(j-1) - n U_(j-2).
 
@@ -96,19 +80,6 @@ def _terms24(n: int, k: int):
             elliptic += weight_poly(k, t, n) * h * (2 if t else 1)
     hyperbolic = sum(min(d, n // d) ** (k - 1) for d in divisors(n))
     return -elliptic, -12 * hyperbolic
-
-
-def trace_terms(n: int, k: int):
-    """The two pieces of the trace formula, before assembly.
-
-    Returns (elliptic, hyperbolic) as exact fractions: elliptic is
-    -1/2 sum P_(k-1)(t,n) H(4n - t^2), hyperbolic is
-    -1/2 sum min(d, n/d)^(k-1).
-    """
-    from fractions import Fraction
-
-    elliptic, hyperbolic = _terms24(n, k)
-    return Fraction(elliptic, 24), Fraction(hyperbolic, 24)
 
 
 def trace(n: int, k: int) -> int:

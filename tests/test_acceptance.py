@@ -18,10 +18,10 @@ from heckemod.galois import (
     Certificate,
     NotFound,
     RULE_DEGREE_SET_SIEVE,
+    _qualifying_ell,
     certify_full_symmetric,
     certify_poly,
     deduce,
-    residues_qualify,
 )
 from heckemod.gfpoly import divide_exact, roots
 from heckemod.hecke import dim_cusp, hecke_matrix
@@ -274,7 +274,7 @@ def test_criterion_09_galois_engine(shared_cache):
     print("  (b) T_2 full-symmetric, even 12 <= k <= 48:", ok_b)
 
     units = [r for r in range(1, 35) if r % 5 and r % 7]
-    qualifying = [r for r in units if residues_qualify(r)]
+    qualifying = [r for r in units if _qualifying_ell(r) is not None]
     ok_c = len(units) == 24 and len(qualifying) == 20
     print("  (c) qualifying residue density: %d/%d" % (len(qualifying), len(units)))
 
@@ -287,7 +287,7 @@ def test_criterion_09_galois_engine(shared_cache):
 
 def test_criterion_10_deduction_end_to_end(shared_cache):
     start = time.perf_counter()
-    qualifying = [p for p in primes_up_to(99) if residues_qualify(p)]
+    qualifying = [p for p in primes_up_to(99) if _qualifying_ell(p) is not None]
     ok = len(qualifying) == 22 and not {29, 41, 71} & set(qualifying)
     for p in qualifying:
         res = deduce(p, 24, cache=shared_cache)

@@ -5,21 +5,21 @@ import pytest
 from heckemod import cache as cache_module
 from heckemod import hecke
 from heckemod.cache import CharpolyCache, _parse_record, record_line
-from heckemod.hecke import IntPoly, charpoly
+from heckemod.hecke import charpoly
 
 
 def test_record_line_is_canonical():
-    line = record_line(2, 12, IntPoly((24, 1)))
+    line = record_line(2, 12, (24, 1))
     assert line == '{"coeffs": ["24", "1"], "k": 12, "p": 2}\n'
     rec = json.loads(line)
     assert [int(c) for c in rec["coeffs"]] == [24, 1]
     records = [
         (2, 24, charpoly(2, 24)),
         (3, 24, charpoly(3, 24)),
-        (97, 60, IntPoly((0, -1, 10**30, 1))),
+        (97, 60, (0, -1, 10**30, 1)),
     ]
     for p, k, f in records:
-        rec = {"coeffs": [str(c) for c in f.coeffs], "k": k, "p": p}
+        rec = {"coeffs": [str(c) for c in f], "k": k, "p": p}
         assert record_line(p, k, f) == json.dumps(rec, sort_keys=True) + "\n"
 
 
@@ -28,7 +28,7 @@ def test_parse_record_reads_the_canonical_line_only():
     line = record_line(2, 24, f)[:-1]
     assert _parse_record(line, 2) == ((2, 24), f)
     assert _parse_record(line, 3) is None
-    rec = {"coeffs": [str(c) for c in f.coeffs], "k": 24, "p": 2}
+    rec = {"coeffs": [str(c) for c in f], "k": 24, "p": 2}
     rejected = [
         json.dumps(rec, sort_keys=True, separators=(",", ":")),
         json.dumps(rec, sort_keys=True, indent=1).replace("\n", ""),
@@ -53,7 +53,7 @@ def test_parse_record_reads_the_canonical_line_only():
 @pytest.mark.parametrize("sign", [1, -1])
 def test_records_past_the_int_string_limit(sign):
     big = sign * (10**5000 + 7)
-    f = IntPoly((big, -big, 1))  # degree dim S_24
+    f = (big, -big, 1)  # degree dim S_24
     line = record_line(2, 24, f)
     text = ("-" if sign < 0 else "") + "1" + "0" * 4999 + "7"
     neg = ("-" if sign > 0 else "") + "1" + "0" * 4999 + "7"
@@ -65,7 +65,7 @@ def test_memory_cache_round_trip():
     cache = CharpolyCache()
     assert cache.get(2, 12) is None
     f = cache.charpoly(2, 12)
-    assert f.coeffs == (24, 1)
+    assert f == (24, 1)
     assert cache.get(2, 12) is f
 
 
@@ -80,10 +80,10 @@ def test_disk_cache_persists_and_reloads(tmp_path):
 
     # a fresh instance reads records instead of recomputing
     reload = CharpolyCache(d)
-    assert reload.get(2, 16).coeffs == (-216, 1)
+    assert reload.get(2, 16) == (-216, 1)
 
     # re-putting known keys must not append duplicates
-    reload.put(2, 12, IntPoly((24, 1)))
+    reload.put(2, 12, (24, 1))
     reload.charpoly(2, 16)
     assert path.read_bytes() == first
 
@@ -153,8 +153,8 @@ def test_get_parses_only_the_lines_of_its_weight(tmp_path, monkeypatch):
     # 29 records of p = 2 and a torn tail; the later line for k = 48 fails its trace check
     path = tmp_path / "p2.jsonl"
     good = record_line(2, 48, charpoly(2, 48))
-    wrong = record_line(2, 48, IntPoly((1, 1, 1, 1)))
-    others = [record_line(2, k, IntPoly((0,) * hecke.dim_cusp(k) + (1,)))
+    wrong = record_line(2, 48, (1, 1, 1, 1))
+    others = [record_line(2, k, (0,) * hecke.dim_cusp(k) + (1,))
               for k in range(50, 104, 2)]
     path.write_text(good + "".join(others) + wrong + good[:20])
     real = cache_module._parse_record

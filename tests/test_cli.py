@@ -11,12 +11,7 @@ import pytest
 from heckemod.cache import CharpolyCache, record_line
 from heckemod.cli import main
 from heckemod.errors import ComputationError
-from heckemod.hecke import IntPoly, charpoly
-
-
-@pytest.fixture(autouse=True)
-def clean_cache_env(monkeypatch):
-    monkeypatch.delenv("HECKE_MOD_CACHE", raising=False)
+from heckemod.hecke import charpoly
 
 
 def run_cli(capsys, *argv):
@@ -71,7 +66,7 @@ def test_charpoly_prints_coefficients_past_the_int_string_limit(capsys, monkeypa
     # T_2 at weight 600 has such coefficients; a planted cache skips the computation
     big = 10**5000 + 7
     text = "1" + "0" * 4999 + "7"
-    monkeypatch.setattr(CharpolyCache, "charpoly", lambda self, p, k: IntPoly((-big, big, 1)))
+    monkeypatch.setattr(CharpolyCache, "charpoly", lambda self, p, k: (-big, big, 1))
     args = ["charpoly", "--prime", "2", "--weight", "600"]
     assert run_cli(capsys, *args) == (0, "x^2 + %sx - %s\n" % (text, text), "")
     code, out, _ = run_cli(capsys, *args, "--format", "json")
@@ -267,8 +262,8 @@ def test_wrong_degree_cache_record_is_recomputed(tmp_path, capsys, record):
 
 def test_cache_record_with_a_wrong_low_coefficient_is_recomputed(tmp_path, capsys):
     # degree 4: both trace checks pass with the constant term raised by 1
-    right = charpoly(2, 48).coeffs
-    record = record_line(2, 48, IntPoly((right[0] + 1,) + right[1:]))
+    right = charpoly(2, 48)
+    record = record_line(2, 48, (right[0] + 1,) + right[1:])
     (tmp_path / "p2.jsonl").write_text(record)
 
     args = ["charpoly", "--prime", "2", "--weight", "48", "--ell", "5"]
@@ -298,15 +293,6 @@ def test_table_and_period_leave_the_cache_alone(tmp_path, capsys):
     )
     assert code == 0 and out == "2\n"
     assert not list(tmp_path.glob("**/p*.jsonl"))
-
-
-def test_env_var_overrides_cache_flag(tmp_path, capsys, monkeypatch):
-    env_dir = tmp_path / "env"
-    flag_dir = tmp_path / "flag"
-    monkeypatch.setenv("HECKE_MOD_CACHE", str(env_dir))
-    run_cli(capsys, "charpoly", "--prime", "2", "--weight", "12", "--cache-dir", str(flag_dir))
-    assert (env_dir / "p2.jsonl").exists()
-    assert not flag_dir.exists()
 
 
 def test_usage_errors_exit_1(capsys):
@@ -481,7 +467,7 @@ def test_eigenvalue_failure_exits_3(capsys, monkeypatch):
 
     def planted(p, k, modulus=None):
         # 11 = 1 mod 5 allows only the root 2
-        return IntPoly((-3, 1)) if (p, k, modulus) == (11, 12, 5) else real(p, k, modulus)
+        return (-3, 1) if (p, k, modulus) == (11, 12, 5) else real(p, k, modulus)
 
     monkeypatch.setattr(modfactor, "charpoly", planted)
     code, out, err = run_cli(capsys, "table", "--ell", "5")
@@ -491,7 +477,7 @@ def test_eigenvalue_failure_exits_3(capsys, monkeypatch):
 
 def test_closed_form_failure_exits_3(capsys, monkeypatch):
     # T_3 mod 2 at weight 24 must be x^2; plant x^2 + x + 1
-    monkeypatch.setattr(CharpolyCache, "charpoly", lambda self, p, k: IntPoly((1, 1, 1)))
+    monkeypatch.setattr(CharpolyCache, "charpoly", lambda self, p, k: (1, 1, 1))
     code, out, err = run_cli(capsys, "charpoly", "--prime", "3", "--weight", "24", "--ell", "2")
     assert (code, out) == (3, "")
     assert err.startswith("falsification: ") and "closed form" in err
@@ -534,16 +520,16 @@ def test_cold_cli_import_loads_neither_dataclasses_nor_inspect():
     assert "fractions" not in added and "json" not in added
 
 
-# the 44 names `heckemod` exported when it still imported every module
+# the 41 public names of `heckemod`
 PUBLIC_NAMES = """
     CharpolyCache Certificate ComputationError CycleType EigenvalueViolation
-    FactorMultiset FalsificationError InsufficientPrecision IntPoly
+    FactorMultiset FalsificationError InsufficientPrecision
     Lemma1Violation NonIntegralTrace NotFound PeriodNotFound QExpansion
     SpanViolation SplittingViolation SquarefreeFailure certify
     certify_full_symmetric certify_irreducible charpoly charpoly_mod
     congruence_class_invariance corollary_conclusion cycle_type deduce delta
-    dim_cusp eisenstein4 eisenstein6 factor hecke_matrix hurwitz_class_number
-    monomial_basis poly_str reduce_mod residues_qualify root_sequence roots
+    dim_cusp eisenstein4 eisenstein6 factor hecke_matrix
+    monomial_basis poly_str reduce_mod root_sequence roots
     serre_eigenvalue_set small_ell_rule table_rows theorem1_conclusion trace
 """.split()
 
@@ -551,7 +537,7 @@ PUBLIC_NAMES = """
 def test_package_reads_each_public_name_from_its_module():
     import heckemod
 
-    assert len(PUBLIC_NAMES) == 44 and sorted(heckemod.__all__) == sorted(PUBLIC_NAMES)
+    assert len(PUBLIC_NAMES) == 41 and sorted(heckemod.__all__) == sorted(PUBLIC_NAMES)
     for name in PUBLIC_NAMES:
         obj = getattr(heckemod, name)
         assert obj.__module__.startswith("heckemod.")

@@ -25,8 +25,8 @@ from heckemod.galois import (
     deduce,
     powers_to_prime_cycle,
     powers_to_transposition,
+    _qualifying_ell,
     proper_degree_sums,
-    residues_qualify,
     theorem1_conclusion,
 )
 from heckemod.gfpoly import _distinct_degree, factor, reduce_mod, roots
@@ -73,8 +73,9 @@ def test_cycle_type_matches_full_factorization():
         for ell in primes_up_to(31):
             ct = cycle_type(f, ell)
             fm = factor(reduce_mod(f, ell), ell)
-            if fm.is_squarefree():
-                assert ct == CycleType(ell=ell, partition=tuple(sorted(fm.degrees(), reverse=True)))
+            if all(m == 1 for _, m in fm.factors):
+                degrees = sorted((len(g) - 1 for g, _ in fm.factors), reverse=True)
+                assert ct == CycleType(ell=ell, partition=tuple(degrees))
             else:
                 assert isinstance(ct, SquarefreeFailure) and ct.ell == ell
                 failures += 1
@@ -85,7 +86,7 @@ def test_squarefree_cycle_types_skip_the_strip_gcd(shared_cache):
     # cycle_type divides each degree-d piece out once; stripping further
     # copies with another gcd, as factor does, finds none on T_2's sweep
     for k in range(120, 229, 4):
-        f = shared_cache.charpoly(2, k).coeffs
+        f = shared_cache.charpoly(2, k)
         for ell in primes_up_to(200)[1:]:
             ct = cycle_type(f, ell)
             if isinstance(ct, SquarefreeFailure):
@@ -194,7 +195,7 @@ def test_no_certificate_for_a_product_of_hecke_polynomials(shared_cache, left, r
     # soundness control: a product of two Hecke polynomials is reducible,
     # so the degree of a factor must survive the sieve at every bound;
     # T_2 and T_3 at weight 24 generate one quadratic field, so only 2 does
-    f = _int_product(shared_cache.charpoly(*left).coeffs, shared_cache.charpoly(*right).coeffs)
+    f = _int_product(shared_cache.charpoly(*left), shared_cache.charpoly(*right))
     irr, full = certify_poly(f, 500)
     assert isinstance(irr, NotFound) and isinstance(full, NotFound)
     assert irr.reason == "degrees %s survive the sieve below 500" % surviving
@@ -267,7 +268,7 @@ def test_subject_coefficients_past_the_int_string_limit():
 def test_residue_density_is_twenty_of_twentyfour():
     units = [a for a in range(35) if a % 5 and a % 7]
     assert len(units) == 24
-    assert sum(residues_qualify(a) for a in units) == 20
+    assert sum(_qualifying_ell(a) is not None for a in units) == 20
 
 
 def test_theorem1_conclusion():

@@ -9,8 +9,8 @@ from heckemod.gfpoly import (
     FrobeniusMatrix,
     InexactDivision,
     add,
+    _distinct_degree,
     derivative,
-    distinct_degree,
     divide_exact,
     factor,
     gcd,
@@ -95,7 +95,6 @@ def test_factor_example_over_f5():
     fm = factor((4, 0, 1), 5)  # x^2 + 4
     assert fm.unit == 1
     assert list(fm.factors) == [((1, 1), 1), ((4, 1), 1)]
-    assert fm.is_squarefree()
 
 
 def test_factor_tracks_unit():
@@ -113,7 +112,7 @@ def test_factor_reassembles_random_inputs():
                 continue
             fm = factor(f, p)
             assert expand(fm) == f
-            assert sum(fm.degrees()) == len(f) - 1
+            assert sum((len(g) - 1) * m for g, m in fm.factors) == len(f) - 1
             # canonical order
             keys = [(len(g) - 1, g) for g, _ in fm.factors]
             assert keys == sorted(keys)
@@ -223,7 +222,8 @@ def test_prescribed_multiplicities(ell):
         by_degree = {}
         for g, _ in want:
             by_degree[len(g) - 1] = mul(by_degree.get(len(g) - 1, (1,)), g, ell)
-        assert distinct_degree(f, ell) == [(by_degree[d], d) for d in sorted(by_degree)], (ell, want)
+        pieces = [(by_degree[d], d) for d in sorted(by_degree)]
+        assert _distinct_degree(reduce_mod(f, ell), ell) == pieces, (ell, want)
 
 
 def test_roots_with_multiplicity():
@@ -232,14 +232,6 @@ def test_roots_with_multiplicity():
     assert roots((1, 0, 1), 7) == ()  # x^2 + 1 has no roots mod 7
     with pytest.raises(ValueError):
         roots((), 7)
-
-
-def test_reduce_mod_accepts_plain_sequences_and_objects():
-    class Carrier:
-        coeffs = (24, 1)
-
-    assert reduce_mod((24, 1), 5) == (4, 1)
-    assert reduce_mod(Carrier(), 5) == (4, 1)
 
 
 def test_gcd_is_monic():
@@ -278,8 +270,8 @@ def test_q_matrix_edge_cases():
     assert q.frobenius((0, 1)) == ()
     assert q.frobenius((1, 1)) == (1,)
     # x^4 + 1 splits into two quadratics mod 3 and four linears mod 17
-    assert distinct_degree((1, 0, 0, 0, 1), 3) == [((1, 0, 0, 0, 1), 2)]
-    assert distinct_degree((1, 0, 0, 0, 1), 17) == [((1, 0, 0, 0, 1), 1)]
+    assert _distinct_degree((1, 0, 0, 0, 1), 3) == [((1, 0, 0, 0, 1), 2)]
+    assert _distinct_degree((1, 0, 0, 0, 1), 17) == [((1, 0, 0, 0, 1), 1)]
     # x^7 + 2 mod 7 is (x + 2)^7: not squarefree, one factor of multiplicity 7
     assert list(factor((2, 0, 0, 0, 0, 0, 0, 1), 7).factors) == [((2, 1), 7)]
     # x^7 + 2 mod 13: x -> x^7 permutes F_13 (gcd(7, 12) = 1), so one root
@@ -290,7 +282,6 @@ def test_non_prime_modulus_rejected_at_each_entry():
     for ell in (0, 1, 4, 9, 91):
         for call in (
             lambda: reduce_mod((1, 1), ell),
-            lambda: distinct_degree((1, 1), ell),
             lambda: factor((1, 1), ell),
             lambda: roots((1, 1), ell),
             lambda: cycle_type((1, 1), ell),

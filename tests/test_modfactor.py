@@ -8,7 +8,7 @@ from heckemod.errors import (
     SplittingViolation,
 )
 from heckemod.gfpoly import divide_exact, mul, roots
-from heckemod.hecke import IntPoly, dim_cusp
+from heckemod.hecke import dim_cusp
 from heckemod.modfactor import (
     charpoly_mod,
     congruence_class_invariance,
@@ -79,6 +79,9 @@ def test_root_sequence_mod5():
     swapped = root_sequence(2, 5, 2)
     assert swapped.one_period() == (2, 3)
 
+    # max_weight alone bounds the walk: 100 terms, more than 4 (ell^2 - 1)
+    assert root_sequence(2, 5, 0, max_weight=1200).period == 2
+
 
 def test_root_sequence_mod7():
     seq = root_sequence(3, 7, 0)
@@ -135,7 +138,7 @@ def poison(monkeypatch, key, poly):
 def test_splitting_violation_detected(monkeypatch):
     # (x - 1)(x^2 + 2): weight 20's x - 1 divides it, but x^2 + 2 has no
     # roots mod 5, and the dimension at 24 is 2
-    poison(monkeypatch, (2, 24), IntPoly(mul((4, 1), (2, 0, 1), 5)))
+    poison(monkeypatch, (2, 24), mul((4, 1), (2, 0, 1), 5))
     with pytest.raises(SplittingViolation):
         root_sequence(2, 5, 0)
 
@@ -143,7 +146,7 @@ def test_splitting_violation_detected(monkeypatch):
 def test_nesting_violation_detected(monkeypatch):
     # root 2 at weight 16 would drop the root 1 seen at weight 12: the
     # walk's exact division by weight 12's x - 1 is the Lemma 1 check
-    poison(monkeypatch, (2, 16), IntPoly((-2, 1)))
+    poison(monkeypatch, (2, 16), (-2, 1))
     with pytest.raises(Lemma1Violation):
         root_sequence(2, 5, 0)
 
@@ -151,15 +154,15 @@ def test_nesting_violation_detected(monkeypatch):
 @pytest.mark.parametrize(
     "key, poly, error, message",
     [
-        ((2, 16), IntPoly((2, 0, 1)), Lemma1Violation,
+        ((2, 16), (2, 0, 1), Lemma1Violation,
          "T_2 at weight 12 does not divide weight 16 mod 5 (remainder 3)"),
-        ((2, 16), IntPoly((-2, 1)), Lemma1Violation,
+        ((2, 16), (-2, 1), Lemma1Violation,
          "T_2 at weight 12 does not divide weight 16 mod 5 (remainder 4)"),
         # (x - 1)(x^2 + 2): the previous root 1 divides, the quotient does not split
-        ((2, 24), IntPoly(mul((4, 1), (2, 0, 1), 5)), SplittingViolation,
+        ((2, 24), mul((4, 1), (2, 0, 1), 5), SplittingViolation,
          "T_2 at weight 24 mod 5 has 1 roots in F_5, dimension is 2"),
         # 11 = 1 mod 5 allows only the root 1 + 1 = 2; x - 3 divides and splits
-        ((11, 12), IntPoly((-3, 1)), EigenvalueViolation,
+        ((11, 12), (-3, 1), EigenvalueViolation,
          "T_11 at weight 12 mod 5 has root 3 outside {p^m + p^n mod 5} = {2}"),
     ],
     ids=("no-root", "lost-root", "quotient-does-not-split", "root-outside-serre-set"),

@@ -100,7 +100,7 @@ def test_certificates_agree_with_sympy_over_q(shared_cache):
     for p in (2, 3, 5):
         for k in weights:
             f = shared_cache.charpoly(p, k)
-            poly = sympy.Poly(list(reversed(f.coeffs)), x)
+            poly = sympy.Poly(list(reversed(f)), x)
             for verdict in certify(p, k, bound=200, cache=shared_cache):
                 if not isinstance(verdict, Certificate):
                     continue
@@ -109,7 +109,7 @@ def test_certificates_agree_with_sympy_over_q(shared_cache):
                 else:
                     assert verdict.claim == CLAIM_FULL_SYMMETRIC
                     group, _ = sympy.galois_group(poly, by_name=True)
-                    assert group.name == "S%d" % f.degree, (p, k, group)
+                    assert group.name == "S%d" % (len(f) - 1), (p, k, group)
                 checked.append(verdict.claim)
     # every pair is certified on both claims, so the oracle is never vacuous
     assert checked.count(CLAIM_IRREDUCIBLE) == checked.count(CLAIM_FULL_SYMMETRIC) == 90
@@ -142,6 +142,6 @@ def test_cycle_type_is_the_factor_degree_partition():
 
 def test_hecke_cycle_types_match_sympy(shared_cache):
     for k in (120, 184, 228):
-        f = shared_cache.charpoly(2, k).coeffs
+        f = shared_cache.charpoly(2, k)
         for ell in primes_up_to(199)[1:]:
             _assert_cycle_type_matches_sympy(f, ell)

@@ -19,10 +19,9 @@ def test_readme_python_example_runs():
     assert runner.summarize(verbose=False) == (0, len(test.examples))
 
 
-def test_readme_console_examples_print_what_the_readme_shows(monkeypatch, capsys):
+def test_readme_console_examples_print_what_the_readme_shows(capsys):
     # each "$ heckemod ..." line of the console block, through main() with
     # the in-memory cache, must print exactly the lines under it
-    monkeypatch.delenv("HECKE_MOD_CACHE", raising=False)
     with open(README, encoding="utf-8") as fh:
         blocks = re.findall(r"^```\n(\$ heckemod .*?)^```$", fh.read(), re.M | re.S)
     assert len(blocks) == 1

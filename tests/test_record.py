@@ -4,7 +4,6 @@ import pytest
 
 from heckemod._record import record
 from heckemod.galois import CycleType, DeduceResult, NotFound, SquarefreeFailure
-from heckemod.hecke import IntPoly
 from heckemod.qseries import QExpansion
 
 
@@ -64,9 +63,7 @@ def test_bad_arguments_raise_type_error():
 
 
 def test_post_init_runs_after_keyword_construction():
-    # the positional forms are checked in test_qseries and test_hecke
-    with pytest.raises(ValueError):
-        IntPoly(coeffs=())
+    # the positional form is checked in test_qseries
     with pytest.raises(ValueError):
         QExpansion(coeffs=())
     assert QExpansion(coeffs=(1, 2)).prec == 2
