@@ -34,7 +34,13 @@ class FalsificationError(Exception):
 
 
 class SpanViolation(FalsificationError):
-    """A Hecke image left the span of the cusp-form basis."""
+    """A Hecke image left the span of the cusp-form basis.
+
+    The check reads the constant term of each image T_n f.  Peeling the
+    coordinates off sets slots 1 .. d to zero, so they are never read;
+    and T_n f has constant term sigma_(k-1)(n) f_0 = 0 for a cusp form
+    f, so the check fails only on a planted or corrupted factor table.
+    """
 
 
 class Lemma1Violation(FalsificationError):

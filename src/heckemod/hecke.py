@@ -14,23 +14,22 @@ The action of T_n on coefficients at level 1 reads
 so a Hecke matrix reads each basis element only at 0 .. dim and at the
 exponents m n / e^2, m <= dim.  Over Z each read is one dot product of
 delta^a with E4^b E6^c: at large n the coefficients run to kilobits and
-a matrix reads a small share of them.  Over Z/ell one table of those
-factors per ell serves the whole process, each factor packed once by
+a matrix reads a small share of them.  Over Z/ell requests near in size
+share a table of those factors (`_factors`), each factor packed once by
 `_kron`, and each basis element is one product of its two packed
 factors cut to the n dim + 1 coefficients that T_n reads.
 
-Over F_ell the weights e^(k-1) are reduced before they multiply, and
-the rest runs on packed ints too: back-substitution packs each basis
-row and each image, so a coordinate is one slot read mod ell and
-peeling it one multiply-add, and Hessenberg reduction packs each column
-(see `hessenberg_charpoly`).  Over Z, back-substitution is exact and the
-charpoly comes from the division-free Berkowitz algorithm.
+Over F_ell the weights e^(k-1) are reduced before they multiply, each
+image once, and the rest runs on packed ints too: back-substitution
+packs each basis row and each image, so a coordinate is one slot read
+mod ell and peeling it one multiply-add, and Hessenberg reduction packs
+each column (see `hessenberg_charpoly`).  Over Z, back-substitution is
+exact and the charpoly comes from the division-free Berkowitz algorithm.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 import operator
 
 from . import qseries
@@ -70,8 +69,8 @@ class _Factors:
 
     All hold `prec` coefficients and grow on demand.  Truncated products
     are prefix-consistent, so a longer table gives the same coefficients.
-    Mod ell each factor is also packed once, in slots wide enough for
-    prec (ell - 1)^2, so one product of two is a basis element.
+    Mod ell each factor is built and packed on its first read, in slots
+    wide enough for prec (ell - 1)^2, so one product of two is a basis element.
     """
 
     def __init__(self, prec: int, modulus):
@@ -102,64 +101,70 @@ class _Factors:
             chain.append(qseries.mul(chain[-1], self._e4_cubed, m))
         return chain[b // 3].coeffs
 
-    def _pack(self, key, coeffs) -> int:
+    def _pack(self, key, build, *args) -> int:
         packed = self._packed.get(key)
         if packed is None:
-            packed = self._packed[key] = pack(coeffs, self._width)
+            packed = self._packed[key] = pack(build(*args), self._width)
         return packed
 
-    def read(self, a: int, b: int, c: int, exponents):
-        """delta^a E4^b E6^c at each t in `exponents`, indexed by t.
+    def read(self, a: int, b: int, c: int, top: int, exponents=None):
+        """delta^a E4^b E6^c through q^top.
 
-        Mod ell, values congruent to the coefficients: the slots of one
-        product of the packed factors, cut at the top exponent.  Over Z, a
-        dict of one dot product per exponent.
+        Mod ell, values congruent to the coefficients at 0 .. top: the
+        slots of one product of the packed factors, cut there.  Over Z, a
+        dict of one dot product per t in `exponents`, each t <= top.
         """
-        top = max(exponents)
         if top >= self.prec:
             raise InsufficientPrecision("q^%d is beyond a table of %d terms" % (top, self.prec))
         if self.modulus is None:  # delta^a starts at q^a, so t < a reads no products
             delta, tail = self._delta(a), self._tail(b, c)
             return {t: sum(map(operator.mul, delta[a : t + 1], tail[t - a :: -1])) for t in exponents}
         cut = (1 << self._width * (top + 1)) - 1
-        delta = self._pack(("delta", a), self._delta(a)) & cut
-        tail = self._pack(("tail", b, c), self._tail(b, c)) & cut
+        delta = self._pack(("delta", a), self._delta, a) & cut
+        tail = self._pack(("tail", b, c), self._tail, b, c) & cut
         return unpack(delta * tail, top + 1, self._width)
 
 
-# One table per modulus for the process; over Z, with kilobit coefficients, none is kept.
+# Mod each ell, the tables of the process keyed by precision; over Z,
+# with kilobit coefficients, none is kept.  A request takes the largest
+# table of at most four times its precision, one below _SHARED_FLOOR
+# counting as that long.  Without one, the largest table below the
+# request gives way to one of the request's precision or twice its own,
+# whichever is more.  So the walks of one `table` share one growing
+# table, and after a long request (charpoly_mod(1999, 120, 5) reads
+# 19,991 coefficients) short ones build their powers at their own size.
 _SHARED = {}
+_SHARED_FLOOR = 128
 
 
 def _factors(prec: int, modulus) -> _Factors:
     if modulus is None:
         return _Factors(prec, None)
-    table = _SHARED.get(modulus)
-    if table is None or table.prec < prec:
-        table = _SHARED[modulus] = _Factors(max(prec, 2 * table.prec if table else 0), modulus)
+    tables = _SHARED.setdefault(modulus, {})
+    fits = [size for size in tables if prec <= size <= 4 * max(prec, _SHARED_FLOOR)]
+    if fits:
+        return tables[max(fits)]
+    # grow the largest table below the request by doubling, as one table would
+    below = max((size for size in tables if size < prec), default=0)
+    tables.pop(below, None)
+    size = max(prec, 2 * below)
+    table = tables[size] = _Factors(size, modulus)
     return table
 
 
 def basis_expansions(k: int, prec: int, modulus=None) -> list:
     """q-expansions of the monomial basis to `prec` coefficients, mod `modulus` if given."""
     table = _factors(prec, modulus)
-    reads = [table.read(a, b, c, range(prec)) for a, b, c in monomial_basis(k)]
+    reads = [table.read(a, b, c, prec - 1, range(prec)) for a, b, c in monomial_basis(k)]
     expansions = [qseries.QExpansion(tuple(f[t] for t in range(prec))) for f in reads]
     return [qseries.reduce(f, modulus) for f in expansions]
 
 
-def _reads(m: int, n: int) -> list:
-    """(e, m n / e^2) for each e dividing gcd(m, n): what (T_n f)_m reads of f."""
-    g = math.gcd(m, n)
-    return [(e, m * n // (e * e)) for e in range(1, g + 1) if g % e == 0]
-
-
 @functools.lru_cache(maxsize=1)  # reused only within one hecke_matrix call
 def _weighted_reads(n: int, k: int, out_prec: int, modulus=None) -> tuple:
-    """(m, e^(k-1) mod `modulus`, m n / e^2) for m < out_prec, e > 1: (T_n f)_m beyond f_(m n)."""
-    return tuple(
-        (m, pow(e, k - 1, modulus), t) for m in range(out_prec) for e, t in _reads(m, n) if e > 1
-    )
+    """(m, e^(k-1) mod `modulus`, m n / e^2), m < out_prec, 1 < e | gcd(m, n): (T_n f)_m past f_(m n)."""
+    weights = [(e, pow(e, k - 1, modulus)) for e in range(2, n + 1) if n % e == 0]
+    return tuple((m, w, m * n // (e * e)) for e, w in weights for m in range(0, out_prec, e))
 
 
 def hecke_action(coeffs, n: int, k: int, out_prec: int, modulus=None) -> qseries.QExpansion:
@@ -177,7 +182,9 @@ def hecke_action(coeffs, n: int, k: int, out_prec: int, modulus=None) -> qseries
     except (IndexError, KeyError):
         msg = "T_%d to %d coefficients needs coefficients up to q^%d"
         raise InsufficientPrecision(msg % (n, out_prec, n * (out_prec - 1))) from None
-    return qseries.reduce(qseries.QExpansion(tuple(out)), modulus)
+    if modulus is not None:
+        out = [x % modulus for x in out]
+    return qseries.QExpansion(tuple(out))
 
 
 def hecke_matrix(n: int, k: int, modulus=None) -> tuple:
@@ -186,6 +193,12 @@ def hecke_matrix(n: int, k: int, modulus=None) -> tuple:
     Entry [i][j] is the coefficient of basis element i in T_n applied
     to basis element j; with a modulus, entries are reduced mod it.
     Returns () when the space is trivial.
+
+    The span check reads the constant term of each image.  Basis element
+    i leads with q^(i+1), so peeling its coordinate off zeroes slot
+    i + 1: slots 1 .. d end at zero by construction and are never read.
+    T_n f has constant term sigma_(k-1)(n) f_0 = 0 for a cusp form f, so
+    the check fails only on a planted or corrupted factor table.
     """
     if n < 1:
         raise ValueError("Hecke index must be >= 1")
@@ -195,36 +208,42 @@ def hecke_matrix(n: int, k: int, modulus=None) -> tuple:
     if d == 0:
         return ()
     table = _factors(n * d + 1, modulus)
-    exponents = {t for _, _, t in _weighted_reads(n, k, d + 1, modulus)}
-    exponents.update(range(d + 1), range(0, n * (d + 1), n))
+    exponents = None  # mod ell, every coefficient up to q^(n d) comes from one product
+    if modulus is None:  # over Z, one dot product per coefficient that T_n reads
+        exponents = {t for _, _, t in _weighted_reads(n, k, d + 1, modulus)}
+        exponents.update(range(d + 1), range(0, n * (d + 1), n))
     # the back-substitution rows come from the same reads as the images
-    elements = [table.read(a, b, c, exponents) for a, b, c in monomial_basis(k)]
+    elements = [table.read(a, b, c, n * d, exponents) for a, b, c in monomial_basis(k)]
     if modulus is None:
         basis = [[f[t] for t in range(d + 1)] for f in elements]
-    else:  # packed rows and images, slots below modulus + d modulus (modulus - 1)
+    else:  # packed from the leading slot on; slots stay below modulus + d modulus (modulus - 1)
         w = width((d + 1) * modulus * modulus)
         mask = (1 << w) - 1
-        basis = [pack([f[t] % modulus for t in range(d + 1)], w) for f in elements]
-    rows = [[0] * d for _ in range(d)]
+        basis = [pack([x % modulus for x in f[i + 1 : d + 1]], w) for i, f in enumerate(elements)]
+    columns = []
     for j, f in enumerate(elements):
         image = hecke_action(f, n, k, d + 1, modulus).coeffs
+        if image[0]:
+            raise SpanViolation("T_%d image of basis element %d not in the span at k=%d" % (n, j, k))
         # basis element i leads with q^(i+1), so peel coordinates upward
+        column = []
         if modulus is None:
             image = list(image)
             for i, row in enumerate(basis):
-                coord = rows[i][j] = image[i + 1]
+                coord = image[i + 1]
                 if coord:
                     image[i + 1 :] = [x - coord * y for x, y in zip(image[i + 1 :], row[i + 1 :])]
-        else:  # a coordinate is one slot read, peeling it one multiply-add
-            image = pack(image, w)
-            for i, row in enumerate(basis):
-                coord = rows[i][j] = (image >> w * (i + 1) & mask) % modulus
+                column.append(coord)
+        else:  # a coordinate is the low slot, read mod ell; peeling zeroes it and shifts it out
+            image = pack(image, w) >> w
+            for row in basis:
+                coord = (image & mask) % modulus
                 if coord:
                     image += (modulus - coord) * row
-            image = unpack_mod(image, d + 1, w, modulus)  # every slot, slot 0 included
-        if any(image):
-            raise SpanViolation("T_%d image of basis element %d not in the span at k=%d" % (n, j, k))
-    return tuple(tuple(r) for r in rows)
+                image >>= w
+                column.append(coord)
+        columns.append(column)
+    return tuple(zip(*columns))
 
 
 def berkowitz_charpoly(matrix) -> tuple:

@@ -46,7 +46,7 @@ def reduce(a: QExpansion, modulus=None) -> QExpansion:
     """a with every coefficient reduced mod `modulus`; a itself when modulus is None."""
     if modulus is None:
         return a
-    return QExpansion(tuple(c % modulus for c in a.coeffs))
+    return QExpansion(tuple([c % modulus for c in a.coeffs]))
 
 
 def mul(a: QExpansion, b: QExpansion, modulus=None) -> QExpansion:

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from heckemod.hecke import (
     hessenberg_charpoly,
     monomial_basis,
 )
-from heckemod.modfactor import table_rows
+from heckemod.modfactor import DEFAULT_MAX_WEIGHT, ROW_PRIMES, charpoly_mod, table_rows
 
 
 def evaluate(f, x):
@@ -330,10 +331,82 @@ def test_hessenberg_matches_berkowitz_mod_ell():
 def test_shared_table_results_do_not_depend_on_call_order(monkeypatch):
     monkeypatch.setattr(hecke, "_SHARED", {})
     before = charpoly(2, 370, 13)
-    prec = hecke._SHARED[13].prec
+    prec = max(hecke._SHARED[13])
     charpoly(29, 200, 13)
-    assert hecke._SHARED[13].prec > prec
+    assert max(hecke._SHARED[13]) > prec
     assert charpoly(2, 370, 13) == before
+
+
+def test_factor_tables_are_sized_to_the_request(monkeypatch):
+    monkeypatch.setattr(hecke, "_SHARED", {})
+    fresh = table_rows(5)
+    hecke._SHARED.clear()
+    charpoly_mod(1999, 120, 5)  # a table of 1999 dim S_120 + 1 = 19,991 coefficients
+    longest = []
+    real_mul = qseries.mul
+
+    def mul(a, b, modulus=None):
+        longest.append(max(a.prec, b.prec))
+        return real_mul(a, b, modulus)
+
+    monkeypatch.setattr(qseries, "mul", mul)
+    assert table_rows(5) == fresh
+    # the walk's longest request is T_19 at the top weight
+    top = max(ROW_PRIMES[5]) * dim_cusp(DEFAULT_MAX_WEIGHT[5]) + 1
+    assert longest and max(longest) <= 4 * top
+
+
+def test_factor_tables_make_no_more_products_than_one_growing_table(monkeypatch):
+    real_mul = qseries.mul
+    for ell, products in ((5, 156), (13, 333)):  # with one table per ell, doubled on demand
+        monkeypatch.setattr(hecke, "_SHARED", {})
+        calls = []
+        monkeypatch.setattr(qseries, "mul", lambda *args: calls.append(args) or real_mul(*args))
+        table_rows(ell)
+        assert 0 < len(calls) <= products, ell
+
+
+def test_mod_ell_kernel_reduces_and_packs_each_value_once(monkeypatch):
+    monkeypatch.setattr(hecke, "_SHARED", {})
+    depth, actions, reduced, built = [0], [0], [], Counter()
+    real_action, real_reduce = hecke.hecke_action, qseries.reduce
+
+    def action(*args):
+        actions[0] += 1
+        depth[0] += 1
+        try:
+            return real_action(*args)
+        finally:
+            depth[0] -= 1
+
+    def reduce(*args):
+        if depth[0]:
+            reduced.append(args)
+        return real_reduce(*args)
+
+    monkeypatch.setattr(hecke, "hecke_action", action)
+    monkeypatch.setattr(qseries, "reduce", reduce)
+    for name in ("_delta", "_tail"):
+
+        def build(table, *key, name=name, real=getattr(hecke._Factors, name)):
+            built[table, name, key] += 1
+            return real(table, *key)
+
+        monkeypatch.setattr(hecke._Factors, name, build)
+    table_rows(5)
+    assert actions[0] > 0 and reduced == []
+    # each power is built once per table, then read from its packed form
+    assert built and set(built.values()) == {1}
+
+
+def test_mod_ell_matrices_are_the_integer_matrices_reduced():
+    for p in (2, 3, 5, 11, 19, 29):
+        for k in range(12, 97, 2):
+            exact = hecke_matrix(p, k)
+            for ell in (5, 7, 13, 1000003):
+                if ell != p:
+                    reduced = tuple(tuple(x % ell for x in row) for row in exact)
+                    assert hecke_matrix(p, k, ell) == reduced, (p, k, ell)
 
 
 def test_weighted_reads_keep_only_the_current_matrix():
@@ -352,8 +425,8 @@ def test_integer_path_shares_nothing(monkeypatch):
 
 def test_dot_product_past_the_table_raises():
     table = hecke._Factors(10, None)
-    assert table.read(1, 0, 0, [0, 9]) == {0: 0, 9: qseries.delta(10).coeffs[9]}
+    assert table.read(1, 0, 0, 9, [0, 9]) == {0: 0, 9: qseries.delta(10).coeffs[9]}
     with pytest.raises(InsufficientPrecision):
-        table.read(1, 0, 0, [10])
+        table.read(1, 0, 0, 10, [10])
     with pytest.raises(InsufficientPrecision):
-        hecke._Factors(10, 7).read(1, 0, 0, [10])
+        hecke._Factors(10, 7).read(1, 0, 0, 10)
