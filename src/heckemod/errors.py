@@ -36,10 +36,11 @@ class FalsificationError(Exception):
 class SpanViolation(FalsificationError):
     """A Hecke image left the span of the cusp-form basis.
 
-    The check reads the constant term of each image T_n f.  Peeling the
-    coordinates off sets slots 1 .. d to zero, so they are never read;
-    and T_n f has constant term sigma_(k-1)(n) f_0 = 0 for a cusp form
-    f, so the check fails only on a planted or corrupted factor table.
+    The check first requires basis element i to be q^(i+1) + O(q^(i+2)).
+    Then peeling the coordinates off sets slots 1 .. d to zero, so they
+    are never read, and the check reads the constant term of each image
+    T_n f.  That is sigma_(k-1)(n) f_0 = 0 for a cusp form f, so the
+    check fails only on a planted or corrupted factor table.
     """
 
 

@@ -14,8 +14,8 @@ The action of T_n on coefficients at level 1 reads
 so a Hecke matrix reads each basis element only at 0 .. dim and at the
 exponents m n / e^2, m <= dim.  Over Z each read is one dot product of
 delta^a with E4^b E6^c: at large n the coefficients run to kilobits and
-a matrix reads a small share of them.  Over Z/ell requests near in size
-share a table of those factors (`_factors`), each factor packed once by
+a matrix reads a small share of them.  Over Z/ell one table of those
+factors per ell serves the process (`_factors`), each factor packed once by
 `_kron`, and each basis element is one product of its two packed
 factors cut to the n dim + 1 coefficients that T_n reads.
 
@@ -125,30 +125,23 @@ class _Factors:
         return unpack(delta * tail, top + 1, self._width)
 
 
-# Mod each ell, the tables of the process keyed by precision; over Z,
-# with kilobit coefficients, none is kept.  A request takes the largest
-# table of at most four times its precision, one below _SHARED_FLOOR
-# counting as that long.  Without one, the largest table below the
-# request gives way to one of the request's precision or twice its own,
-# whichever is more.  So the walks of one `table` share one growing
-# table, and after a long request (charpoly_mod(1999, 120, 5) reads
-# 19,991 coefficients) short ones build their powers at their own size.
+# One table per modulus for the process.  It doubles when a request
+# outgrows it, and gives way to one of the request's size when it holds
+# more than 4 max(prec, 128) coefficients: after a long request
+# (charpoly_mod(1999, 120, 5) reads 19,991 coefficients) a short one
+# builds its powers at its own size.  Over Z, with kilobit coefficients,
+# none is kept.
 _SHARED = {}
-_SHARED_FLOOR = 128
 
 
 def _factors(prec: int, modulus) -> _Factors:
     if modulus is None:
         return _Factors(prec, None)
-    tables = _SHARED.setdefault(modulus, {})
-    fits = [size for size in tables if prec <= size <= 4 * max(prec, _SHARED_FLOOR)]
-    if fits:
-        return tables[max(fits)]
-    # grow the largest table below the request by doubling, as one table would
-    below = max((size for size in tables if size < prec), default=0)
-    tables.pop(below, None)
-    size = max(prec, 2 * below)
-    table = tables[size] = _Factors(size, modulus)
+    table = _SHARED.get(modulus)
+    if table is None or table.prec < prec:
+        table = _SHARED[modulus] = _Factors(max(prec, 2 * table.prec if table else 0), modulus)
+    elif table.prec > 4 * max(prec, 128):
+        table = _SHARED[modulus] = _Factors(prec, modulus)
     return table
 
 
@@ -162,7 +155,10 @@ def basis_expansions(k: int, prec: int, modulus=None) -> list:
 
 @functools.lru_cache(maxsize=1)  # reused only within one hecke_matrix call
 def _weighted_reads(n: int, k: int, out_prec: int, modulus=None) -> tuple:
-    """(m, e^(k-1) mod `modulus`, m n / e^2), m < out_prec, 1 < e | gcd(m, n): (T_n f)_m past f_(m n)."""
+    """(m, e^(k-1) mod `modulus`, m n / e^2) for m < out_prec and 1 < e | gcd(m, n).
+
+    These are what (T_n f)_m reads of f past f_(m n).
+    """
     weights = [(e, pow(e, k - 1, modulus)) for e in range(2, n + 1) if n % e == 0]
     return tuple((m, w, m * n // (e * e)) for e, w in weights for m in range(0, out_prec, e))
 
@@ -182,9 +178,7 @@ def hecke_action(coeffs, n: int, k: int, out_prec: int, modulus=None) -> qseries
     except (IndexError, KeyError):
         msg = "T_%d to %d coefficients needs coefficients up to q^%d"
         raise InsufficientPrecision(msg % (n, out_prec, n * (out_prec - 1))) from None
-    if modulus is not None:
-        out = [x % modulus for x in out]
-    return qseries.QExpansion(tuple(out))
+    return qseries.expansion(out, modulus)
 
 
 def hecke_matrix(n: int, k: int, modulus=None) -> tuple:
@@ -194,11 +188,13 @@ def hecke_matrix(n: int, k: int, modulus=None) -> tuple:
     to basis element j; with a modulus, entries are reduced mod it.
     Returns () when the space is trivial.
 
-    The span check reads the constant term of each image.  Basis element
-    i leads with q^(i+1), so peeling its coordinate off zeroes slot
-    i + 1: slots 1 .. d end at zero by construction and are never read.
-    T_n f has constant term sigma_(k-1)(n) f_0 = 0 for a cusp form f, so
-    the check fails only on a planted or corrupted factor table.
+    The span check first requires basis element i to be
+    q^(i+1) + O(q^(i+2)), once per matrix.  Then peeling its coordinate
+    off zeroes slot i + 1 and leaves slot 0 alone, so slots 1 .. d end at
+    zero by construction and are never read, and the check reads the
+    constant term of each image.  T_n f has constant term
+    sigma_(k-1)(n) f_0 = 0 for a cusp form f, so the check fails only on
+    a planted or corrupted factor table.
     """
     if n < 1:
         raise ValueError("Hecke index must be >= 1")
@@ -214,6 +210,10 @@ def hecke_matrix(n: int, k: int, modulus=None) -> tuple:
         exponents.update(range(d + 1), range(0, n * (d + 1), n))
     # the back-substitution rows come from the same reads as the images
     elements = [table.read(a, b, c, n * d, exponents) for a, b, c in monomial_basis(k)]
+    for i, f in enumerate(elements):  # peeling below relies on these leads
+        lead = [f[t] if modulus is None else f[t] % modulus for t in range(i + 2)]
+        if lead != [0] * (i + 1) + [1]:
+            raise SpanViolation("basis element %d at k=%d does not lead with q^%d" % (i, k, i + 1))
     if modulus is None:
         basis = [[f[t] for t in range(d + 1)] for f in elements]
     else:  # packed from the leading slot on; slots stay below modulus + d modulus (modulus - 1)

@@ -42,11 +42,16 @@ class QExpansion:
         return len(self.coeffs)
 
 
+def expansion(coeffs, modulus=None) -> QExpansion:
+    """The QExpansion of `coeffs`, each reduced mod `modulus` if given."""
+    if modulus is not None:
+        coeffs = [c % modulus for c in coeffs]
+    return QExpansion(tuple(coeffs))
+
+
 def reduce(a: QExpansion, modulus=None) -> QExpansion:
     """a with every coefficient reduced mod `modulus`; a itself when modulus is None."""
-    if modulus is None:
-        return a
-    return QExpansion(tuple([c % modulus for c in a.coeffs]))
+    return a if modulus is None else expansion(a.coeffs, modulus)
 
 
 def mul(a: QExpansion, b: QExpansion, modulus=None) -> QExpansion:

@@ -460,6 +460,24 @@ def test_span_failure_mod_ell_exits_3(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_basis_lead_failure_mod_ell_exits_3(capsys, monkeypatch):
+    from heckemod import hecke
+
+    real = hecke._Factors.read
+
+    def wrong_lead(table, a, b, c, top, exponents=None):
+        f = real(table, a, b, c, top, exponents)
+        f[a] += 1  # basis element a - 1 leads with q^a; now with 2 q^a
+        return f
+
+    monkeypatch.setattr(hecke, "_SHARED", {})
+    monkeypatch.setattr(hecke._Factors, "read", wrong_lead)
+    code, out, err = run_cli(capsys, "table", "--ell", "5")
+    assert code == 3 and out == ""
+    assert "falsification" in err and "does not lead with q^1" in err
+    assert "Traceback" not in err
+
+
 def test_eigenvalue_failure_exits_3(capsys, monkeypatch):
     from heckemod import modfactor
 

@@ -6,7 +6,7 @@ import pytest
 
 from heckemod import hecke, qseries, traceformula
 from heckemod._primes import poly_str
-from heckemod.errors import InsufficientPrecision
+from heckemod.errors import InsufficientPrecision, SpanViolation
 from heckemod.gfpoly import reduce_mod
 from heckemod.hecke import (
     basis_expansions,
@@ -331,9 +331,9 @@ def test_hessenberg_matches_berkowitz_mod_ell():
 def test_shared_table_results_do_not_depend_on_call_order(monkeypatch):
     monkeypatch.setattr(hecke, "_SHARED", {})
     before = charpoly(2, 370, 13)
-    prec = max(hecke._SHARED[13])
+    prec = hecke._SHARED[13].prec
     charpoly(29, 200, 13)
-    assert max(hecke._SHARED[13]) > prec
+    assert hecke._SHARED[13].prec > prec
     assert charpoly(2, 370, 13) == before
 
 
@@ -397,6 +397,23 @@ def test_mod_ell_kernel_reduces_and_packs_each_value_once(monkeypatch):
     assert actions[0] > 0 and reduced == []
     # each power is built once per table, then read from its packed form
     assert built and set(built.values()) == {1}
+
+
+@pytest.mark.parametrize("modulus", [None, 13])
+@pytest.mark.parametrize("slot", ["lead", "below"])
+def test_basis_element_without_its_lead_raises(monkeypatch, modulus, slot):
+    monkeypatch.setattr(hecke, "_SHARED", {})
+    real_read = hecke._Factors.read
+
+    def read(table, a, b, c, top, exponents=None):
+        f = real_read(table, a, b, c, top, exponents)
+        if a == 2:  # basis element 1 leads with q^2
+            f[2 if slot == "lead" else 1] += 1
+        return f
+
+    monkeypatch.setattr(hecke._Factors, "read", read)
+    with pytest.raises(SpanViolation, match="basis element 1 at k=24 does not lead with q\\^2"):
+        hecke_matrix(2, 24, modulus)
 
 
 def test_mod_ell_matrices_are_the_integer_matrices_reduced():
