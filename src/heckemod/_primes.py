@@ -76,9 +76,14 @@ def divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-def divisor_power_sum(n: int, e: int) -> int:
-    """sigma_e(n) = sum of d**e over positive divisors d of n."""
-    return sum(d ** e for d in divisors(n))
+def divisor_power_sums(bound: int, e: int) -> list[int]:
+    """sigma_e(n) = sum of d**e over the divisors d of n, for 0 <= n < bound, by a sieve."""
+    sums = [0] * bound
+    for d in range(1, bound):
+        de = d**e
+        for m in range(d, bound, d):
+            sums[m] += de
+    return sums
 
 
 def minimal_period(seq):

@@ -78,7 +78,7 @@ class _Factors:
         self._e4 = qseries.reduce(qseries.eisenstein4(prec), modulus)
         self._e4_cubed = qseries.mul(qseries.mul(self._e4, self._e4, modulus), self._e4, modulus)
         self._deltas = [qseries.reduce(qseries.delta(prec), modulus)]
-        self._tails = {}
+        self._tails = {(0, 0): [qseries.power(self._e4, 0, modulus), self._e4_cubed]}  # 1, E4^3
         self._packed = {}  # ("delta", a) or ("tail", b, c) -> packed factor
         if modulus is not None:
             self._width = width(prec * (modulus - 1) ** 2)
@@ -89,13 +89,17 @@ class _Factors:
             deltas.append(qseries.mul(deltas[-1], deltas[0], self.modulus))
         return deltas[a - 1].coeffs
 
+    @functools.cached_property
+    def _e6(self) -> qseries.QExpansion:
+        return qseries.reduce(qseries.eisenstein6(self.prec), self.modulus)
+
     def _tail(self, b: int, c: int) -> tuple:
         m = self.modulus
         chain = self._tails.get((b % 3, c))
         if chain is None:
             head = qseries.power(self._e4, b % 3, m)
             if c:
-                head = qseries.mul(head, qseries.reduce(qseries.eisenstein6(self.prec), m), m)
+                head = qseries.mul(head, self._e6, m) if b % 3 else self._e6
             chain = self._tails[b % 3, c] = [head]
         while len(chain) <= b // 3:
             chain.append(qseries.mul(chain[-1], self._e4_cubed, m))

@@ -11,21 +11,21 @@ Conventions:
     given a modulus, reduce every coefficient mod it, which is all the
     level-1 pipeline needs to run over Z/m (it never divides);
   * a product is one big-integer multiplication of the operands in
-    `_kron`'s signed slots (Kronecker substitution), wide enough for any
-    product coefficient, and the first prec slots are read back;
+    `_kron`'s signed slots (Kronecker substitution), or two of half width
+    for large operands, and the first prec slots are read back;
   * the Eisenstein series are normalized to constant term 1.
 
 Generators supplied here: E4 = 1 + 240 sum sigma_3(n) q^n,
 E6 = 1 - 504 sum sigma_5(n) q^n, and the discriminant cusp form
-delta = q prod (1-q^n)^24, expanded through the pentagonal number
-theorem rather than as (E4^3 - E6^2)/1728 so that the two routes stay
-independent checks of each other.
+delta = q prod (1-q^n)^24, the eighth power of Jacobi's prod (1-q^n)^3 =
+sum (-1)^m (2m+1) q^(m(m+1)/2), rather than (E4^3 - E6^2)/1728 so that
+the two routes stay independent checks of each other.
 """
 
 from __future__ import annotations
 
-from ._kron import pack_signed, unpack_signed, width
-from ._primes import divisor_power_sum
+from ._kron import product
+from ._primes import divisor_power_sums
 from ._record import record
 
 
@@ -56,58 +56,33 @@ def reduce(a: QExpansion, modulus=None) -> QExpansion:
 
 def mul(a: QExpansion, b: QExpansion, modulus=None) -> QExpansion:
     """Product truncated to min(a.prec, b.prec), reduced mod `modulus` if given."""
-    prec = min(a.prec, b.prec)
-    x, y = a.coeffs[:prec], b.coeffs[:prec]
-    # with A = max(1, max|x|) and B = max(1, max|y|), every operand and
-    # product coefficient has |c| <= prec A B
-    w = width(2 * prec * max(1, *map(abs, x)) * max(1, *map(abs, y)))
-    px = pack_signed(x, w)
-    product = px * (px if y is x else pack_signed(y, w))
-    return reduce(QExpansion(tuple(unpack_signed(product, prec, w))), modulus)
+    return expansion(product(a.coeffs, b.coeffs, min(a.prec, b.prec)), modulus)
 
 
 def power(a: QExpansion, e: int, modulus=None) -> QExpansion:
     """a**e by repeated squaring, reduced mod `modulus` if given; e = 0 gives 1."""
     if e < 0:
         raise ValueError("negative exponent")
-    result = reduce(QExpansion((1,) + (0,) * (a.prec - 1)), modulus)
-    base = a
+    result, base = None, reduce(a, modulus)
     while e:
-        if e & 1:
-            result = mul(result, base, modulus)
+        if e & 1:  # the first set bit starts the result at that power of a
+            result = base if result is None else mul(result, base, modulus)
         e >>= 1
         if e:
             base = mul(base, base, modulus)
-    return result
+    return expansion((1,) + (0,) * (a.prec - 1), modulus) if result is None else result
 
 
 def eisenstein4(prec: int) -> QExpansion:
-    return QExpansion(tuple([1] + [240 * divisor_power_sum(n, 3) for n in range(1, prec)]))
+    return QExpansion((1, *[240 * s for s in divisor_power_sums(prec, 3)[1:]]))
 
 
 def eisenstein6(prec: int) -> QExpansion:
-    return QExpansion(tuple([1] + [-504 * divisor_power_sum(n, 5) for n in range(1, prec)]))
-
-
-def _eta_quotientless(prec: int) -> list:
-    # prod_{n>=1} (1 - q^n) via Euler's pentagonal number theorem:
-    # exponents m(3m -+ 1)/2 carry sign (-1)^m.
-    out = [0] * prec
-    out[0] = 1
-    m = 1
-    while m * (3 * m - 1) // 2 < prec:
-        sign = -1 if m % 2 else 1
-        for g in (m * (3 * m - 1) // 2, m * (3 * m + 1) // 2):
-            if g < prec:
-                out[g] += sign
-        m += 1
-    return out
+    return QExpansion((1, *[-504 * s for s in divisor_power_sums(prec, 5)[1:]]))
 
 
 def delta(prec: int) -> QExpansion:
     """The weight-12 cusp form q prod (1-q^n)^24, tau coefficients."""
-    if prec == 1:
-        return QExpansion((0,))
-    eta = QExpansion(tuple(_eta_quotientless(prec - 1)))
-    eta24 = power(eta, 24)
-    return QExpansion((0,) + eta24.coeffs)
+    jacobi = {m * (m + 1) // 2: (-1) ** m * (2 * m + 1) for m in range(prec)}
+    eta3 = QExpansion(tuple(jacobi.get(t, 0) for t in range(prec)))  # prod (1-q^n)^3
+    return QExpansion((0,) + power(eta3, 8).coeffs[:-1])

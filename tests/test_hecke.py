@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from heckemod import hecke, qseries, traceformula
+from heckemod import _kron, hecke, qseries, traceformula
 from heckemod._primes import poly_str
 from heckemod.errors import InsufficientPrecision, SpanViolation
 from heckemod.gfpoly import reduce_mod
@@ -364,6 +364,36 @@ def test_factor_tables_make_no_more_products_than_one_growing_table(monkeypatch)
         monkeypatch.setattr(qseries, "mul", lambda *args: calls.append(args) or real_mul(*args))
         table_rows(ell)
         assert 0 < len(calls) <= products, ell
+
+
+def split_products(monkeypatch, run) -> tuple:
+    """(products made as two half-width products, all products) while run() runs."""
+    unpacks, paths = [0], []
+    real_unpack, real_product = _kron._unpack_signed, qseries.product
+
+    def unpack(*args):
+        unpacks[0] += 1
+        return real_unpack(*args)
+
+    def product(*args):
+        before = unpacks[0]
+        out = real_product(*args)
+        paths.append(unpacks[0] - before)  # one unpack per product made
+        return out
+
+    monkeypatch.setattr(_kron, "_unpack_signed", unpack)
+    monkeypatch.setattr(qseries, "product", product)
+    run()
+    monkeypatch.undo()
+    return paths.count(2), len(paths)
+
+
+def test_only_large_products_are_split(monkeypatch):
+    split, total = split_products(monkeypatch, lambda: charpoly(97, 60))
+    assert split > 0 and total > 0
+    monkeypatch.setattr(hecke, "_SHARED", {})
+    split, total = split_products(monkeypatch, lambda: (table_rows(5), table_rows(13)))
+    assert total > 0 and split <= 8
 
 
 def test_mod_ell_kernel_reduces_and_packs_each_value_once(monkeypatch):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from heckemod import qseries
-from heckemod._primes import divisor_power_sum
+from heckemod._primes import divisor_power_sums
 from heckemod.qseries import QExpansion, delta, eisenstein4, eisenstein6, mul, power
 
 
@@ -47,9 +47,10 @@ def test_tau_values():
 
 
 def test_sigma_against_brute_force():
-    for n in range(1, 60):
-        for e in (1, 3, 5):
-            assert divisor_power_sum(n, e) == sum(d ** e for d in range(1, n + 1) if n % d == 0)
+    for e in (1, 3, 5):
+        want = [sum(d**e for d in range(1, n + 1) if n % d == 0) for n in range(60)]
+        assert divisor_power_sums(60, e) == want
+        assert divisor_power_sums(1, e) == [0] and divisor_power_sums(0, e) == []
 
 
 def test_eisenstein_leading_coefficients():
@@ -60,12 +61,13 @@ def test_eisenstein_leading_coefficients():
 
 
 def test_discriminant_identity():
-    # E4^3 - E6^2 = 1728 delta, with delta built from the eta product
-    prec = 24
-    e4 = eisenstein4(prec)
-    e6 = eisenstein6(prec)
-    lhs = add(power(e4, 3), power(e6, 2), -1)
-    assert lhs.coeffs == tuple(1728 * c for c in delta(prec).coeffs)
+    # E4^3 - E6^2 = 1728 delta, with delta built from the eta product; at
+    # prec 200 the last squaring in delta is two half-width products
+    for prec in (24, 200):
+        e4 = eisenstein4(prec)
+        e6 = eisenstein6(prec)
+        lhs = add(power(e4, 3), power(e6, 2), -1)
+        assert lhs.coeffs == tuple(1728 * c for c in delta(prec).coeffs)
 
 
 def test_delta_times_e4_prefix():
