@@ -40,7 +40,9 @@ class SpanViolation(FalsificationError):
     Then peeling the coordinates off sets slots 1 .. d to zero, so they
     are never read, and the check reads the constant term of each image
     T_n f.  That is sigma_(k-1)(n) f_0 = 0 for a cusp form f, so the
-    check fails only on a planted or corrupted factor table.
+    check fails only on a planted or corrupted factor table.  T_n built
+    from T_2 by a Krylov solve raises it too, when it is not integral or
+    its trace differs from the trace formula's.
     """
 
 

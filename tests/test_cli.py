@@ -478,6 +478,43 @@ def test_basis_lead_failure_mod_ell_exits_3(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_krylov_trace_failure_exits_3(capsys, monkeypatch):
+    from heckemod import hecke
+
+    real = hecke._Factors.read
+
+    def a29_off_by_one(table, a, b, c, top, exponents=None):
+        f = real(table, a, b, c, top, exponents)
+        if exponents == (29,) and a == 1:  # a_29 of basis element 0, read for T_29 from T_2
+            f[29] += 1
+        return f
+
+    monkeypatch.setattr(hecke._Factors, "read", a29_off_by_one)
+    code, out, err = run_cli(capsys, "charpoly", "--prime", "29", "--weight", "96")
+    # w + e_0 gives K^-1 (W + K) = T_29 + I: integral, only the trace is off by d = 8
+    assert code == 3 and out == ""
+    assert "falsification" in err and "T_29 from T_2 at k=96 has trace" in err
+    assert "Traceback" not in err
+
+
+def test_krylov_non_integral_failure_exits_3(capsys, monkeypatch):
+    from heckemod import hecke
+
+    real = hecke._direct_matrix
+
+    def t2_off_by_one(n, k, table, modulus=None):
+        m = real(n, k, table, modulus)
+        return ((m[0][0] + (n == 2),) + m[0][1:],) + m[1:]
+
+    # an integral change to a_29 alone keeps T_29 integral (see the hecke docstring);
+    # a T_2 that is no Hecke matrix does not
+    monkeypatch.setattr(hecke, "_direct_matrix", t2_off_by_one)
+    code, out, err = run_cli(capsys, "charpoly", "--prime", "29", "--weight", "96")
+    assert code == 3 and out == ""
+    assert "falsification" in err and "T_29 from T_2 at k=96 is not integral" in err
+    assert "Traceback" not in err
+
+
 def test_eigenvalue_failure_exits_3(capsys, monkeypatch):
     from heckemod import modfactor
 
@@ -570,9 +607,10 @@ def test_package_reads_each_public_name_from_its_module():
     [
         ("trace --n 2 --weight 24", {"traceformula"},
          {"cache", "galois", "gfpoly", "hecke", "modfactor", "qseries"}),
-        ("charpoly --prime 2 --weight 24", {"cache", "hecke"}, {"galois", "gfpoly", "modfactor"}),
-        ("table --ell 5", {"modfactor"}, {"cache", "galois", "traceformula"}),
+        ("charpoly --prime 2 --weight 24", {"cache", "hecke"}, {"galois", "gfpoly", "modfactor", "_krylov"}),
+        ("table --ell 5", {"modfactor"}, {"cache", "galois", "traceformula", "_krylov"}),
         ("certify --prime 2 --weight 24", {"galois", "cache"}, {"modfactor"}),
+        ("charpoly --prime 29 --weight 96", {"hecke", "_krylov"}, {"galois", "gfpoly", "modfactor"}),
     ],
 )
 def test_a_cold_command_runs_only_the_modules_it_calls(argv, runs, skips):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from heckemod import _kron, hecke, qseries, traceformula
+from heckemod import _kron, _krylov, hecke, qseries, traceformula
 from heckemod._primes import poly_str
 from heckemod.errors import InsufficientPrecision, SpanViolation
 from heckemod.gfpoly import reduce_mod
@@ -172,6 +172,62 @@ def test_hecke_composition_laws():
         tuple(m4[i][j] + (2 ** (k - 1)) * (i == j) for j in range(d)) for i in range(d)
     )
     assert matmul(m2, m2) == expected
+
+
+def test_hecke_composition_laws_on_the_direct_path(monkeypatch):
+    monkeypatch.setattr(hecke, "KRYLOV_FROM", float("inf"))  # T_3, T_4 and T_6 from their images
+    test_hecke_composition_laws()
+
+
+def krylov_results(monkeypatch) -> list:
+    """What each Krylov solve returns, from now on."""
+    results, real = [], _krylov.from_t2
+
+    def spy(*args):
+        results.append(real(*args))
+        return results[-1]
+
+    monkeypatch.setattr(_krylov, "from_t2", spy)
+    return results
+
+
+def test_krylov_and_direct_matrices_agree(monkeypatch):
+    cases = [(n, k) for n in (3, 4, 6, 9, 29) for k in (24, 36, 60, 96, 120)]
+    cases += [(97, k) for k in (24, 36, 60, 84)]
+    direct = {}
+    monkeypatch.setattr(hecke, "KRYLOV_FROM", float("inf"))
+    for n, k in cases:
+        direct[n, k] = hecke_matrix(n, k)
+    monkeypatch.setattr(hecke, "KRYLOV_FROM", 0)
+    results = krylov_results(monkeypatch)
+    for n, k in cases:
+        assert hecke_matrix(n, k) == direct[n, k], (n, k)
+    assert len(results) == len(cases) and None not in results
+
+
+def test_krylov_matrix_reduced_is_the_kernel_matrix(monkeypatch):
+    results = krylov_results(monkeypatch)
+    exact = hecke_matrix(997, 120)
+    assert results == [exact]
+    ell = 1000003
+    assert hecke_matrix(997, 120, ell) == tuple(tuple(x % ell for x in row) for row in exact)
+
+
+def test_singular_krylov_matrix_falls_back_to_the_direct_path(monkeypatch):
+    monkeypatch.setattr(hecke, "KRYLOV_FROM", float("inf"))
+    direct = hecke_matrix(29, 96)
+    monkeypatch.setattr(hecke, "KRYLOV_FROM", 0)
+    real = hecke._direct_matrix
+
+    def scalar_t2(n, k, table, modulus=None):  # 2 I: every Krylov row is a multiple of e_0
+        if n == 2:
+            return tuple(tuple(2 * (i == j) for j in range(dim_cusp(k))) for i in range(dim_cusp(k)))
+        return real(n, k, table, modulus)
+
+    monkeypatch.setattr(hecke, "_direct_matrix", scalar_t2)
+    results = krylov_results(monkeypatch)
+    assert hecke_matrix(29, 96) == direct
+    assert results == [None]
 
 
 def test_trace_of_matrix():
@@ -389,7 +445,11 @@ def split_products(monkeypatch, run) -> tuple:
 
 
 def test_only_large_products_are_split(monkeypatch):
-    split, total = split_products(monkeypatch, lambda: charpoly(97, 60))
+    def direct():  # the Krylov path reads no products of this size
+        monkeypatch.setattr(hecke, "KRYLOV_FROM", float("inf"))
+        charpoly(97, 60)
+
+    split, total = split_products(monkeypatch, direct)
     assert split > 0 and total > 0
     monkeypatch.setattr(hecke, "_SHARED", {})
     split, total = split_products(monkeypatch, lambda: (table_rows(5), table_rows(13)))
@@ -466,6 +526,7 @@ def test_weighted_reads_keep_only_the_current_matrix():
 def test_integer_path_shares_nothing(monkeypatch):
     monkeypatch.setattr(hecke, "_SHARED", {})
     charpoly(5, 48)
+    charpoly(29, 96)  # T_29 from T_2
     basis_expansions(36, 20)
     assert hecke._SHARED == {}
 
