@@ -87,17 +87,26 @@ class _Factors:
     are prefix-consistent, so a longer table gives the same coefficients.
     Mod ell each factor is built and packed on its first read, in slots
     wide enough for prec (ell - 1)^2, so one product of two is a basis element.
+    A factor that is the series 1 (E4 mod 5, E6 mod 7) is never multiplied:
+    its products are the other factor, and a basis element over a tail of 1
+    is delta^a's slots.
     """
 
     def __init__(self, prec: int, modulus):
         self.prec, self.modulus = prec, modulus
-        self._e4 = qseries.reduce(qseries.eisenstein4(prec), modulus)
-        self._e4_cubed = qseries.mul(qseries.mul(self._e4, self._e4, modulus), self._e4, modulus)
+        self._one = qseries.expansion((1,) + (0,) * (prec - 1), modulus)
+        e4 = qseries.reduce(qseries.eisenstein4(prec), modulus)
+        self._e4_powers = [self._one, e4, self._mul(e4, e4)]  # E4^(b % 3), the chain heads
+        self._e4_cubed = self._mul(self._e4_powers[2], e4)
         self._deltas = [qseries.reduce(qseries.delta(prec), modulus)]
-        self._tails = {(0, 0): [qseries.power(self._e4, 0, modulus), self._e4_cubed]}  # 1, E4^3
+        self._tails = {(0, 0): [self._one, self._e4_cubed]}  # 1, E4^3
         self._packed = {}  # ("delta", a) or ("tail", b, c) -> packed factor
         if modulus is not None:
             self._width = width(prec * (modulus - 1) ** 2)
+
+    def _mul(self, f, g) -> qseries.QExpansion:
+        one = self._one
+        return g if f == one else f if g == one else qseries.mul(f, g, self.modulus)
 
     def _delta(self, a: int) -> tuple:
         deltas = self._deltas
@@ -110,15 +119,12 @@ class _Factors:
         return qseries.reduce(qseries.eisenstein6(self.prec), self.modulus)
 
     def _tail(self, b: int, c: int) -> tuple:
-        m = self.modulus
         chain = self._tails.get((b % 3, c))
         if chain is None:
-            head = qseries.power(self._e4, b % 3, m)
-            if c:
-                head = qseries.mul(head, self._e6, m) if b % 3 else self._e6
-            chain = self._tails[b % 3, c] = [head]
+            head = self._e4_powers[b % 3]
+            chain = self._tails[b % 3, c] = [self._mul(head, self._e6) if c else head]
         while len(chain) <= b // 3:
-            chain.append(qseries.mul(chain[-1], self._e4_cubed, m))
+            chain.append(self._mul(chain[-1], self._e4_cubed))
         return chain[b // 3].coeffs
 
     def _pack(self, key, build, *args) -> int:
@@ -142,7 +148,7 @@ class _Factors:
         cut = (1 << self._width * (top + 1)) - 1
         delta = self._pack(("delta", a), self._delta, a) & cut
         tail = self._pack(("tail", b, c), self._tail, b, c) & cut
-        return unpack(delta * tail, top + 1, self._width)
+        return unpack(delta if tail == 1 else delta * tail, top + 1, self._width)
 
 
 # One table per modulus for the process.  It doubles when a request

@@ -29,10 +29,19 @@ Violations raise, they are never smoothed over: an inexact quotient is
 a Lemma1Violation, a polynomial with too few roots in F_ell is a
 SplittingViolation, and for ell in {5, 7} a root outside
 {p^m + p^n mod ell} is an EigenvalueViolation.
+
+Lemma 1 ties each weight only to the weight below it in the same cell
+(p, kclass), so the cells of a table share no work.  `table_rows` walks
+them on every usable CPU, in forked workers (`_forked`), when the walk's
+top weight is FORK_FROM_WEIGHT or more.  A cell no worker sent, because
+it failed or its worker died, is walked again in the calling process in
+table order, so the result, and the failure of the earliest failing
+cell, are those of one walk.
 """
 
 from __future__ import annotations
 
+from . import _forked
 from ._primes import minimal_period, poly_str, require_prime
 from ._record import record
 from .errors import EigenvalueViolation, Lemma1Violation, PeriodNotFound, SplittingViolation
@@ -45,6 +54,16 @@ ROW_PRIMES = {5: (11, 2, 3, 19), 7: (29, 2, 3, 11, 5, 13)}
 KCLASSES = {5: (0, 2), 7: (0, 2, 4), 13: (0, 2, 4, 6, 8, 10)}
 DEFAULT_MAX_WEIGHT = {5: 110, 7: 200, 13: 370}
 SINGLE_PERIOD_MAX_WEIGHT = 190
+
+# table_rows forks only for walks whose top weight is FORK_FROM_WEIGHT or
+# more; below it a fork costs about what it saves.  Cold table_rows,
+# median of 11 in process on a 2-vCPU Xeon, CPython 3.11, one worker
+# against two, in ms, single-period walks to weight: mod 5: 50: 9.2 / 9.0,
+# 70: 14.0 / 14.9, 90: 23.1 / 20.5; mod 7: 50: 13.5 / 13.0, 70: 25.3 /
+# 24.1, 90: 40.7 / 39.1; mod 13: 50: 3.9 / 8.7, 70: 6.2 / 9.2, 90: 12.1 /
+# 12.5, 110: 13.3 / 13.2.  The default walks, median of 7: mod 5 (110):
+# 38.7 / 34.3, mod 7 (200): 235.5 / 208.1, mod 13 (370): 176.7 / 120.3.
+FORK_FROM_WEIGHT = 100
 
 
 def _validate(p: int, ell: int):
@@ -193,16 +212,32 @@ def table_rows(ell, max_weight=None, single_period=False):
     is 2 and the rows are the six weight classes mod 12.  In
     single-period mode the walk stops early and periods are left
     unverified rather than guessed.
+
+    The cells share no work, so they are walked on every usable CPU
+    (see the module docstring); the result and any failure are those of
+    one walk in table order.
     """
     if ell not in (5, 7, 13):
         raise ValueError("tables exist for ell in {5, 7, 13}")
     if single_period and max_weight is None:
         max_weight = SINGLE_PERIOD_MAX_WEIGHT
-    return [
-        root_sequence(p, ell, kclass, max_weight=max_weight, require_two_periods=not single_period)
-        for p in ROW_PRIMES.get(ell, (2,))
-        for kclass in KCLASSES[ell]
-    ]
+    cells = [(p, kclass) for p in ROW_PRIMES.get(ell, (2,)) for kclass in KCLASSES[ell]]
+
+    def walk(i):
+        p, kclass = cells[i]
+        return root_sequence(p, ell, kclass, max_weight=max_weight, require_two_periods=not single_period)
+
+    # A cell costs about p + 20: mod 7 a cell took 8 ms at p = 2 .. 13 and
+    # 20 ms at p = 29 (2-vCPU Xeon, CPython 3.11).  A worker walks its cells
+    # costliest, so largest p, first: its first cell builds its largest
+    # factor table and the rest read from it.  Mod 7 the two workers made
+    # 153 and 159 products this way, against 559 and 449 in ascending p.
+    top = DEFAULT_MAX_WEIGHT[ell] if max_weight is None else max_weight
+    costs = [p + 20 for p, _ in cells]
+    sent = _forked.run(lambda i: vars(walk(i)), costs) if top >= FORK_FROM_WEIGHT else {}
+    # no cell before the earliest failing one is missing, so walking the missing
+    # cells here in table order raises the failure one walk would have raised
+    return [RootSequence(**sent[i]) if i in sent else walk(i) for i in range(len(cells))]
 
 
 def small_ell_rule(p: int, k: int, ell: int) -> tuple:

@@ -118,6 +118,18 @@ def test_table_mod7_full_output(capsys, fmt):
     assert run_cli(capsys, "table", "--ell", "7", "--format", fmt) == (0, expected, "")
 
 
+@pytest.mark.parametrize("ell", [5, 7, 13])
+def test_table_output_does_not_depend_on_the_number_of_workers(monkeypatch, capsys, ell):
+    from heckemod import _forked
+
+    for fmt in ("text", "json", "csv"):
+        runs = []
+        for count in (1, 2, 3):
+            monkeypatch.setattr(_forked, "_usable_cpus", lambda: count)
+            runs.append(run_cli(capsys, "table", "--ell", str(ell), "--format", fmt))
+        assert runs[0][0] == 0 and runs[0] == runs[1] == runs[2], fmt
+
+
 def test_period_output(capsys):
     code, out, _ = run_cli(capsys, "period", "--prime", "2", "--ell", "5", "--kclass", "0")
     assert code == 0 and out == "2\n"
@@ -608,9 +620,10 @@ def test_package_reads_each_public_name_from_its_module():
         ("trace --n 2 --weight 24", {"traceformula"},
          {"cache", "galois", "gfpoly", "hecke", "modfactor", "qseries"}),
         ("charpoly --prime 2 --weight 24", {"cache", "hecke"}, {"galois", "gfpoly", "modfactor", "_krylov"}),
-        ("table --ell 5", {"modfactor"}, {"cache", "galois", "traceformula", "_krylov"}),
+        ("table --ell 5", {"modfactor", "_forked"}, {"cache", "galois", "traceformula", "_krylov"}),
         ("certify --prime 2 --weight 24", {"galois", "cache"}, {"modfactor"}),
         ("charpoly --prime 29 --weight 96", {"hecke", "_krylov"}, {"galois", "gfpoly", "modfactor"}),
+        ("deduce --target-prime 3 --weight 24", {"galois", "modfactor"}, {"_forked"}),
     ],
 )
 def test_a_cold_command_runs_only_the_modules_it_calls(argv, runs, skips):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from heckemod import _kron, _krylov, hecke, qseries, traceformula
+from heckemod import _forked, _kron, _krylov, hecke, qseries, traceformula
 from heckemod._primes import poly_str
 from heckemod.errors import InsufficientPrecision, SpanViolation
 from heckemod.gfpoly import reduce_mod
@@ -393,7 +393,13 @@ def test_shared_table_results_do_not_depend_on_call_order(monkeypatch):
     assert charpoly(2, 370, 13) == before
 
 
-def test_factor_tables_are_sized_to_the_request(monkeypatch):
+@pytest.fixture
+def one_worker(monkeypatch):
+    """table_rows walks every cell in this process, so what a test counts is the whole walk."""
+    monkeypatch.setattr(_forked, "_usable_cpus", lambda: 1)
+
+
+def test_factor_tables_are_sized_to_the_request(monkeypatch, one_worker):
     monkeypatch.setattr(hecke, "_SHARED", {})
     fresh = table_rows(5)
     hecke._SHARED.clear()
@@ -412,7 +418,7 @@ def test_factor_tables_are_sized_to_the_request(monkeypatch):
     assert longest and max(longest) <= 4 * top
 
 
-def test_factor_tables_make_no_more_products_than_one_growing_table(monkeypatch):
+def test_factor_tables_make_no_more_products_than_one_growing_table(monkeypatch, one_worker):
     real_mul = qseries.mul
     for ell, products in ((5, 156), (13, 333)):  # with one table per ell, doubled on demand
         monkeypatch.setattr(hecke, "_SHARED", {})
@@ -422,7 +428,32 @@ def test_factor_tables_make_no_more_products_than_one_growing_table(monkeypatch)
         assert 0 < len(calls) <= products, ell
 
 
-def split_products(monkeypatch, run) -> tuple:
+def test_a_factor_that_is_one_is_never_multiplied(monkeypatch, one_worker):
+    # E4 = 1 mod 5, so mod 5 every tail is 1 or E6
+    real_mul = qseries.mul
+
+    def products(every_product: bool) -> tuple:
+        """(cells of table_rows(5), the qseries.mul operand pairs it made)."""
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hecke, "_SHARED", {})
+            mp.setattr(qseries, "mul", lambda f, g, m=None: calls.append((f, g)) or real_mul(f, g, m))
+            if every_product:
+                mp.setattr(hecke._Factors, "_mul", lambda table, f, g: qseries.mul(f, g, table.modulus))
+            return table_rows(5), calls
+
+    def is_one(f):
+        return f.coeffs[0] == 1 and not any(f.coeffs[1:])
+
+    cells, made = products(False)
+    every, calls = products(True)
+    assert every == cells
+    # of the 119 products, the 85 with an operand of 1 are left out
+    assert (len(calls), sum(is_one(f) or is_one(g) for f, g in calls)) == (119, 85)
+    assert len(made) == 34 and not any(is_one(f) or is_one(g) for f, g in made)
+
+
+def split_products(run) -> tuple:
     """(products made as two half-width products, all products) while run() runs."""
     unpacks, paths = [0], []
     real_unpack, real_product = _kron._unpack_signed, qseries.product
@@ -437,26 +468,26 @@ def split_products(monkeypatch, run) -> tuple:
         paths.append(unpacks[0] - before)  # one unpack per product made
         return out
 
-    monkeypatch.setattr(_kron, "_unpack_signed", unpack)
-    monkeypatch.setattr(qseries, "product", product)
-    run()
-    monkeypatch.undo()
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(_kron, "_unpack_signed", unpack)
+        monkeypatch.setattr(qseries, "product", product)
+        run()
     return paths.count(2), len(paths)
 
 
-def test_only_large_products_are_split(monkeypatch):
+def test_only_large_products_are_split(monkeypatch, one_worker):
     def direct():  # the Krylov path reads no products of this size
         monkeypatch.setattr(hecke, "KRYLOV_FROM", float("inf"))
         charpoly(97, 60)
 
-    split, total = split_products(monkeypatch, direct)
+    split, total = split_products(direct)
     assert split > 0 and total > 0
     monkeypatch.setattr(hecke, "_SHARED", {})
-    split, total = split_products(monkeypatch, lambda: (table_rows(5), table_rows(13)))
+    split, total = split_products(lambda: (table_rows(5), table_rows(13)))
     assert total > 0 and split <= 8
 
 
-def test_mod_ell_kernel_reduces_and_packs_each_value_once(monkeypatch):
+def test_mod_ell_kernel_reduces_and_packs_each_value_once(monkeypatch, one_worker):
     monkeypatch.setattr(hecke, "_SHARED", {})
     depth, actions, reduced, built = [0], [0], [], Counter()
     real_action, real_reduce = hecke.hecke_action, qseries.reduce
@@ -516,7 +547,7 @@ def test_mod_ell_matrices_are_the_integer_matrices_reduced():
                     assert hecke_matrix(p, k, ell) == reduced, (p, k, ell)
 
 
-def test_weighted_reads_keep_only_the_current_matrix():
+def test_weighted_reads_keep_only_the_current_matrix(one_worker):
     hecke._weighted_reads.cache_clear()
     table_rows(5)
     info = hecke._weighted_reads.cache_info()

@@ -1,6 +1,10 @@
+import os
+import threading
+
 import pytest
 
-from heckemod import modfactor
+from heckemod import _forked, modfactor
+from heckemod.cli import main
 from heckemod.errors import (
     EigenvalueViolation,
     Lemma1Violation,
@@ -10,6 +14,7 @@ from heckemod.errors import (
 from heckemod.gfpoly import divide_exact, mul, roots
 from heckemod.hecke import dim_cusp
 from heckemod.modfactor import (
+    FORK_FROM_WEIGHT,
     charpoly_mod,
     congruence_class_invariance,
     first_weight_in_class,
@@ -221,3 +226,121 @@ def test_serre_classification_sample():
         for ell, p in ((7, 2), (5, 3)):
             allowed = serre_eigenvalue_set(p, ell)
             assert set(roots(charpoly_mod(p, k, ell), ell)) <= allowed
+
+
+def workers(monkeypatch, count):
+    """Make table_rows see `count` usable CPUs."""
+    monkeypatch.setattr(_forked, "_usable_cpus", lambda: count)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("ell", [5, 7, 13])
+def test_cells_do_not_depend_on_the_number_of_workers(monkeypatch, ell):
+    forks, real_fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    workers(monkeypatch, 1)
+    one = table_rows(ell)
+    assert forks == []
+    for count in (2, 3):
+        workers(monkeypatch, count)
+        assert table_rows(ell) == one, count
+        assert len(forks) == count - 1
+        forks.clear()
+        assert_no_child_left()
+
+
+def test_jobs_are_shared_by_cost_and_run_costliest_first():
+    costs = [p + 20 for p in modfactor.ROW_PRIMES[7] for _ in modfactor.KCLASSES[7]]
+    groups = _forked._groups(costs, 2)
+    assert sorted(sum(groups, [])) == list(range(18))
+    for group in groups:
+        assert [costs[i] for i in group] == sorted((costs[i] for i in group), reverse=True)
+    loads = [sum(costs[i] for i in group) for group in groups]
+    assert abs(loads[0] - loads[1]) <= max(costs)
+
+
+def test_small_walks_and_threaded_callers_run_in_this_process(monkeypatch):
+    def fork():
+        raise AssertionError("forked")
+
+    workers(monkeypatch, 2)
+    monkeypatch.setattr(os, "fork", fork)
+    assert len(table_rows(5, FORK_FROM_WEIGHT - 2, single_period=True)) == 8
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert len(table_rows(5, FORK_FROM_WEIGHT, single_period=True)) == 8
+    finally:
+        stop.set()
+        thread.join(10)
+    assert not thread.is_alive()
+
+
+def test_cells_no_child_sends_are_walked_in_this_process(monkeypatch):
+    workers(monkeypatch, 1)
+    one = table_rows(5)
+    workers(monkeypatch, 2)
+    parent, real_run_group = os.getpid(), _forked._run_group
+
+    def dying(job, group):
+        if os.getpid() != parent:
+            os._exit(1)  # a child that dies before it sends
+        return real_run_group(job, group)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(_forked, "_run_group", dying)
+        assert table_rows(5) == one
+    assert_no_child_left()
+
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert table_rows(5) == one
+
+
+# With two workers mod 5, the cells of class 0 mod 4 (cells 0, 2, 4, 6) run
+# in this process and those of class 2 (cells 1, 3, 5, 7) in the child.
+PLANTS = {
+    "child-eigenvalue": {(11, 18): (-3, 1)},  # 11 = 1 mod 5 allows only the root 2
+    "child-lemma1": {(2, 22): (2, 0, 1)},  # x^2 + 2 has no root mod 5
+    "parent-lemma1": {(2, 16): (2, 0, 1)},
+    "earliest-in-child": {(11, 18): (-3, 1), (2, 16): (2, 0, 1)},  # cell 1 before cell 2
+    "earliest-in-parent": {(11, 12): (-3, 1), (2, 22): (2, 0, 1)},  # cell 0 before cell 3
+}
+
+
+@pytest.mark.parametrize("plants", PLANTS.values(), ids=PLANTS)
+def test_a_failing_cell_fails_as_with_one_worker(monkeypatch, capsys, plants):
+    costs = [p + 20 for p in modfactor.ROW_PRIMES[5] for _ in modfactor.KCLASSES[5]]
+    assert _forked._groups(costs, 2)[1] == [7, 1, 5, 3]
+    real = modfactor.charpoly
+    monkeypatch.setattr(modfactor, "charpoly", lambda p, k, m=None: plants.get((p, k)) or real(p, k, m))
+    runs = []
+    for count in (1, 2):
+        workers(monkeypatch, count)
+        code = main(["table", "--ell", "5"])
+        runs.append((code, *capsys.readouterr()))
+        assert_no_child_left()
+    assert runs[0] == runs[1]
+    assert runs[0][:2] == (3, "") and runs[0][2].startswith("falsification: T_")
+
+
+def test_an_interrupted_walk_kills_its_children(monkeypatch):
+    parent, real = os.getpid(), modfactor.charpoly
+
+    def interrupted(p, k, m=None):
+        if os.getpid() == parent and (p, k) == (2, 60):
+            raise KeyboardInterrupt
+        return real(p, k, m)
+
+    workers(monkeypatch, 2)
+    monkeypatch.setattr(modfactor, "charpoly", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        table_rows(5)
+    assert_no_child_left()
