@@ -12,12 +12,12 @@ The action of T_n on coefficients at level 1 reads
     (T_n f)_m = sum over e | gcd(m, n) of e^(k-1) * f_(m n / e^2),
 
 so a Hecke matrix reads each basis element only at 0 .. dim and at the
-exponents m n / e^2, m <= dim.  Over Z each read is one dot product of
-delta^a with E4^b E6^c: at large n the coefficients run to kilobits and
-a matrix reads a small share of them.  Over Z/ell one table of those
-factors per ell serves the process (`_factors`), each factor packed once by
-`_kron`, and each basis element is one product of its two packed
-factors cut to the n dim + 1 coefficients that T_n reads.
+exponents m n / e^2, m <= dim.  One table of those factors per modulus,
+Z included, serves the process (`_factors`).  Over Z each read is one dot
+product of delta^a with E4^b E6^c: at large n the coefficients run to
+kilobits and a matrix reads a small share of them.  Over Z/ell each factor
+is packed once by `_kron`, and each basis element is one product of its
+two packed factors cut to the n dim + 1 coefficients that T_n reads.
 
 Over F_ell the weights e^(k-1) are reduced before they multiply, each
 image once, and the rest runs on packed ints too: back-substitution
@@ -151,18 +151,16 @@ class _Factors:
         return unpack(delta if tail == 1 else delta * tail, top + 1, self._width)
 
 
-# One table per modulus for the process.  It doubles when a request
-# outgrows it, and gives way to one of the request's size when it holds
-# more than 4 max(prec, 128) coefficients: after a long request
-# (charpoly_mod(1999, 120, 5) reads 19,991 coefficients) a short one
-# builds its powers at its own size.  Over Z, with kilobit coefficients,
-# none is kept.
+# One table per modulus for the process, None (over Z) included.  It
+# doubles when a request outgrows it, and gives way to one of the request's
+# size when it holds more than 4 max(prec, 128) coefficients: after a long
+# request (charpoly_mod(1999, 120, 5) reads 19,991 coefficients) a short
+# one builds its powers at its own size.  Truncated products are prefixes
+# of longer ones, so which table serves a request changes no result.
 _SHARED = {}
 
 
 def _factors(prec: int, modulus) -> _Factors:
-    if modulus is None:
-        return _Factors(prec, None)
     table = _SHARED.get(modulus)
     if table is None or table.prec < prec:
         table = _SHARED[modulus] = _Factors(max(prec, 2 * table.prec if table else 0), modulus)
@@ -242,7 +240,7 @@ def hecke_matrix(n: int, k: int, modulus=None) -> tuple:
     if d == 0:
         return ()
     if modulus is None and n > 2 and d > 1 and n >= KRYLOV_FROM * d**2.5:
-        table = _Factors(max(n, 2 * d) + 1, None)
+        table = _factors(max(n, 2 * d) + 1, None)
         w = [table.read(*abc, n, (n,))[n] for abc in monomial_basis(k)]
         matrix = _krylov.from_t2(n, k, _direct_matrix(2, k, table), w)
         if matrix is not None:
@@ -312,13 +310,14 @@ def berkowitz_charpoly(matrix) -> tuple:
     for s in range(2, n + 1):
         i0 = n - s
         row = a[i0][i0 + 1 :]
+        minor = [r[i0 + 1 :] for r in a[i0 + 1 :]]
         m = s - 1
         t = [1, -a[i0][i0]]
-        w = [a[r][i0] for r in range(i0 + 1, n)]
+        w = [r[i0] for r in a[i0 + 1 :]]
         for step in range(m):
-            t.append(-sum(row[j] * w[j] for j in range(m)))
+            t.append(-sum(map(operator.mul, row, w)))
             if step < m - 1:
-                w = [sum(a[i0 + 1 + r][i0 + 1 + j] * w[j] for j in range(m)) for r in range(m)]
+                w = [sum(map(operator.mul, r, w)) for r in minor]
         # v_new = conv(t, v) truncated to length s + 1
         v = [
             sum(t[j] * v[i - j] for j in range(max(0, i - len(v) + 1), min(i, s) + 1))

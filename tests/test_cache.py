@@ -128,6 +128,7 @@ def test_records_are_trace_checked_only_when_read(tmp_path, monkeypatch):
     monkeypatch.setattr(cache_module, "trace", counted)
     monkeypatch.setattr(cache_module, "charpoly", kernel)
     cache = CharpolyCache(str(tmp_path))
+    # a T_2 record keeps both checks though 2 >= RECOMPUTE_FROM dim^4 at k = 48
     assert cache.charpoly(2, 48) == charpoly(2, 48)
     assert cache.charpoly(2, 48) == charpoly(2, 48)
     assert calls == [(2, 48), (4, 48)]
@@ -172,3 +173,39 @@ def test_get_parses_only_the_lines_of_its_weight(tmp_path, monkeypatch):
     # the torn tail still gets its fresh line before the next record
     cache.charpoly(2, 12)
     assert path.read_text().endswith(good[:20] + "\n" + record_line(2, 12, charpoly(2, 12)))
+
+
+@pytest.mark.parametrize("p", [11, 13])
+@pytest.mark.parametrize("wrong", [-3, 0])  # c_(d-2), which the T_(p^2) trace sees, and c_0
+def test_planted_records_are_rejected_on_both_sides_of_the_crossover(tmp_path, monkeypatch, p, wrong):
+    k = 120  # d = 10, so RECOMPUTE_FROM d^4 lies between 11 and 13
+    past = p >= cache_module.RECOMPUTE_FROM * hecke.dim_cusp(k) ** 4
+    assert past == (p == 13)
+    good = charpoly(p, k)
+    bad = list(good)
+    bad[wrong] += 1
+    path = tmp_path / ("p%d.jsonl" % p)
+    path.write_text(record_line(p, k, tuple(bad)))
+    events = []
+
+    def spy(name, real):
+        def call(*args):
+            events.append((name,) + (args if name == "charpoly" else ()))
+            return real(*args)
+
+        return call
+
+    for name in ("_agrees_with_traces", "_agrees_with_kernel", "charpoly"):
+        monkeypatch.setattr(cache_module, name, spy(name, getattr(cache_module, name)))
+    assert CharpolyCache(str(tmp_path)).charpoly(p, k) == good
+    assert path.read_text() == record_line(p, k, tuple(bad)) + record_line(p, k, good)
+    fill = ("charpoly", p, k)
+    if past:  # compared with a fresh exact charpoly; the fill computes it again
+        assert events == [fill, fill]
+    elif wrong == -3:
+        assert events == [("_agrees_with_traces",), fill]
+    else:  # c_0 passes the traces and fails the kernel
+        kernel = ("charpoly", p, k, cache_module.KERNEL_CHECK_PRIME)
+        assert events == [("_agrees_with_traces",), ("_agrees_with_kernel",), kernel, fill]
+    # the good record appended last passes whichever check its side runs
+    assert CharpolyCache(str(tmp_path)).get(p, k) == good

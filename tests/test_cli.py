@@ -447,6 +447,7 @@ def plant_off_span(monkeypatch):
     """Give every Hecke image the constant term 1, which no cusp form has."""
     from heckemod import hecke
 
+    monkeypatch.setattr(hecke, "_SHARED", {})
     real = hecke.hecke_action
 
     def off_span(f, n, k, out_prec, modulus=None):
@@ -501,6 +502,7 @@ def test_krylov_trace_failure_exits_3(capsys, monkeypatch):
             f[29] += 1
         return f
 
+    monkeypatch.setattr(hecke, "_SHARED", {})
     monkeypatch.setattr(hecke._Factors, "read", a29_off_by_one)
     code, out, err = run_cli(capsys, "charpoly", "--prime", "29", "--weight", "96")
     # w + e_0 gives K^-1 (W + K) = T_29 + I: integral, only the trace is off by d = 8
@@ -520,6 +522,7 @@ def test_krylov_non_integral_failure_exits_3(capsys, monkeypatch):
 
     # an integral change to a_29 alone keeps T_29 integral (see the hecke docstring);
     # a T_2 that is no Hecke matrix does not
+    monkeypatch.setattr(hecke, "_SHARED", {})
     monkeypatch.setattr(hecke, "_direct_matrix", t2_off_by_one)
     code, out, err = run_cli(capsys, "charpoly", "--prime", "29", "--weight", "96")
     assert code == 3 and out == ""

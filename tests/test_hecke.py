@@ -195,9 +195,11 @@ def test_krylov_and_direct_matrices_agree(monkeypatch):
     cases = [(n, k) for n in (3, 4, 6, 9, 29) for k in (24, 36, 60, 96, 120)]
     cases += [(97, k) for k in (24, 36, 60, 84)]
     direct = {}
+    monkeypatch.setattr(hecke, "_SHARED", {})
     monkeypatch.setattr(hecke, "KRYLOV_FROM", float("inf"))
     for n, k in cases:
         direct[n, k] = hecke_matrix(n, k)
+    monkeypatch.setattr(hecke, "_SHARED", {})  # the two paths share no factor table
     monkeypatch.setattr(hecke, "KRYLOV_FROM", 0)
     results = krylov_results(monkeypatch)
     for n, k in cases:
@@ -214,6 +216,7 @@ def test_krylov_matrix_reduced_is_the_kernel_matrix(monkeypatch):
 
 
 def test_singular_krylov_matrix_falls_back_to_the_direct_path(monkeypatch):
+    monkeypatch.setattr(hecke, "_SHARED", {})
     monkeypatch.setattr(hecke, "KRYLOV_FROM", float("inf"))
     direct = hecke_matrix(29, 96)
     monkeypatch.setattr(hecke, "KRYLOV_FROM", 0)
@@ -480,6 +483,7 @@ def test_only_large_products_are_split(monkeypatch, one_worker):
         monkeypatch.setattr(hecke, "KRYLOV_FROM", float("inf"))
         charpoly(97, 60)
 
+    monkeypatch.setattr(hecke, "_SHARED", {})
     split, total = split_products(direct)
     assert split > 0 and total > 0
     monkeypatch.setattr(hecke, "_SHARED", {})
@@ -554,12 +558,38 @@ def test_weighted_reads_keep_only_the_current_matrix(one_worker):
     assert info.currsize == 1 and info.hits > info.misses > 1
 
 
-def test_integer_path_shares_nothing(monkeypatch):
+def test_integer_results_do_not_depend_on_call_order_or_table_size(monkeypatch):
+    # T_2 at k = 120, T_29 from T_2 at k = 96, T_3 at k = 240 from its images, T_2 at k = 24
+    cases = [(2, 120), (29, 96), (3, 240), (2, 24)]
+    fresh = {}
+    for n, k in cases:
+        monkeypatch.setattr(hecke, "_SHARED", {})
+        fresh[n, k] = hecke_matrix(n, k)
     monkeypatch.setattr(hecke, "_SHARED", {})
-    charpoly(5, 48)
-    charpoly(29, 96)  # T_29 from T_2
-    basis_expansions(36, 20)
-    assert hecke._SHARED == {}
+    expansions = basis_expansions(36, 600)
+    monkeypatch.setattr(hecke, "_SHARED", {})
+    precs = []
+    for case in [(2, 120), (29, 96), (3, 240), (2, 120), None, (2, 24), (29, 96)]:
+        if case is None:
+            assert basis_expansions(36, 600) == expansions
+        else:
+            assert hecke_matrix(*case) == fresh[case], case
+        precs.append(hecke._SHARED[None].prec)
+    # the table doubles as requests outgrow it, then gives way to T_2 at k = 24 past 4 * 128
+    assert precs == [21, 42, 84, 84, 600, 5, 30]
+
+
+def test_a_weight_range_of_integer_t2_reads_one_table(monkeypatch):
+    real_mul = qseries.mul
+    for shared, products in ((False, 868), (True, 114)):
+        monkeypatch.setattr(hecke, "_SHARED", {})
+        calls = []
+        monkeypatch.setattr(qseries, "mul", lambda *args: calls.append(args) or real_mul(*args))
+        for k in range(120, 229, 4):
+            if not shared:
+                hecke._SHARED.clear()
+            charpoly(2, k)
+        assert len(calls) == products, shared
 
 
 def test_dot_product_past_the_table_raises():
