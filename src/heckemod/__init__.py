@@ -30,7 +30,7 @@ def _lazy(name):
 globals().update(
     (name, _lazy(name))
     for name in ("_primes", "_record", "_kron", "errors", "qseries", "gfpoly", "hecke",
-                 "_krylov", "traceformula", "cache", "_forked", "modfactor", "galois")
+                 "_krylov", "traceformula", "cache", "modfactor", "galois")
 )
 
 # public name -> the submodule that defines it

@@ -24,7 +24,8 @@ every coefficient, with the Hecke kernel run mod KERNEL_CHECK_PRIME,
 which catches a wrong low coefficient that the traces cannot see.  At
 large p the trace of T_(p^2) and the kernel cost more than the exact
 charpoly, so from RECOMPUTE_FROM on a record must instead equal a fresh
-`hecke.charpoly(p, k)`, every coefficient, which is stronger than both.
+`hecke.charpoly(p, k)`, every coefficient, which is stronger than both;
+that charpoly is computed once, and written if every record is rejected.
 The last line left wins; with none, the polynomial is recomputed and
 appended (on a fresh line after a torn tail) by a single write on an
 O_APPEND descriptor.  Only `charpoly`, `certify` and the anchor of
@@ -63,6 +64,7 @@ class CharpolyCache:
         self._mem = {}  # records that passed every check
         self._lines = {}  # p -> the lines of p<p>.jsonl, read once
         self._read = set()  # (p, k) whose lines have been checked
+        self._fresh = {}  # (p, k) -> the exact charpoly a rejected record was compared with
         self._torn = set()
         if directory is not None:
             os.makedirs(directory, exist_ok=True)
@@ -91,8 +93,9 @@ class CharpolyCache:
                 if rec is None:
                     continue
                 poly = rec[1]
-                if _passes_checks(p, k, poly):
+                if _passes_checks(p, k, poly, self._fresh):
                     self._mem[(p, k)] = poly
+                    self._fresh.pop((p, k), None)
                     break
         return self._mem.get((p, k))
 
@@ -119,15 +122,23 @@ class CharpolyCache:
         """Cached characteristic polynomial of T_p at weight k."""
         found = self.get(p, k)
         if found is None:
-            found = charpoly(p, k)
+            found = self._fresh.pop((p, k), None)
+            if found is None:
+                found = charpoly(p, k)
             self.put(p, k, found)
         return found
 
 
-def _passes_checks(p: int, k: int, poly: tuple) -> bool:
-    """A record from disk against a fresh charpoly from RECOMPUTE_FROM on, else traces and kernel."""
+def _passes_checks(p: int, k: int, poly: tuple, fresh: dict) -> bool:
+    """A record from disk against a fresh charpoly from RECOMPUTE_FROM on, else traces and kernel.
+
+    The fresh charpoly is computed once per (p, k) and kept in `fresh`, so
+    the fill after a rejected record writes it without computing it again.
+    """
     if p > 2 and p >= RECOMPUTE_FROM * dim_cusp(k) ** 4:
-        return poly == charpoly(p, k)
+        if (p, k) not in fresh:
+            fresh[p, k] = charpoly(p, k)
+        return poly == fresh[p, k]
     return _agrees_with_traces(p, k, poly) and _agrees_with_kernel(p, k, poly)
 
 

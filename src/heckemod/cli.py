@@ -117,7 +117,7 @@ def cmd_trace(args) -> None:
 
 def cmd_period(args) -> None:
     seq = modfactor.root_sequence(args.prime, args.ell, args.kclass, max_weight=args.max_weight,
-                                  require_two_periods=not args.single_period, seed=args.seed)
+                                  require_two_periods=not args.single_period)
     text = seq.period
     if seq.period is None:
         text = "no period verified up to weight %d (%d terms)" % (seq.max_weight, len(seq.terms))

@@ -12,9 +12,11 @@ to different exit codes:
     cusp space, an inexact quotient where divisibility is guaranteed, a
     polynomial that does not split where complete splitting is
     guaranteed, a root outside the set Serre's classification allows,
-    a period that never appears, T_p mod 2 or 3 off its closed form).  Root multisets along a
-    weight class nest by construction, since each weight's polynomial
-    is divided exactly by the last.
+    a period that never appears, T_p mod 2 or 3 off its closed form).  A
+    root walk reads the roots of a whole weight class off one triangular
+    matrix, T_p on the flag of Lemma 1, and checks it three ways: its
+    triangularity and Serre's set, the trace formula at every weight,
+    and the top weight's own polynomial (see `modfactor`).
     They are never caught and papered over.
 """
 
@@ -47,7 +49,12 @@ class SpanViolation(FalsificationError):
 
 
 class Lemma1Violation(FalsificationError):
-    """A lower-weight Hecke polynomial failed to divide the higher one mod ell."""
+    """The forms of a weight class mod ell failed to make one T_p-stable flag.
+
+    T_p g_j had a coordinate past g_j, or the walk's terms disagreed with
+    the trace formula at some weight or with the roots of the top
+    weight's polynomial.
+    """
 
 
 class SplittingViolation(FalsificationError):

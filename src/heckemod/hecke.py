@@ -25,6 +25,8 @@ packs each basis row and each image, so a coordinate is one slot read
 mod ell and peeling it one multiply-add, and Hessenberg reduction packs
 each column (see `hessenberg_charpoly`).  Over Z, back-substitution is
 exact and the charpoly comes from the division-free Berkowitz algorithm.
+`flag_matrix` runs the same peel on monomials of several weights mod ell,
+T_n acting on each at its own weight: the root walks of `modfactor`.
 
 Over Z, T_n for n > 2 comes from A = T_2 and one coefficient of each
 basis element (`_krylov`).  Let lambda(f) = a_1(f), the first
@@ -250,17 +252,38 @@ def hecke_matrix(n: int, k: int, modulus=None) -> tuple:
 
 def _direct_matrix(n: int, k: int, table: _Factors, modulus=None) -> tuple:
     """T_n from the images of the basis elements, read from `table` (see hecke_matrix)."""
-    d = dim_cusp(k)
+    return _peeled_images(n, (k,) * dim_cusp(k), table, modulus)
+
+
+def flag_matrix(n: int, weights, modulus: int) -> tuple:
+    """T_n mod a prime on g_1 .. g_d, g_i the monomial delta^i E4^b E6^c of weight weights[i - 1].
+
+    Entry [i][j] is the coefficient of g_(i+1) in T_n g_(j+1), T_n applied
+    at g_(j+1)'s own weight; each weight needs dim >= its index.  The g's
+    are read from one factor table of n d + 1 coefficients and peeled, with
+    the span check, as `hecke_matrix` peels its basis.  The q-expansions of
+    the g's are a basis of a space of forms mod the prime only where the
+    caller knows one (Lemma 1, see `modfactor`).
+    """
+    return _peeled_images(n, weights, _factors(n * len(weights) + 1, modulus), modulus)
+
+
+def _peeled_images(n: int, weights, table: _Factors, modulus=None) -> tuple:
+    """Coordinates of T_n on the monomials of lead q^(i+1) and weight weights[i], read from `table`."""
+    d = len(weights)
+    bases = {k: monomial_basis(k) for k in set(weights)}
+    triples = [bases[k][i] for i, k in enumerate(weights)]
     exponents = None  # mod ell, every coefficient up to q^(n d) comes from one product
     if modulus is None:  # over Z, one dot product per coefficient that T_n reads
-        exponents = {t for _, _, t in _weighted_reads(n, k, d + 1, modulus)}
+        # the exponents T_n reads do not depend on the weight
+        exponents = {t for _, _, t in _weighted_reads(n, weights[0], d + 1, modulus)}
         exponents.update(range(d + 1), range(0, n * (d + 1), n))
     # the back-substitution rows come from the same reads as the images
-    elements = [table.read(a, b, c, n * d, exponents) for a, b, c in monomial_basis(k)]
+    elements = [table.read(a, b, c, n * d, exponents) for a, b, c in triples]
     for i, f in enumerate(elements):  # peeling below relies on these leads
         lead = [f[t] if modulus is None else f[t] % modulus for t in range(i + 2)]
         if lead != [0] * (i + 1) + [1]:
-            raise SpanViolation("basis element %d at k=%d does not lead with q^%d" % (i, k, i + 1))
+            raise SpanViolation("basis element %d at k=%d does not lead with q^%d" % (i, weights[i], i + 1))
     if modulus is None:
         basis = [[f[t] for t in range(d + 1)] for f in elements]
     else:  # packed from the leading slot on; slots stay below modulus + d modulus (modulus - 1)
@@ -269,9 +292,9 @@ def _direct_matrix(n: int, k: int, table: _Factors, modulus=None) -> tuple:
         basis = [pack([x % modulus for x in f[i + 1 : d + 1]], w) for i, f in enumerate(elements)]
     columns = []
     for j, f in enumerate(elements):
-        image = hecke_action(f, n, k, d + 1, modulus).coeffs
+        image = hecke_action(f, n, weights[j], d + 1, modulus).coeffs
         if image[0]:
-            raise SpanViolation("T_%d image of basis element %d not in the span at k=%d" % (n, j, k))
+            raise SpanViolation("T_%d image of basis element %d not in the span at k=%d" % (n, j, weights[j]))
         # basis element i leads with q^(i+1), so peel coordinates upward
         column = []
         if modulus is None:

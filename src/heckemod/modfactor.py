@@ -1,14 +1,12 @@
 """Hecke characteristic polynomials modulo small primes ell.
 
-For ell in {5, 7, 13} and p != ell, the polynomial of T_p at weight
-k + (ell - 1) is divisible mod ell by the one at weight k, so walking a
-fixed weight class k = kclass (mod ell - 1) upward peels off one new
-root per dimension jump.  The resulting root sequences a_1, a_2, ... are
-periodic, and the roots of T_p mod ell at any weight in the class are
-exactly the first dim terms of the sequence.  This module computes the
-sequences, detects their periods empirically (two full periods
-required inside the verified window, which max_weight bounds),
-assembles the periodic tables, and checks the companion congruences:
+For ell in {5, 7, 13} and p != ell, the roots of T_p mod ell along a
+fixed weight class k = kclass (mod ell - 1) form one sequence a_1, a_2,
+...: the roots at any weight of the class are exactly its first dim
+terms.  The sequences are periodic.  This module computes them,
+detects their periods empirically (two full periods required inside
+the verified window, which max_weight bounds), assembles the periodic
+tables, and checks the companion congruences:
 
   * mod 2: T_p = x^dim for every odd p;
   * mod 3: T_p = (x - 2)^dim when p = 1 (mod 3), x^dim when p = 2;
@@ -16,37 +14,49 @@ assembles the periodic tables, and checks the companion congruences:
     T_p = T_q (mod ell) on every weight;
   * every root mod ell lies in {p^m + p^n mod ell}.
 
-Every polynomial comes from the Hecke kernel run mod ell, so neither
-the integer polynomial nor the disk cache is ever touched.
+Every polynomial and matrix comes from the Hecke kernel run mod ell, so
+neither the integer polynomial nor the disk cache is ever touched.
 
-A walk peels rather than factors: each polynomial is divided exactly
-by the one at the previous weight of its class, and only the quotient,
-of the degree of the dimension jump, is factored.  That division is the
-Lemma 1 check, so the roots of each weight extend those of the last by
-construction.
+A walk is one triangular matrix, by Lemma 1.  E_(ell-1) = 1 (mod ell),
+so a form of weight k times E_(ell-1) has weight k + ell - 1 and the
+same q-expansion mod ell, and T_p mod ell reads the weight only through
+p^(k-1) mod ell, which the class fixes.  So the forms of the class,
+reduced mod ell, make one T_p-stable flag inside the top weight K of
+the walk.  Let kappa_j be the first weight of the class whose cusp space
+has dimension >= j; a step of ell - 1 <= 12 raises the dimension by at
+most one, so each kappa_j adds one form.  The monomial g_j = delta^j
+E4^b E6^c of weight kappa_j leads with q^j, and g_1 .. g_dim(k) span the
+forms of weight k mod ell.  On the g's, T_p (applied to each g_j at
+kappa_j, `hecke.flag_matrix`) is triangular, and its diagonal is the
+sequence: coordinate j of T_p g_j is the term that enters at kappa_j.
 
-Violations raise, they are never smoothed over: an inexact quotient is
-a Lemma1Violation, a polynomial with too few roots in F_ell is a
-SplittingViolation, and for ell in {5, 7} a root outside
-{p^m + p^n mod ell} is an EigenvalueViolation.
+Three checks go with the matrix, and a failure raises, never smoothed
+over:
 
-Lemma 1 ties each weight only to the weight below it in the same cell
-(p, kclass), so the cells of a table share no work.  `table_rows` walks
-them on every usable CPU, in forked workers (`_forked`), when the walk's
-top weight is FORK_FROM_WEIGHT or more.  A cell no worker sent, because
-it failed or its worker died, is walked again in the calling process in
-table order, so the result, and the failure of the earliest failing
-cell, are those of one walk.
+  * Lemma 1 at every level at once: a coordinate of T_p g_j past j is a
+    Lemma1Violation, and for ell in {5, 7} a term outside
+    {p^m + p^n mod ell} is an EigenvalueViolation;
+  * each weight on its own: the trace formula, which shares no code
+    with the kernel, must give the sum of the first dim S_k terms mod
+    ell at every weight of the walk (`traceformula.traces`), else
+    Lemma1Violation;
+  * the top weight: its own charpoly mod ell, from the monomial basis
+    of S_K, must be the product of the x - a_j.  With fewer than dim
+    roots in F_ell it is a SplittingViolation, with others a
+    Lemma1Violation.
+
+A window without two periods raises PeriodNotFound where periods are
+required.
 """
 
 from __future__ import annotations
 
-from . import _forked
-from ._primes import minimal_period, poly_str, require_prime
+from . import gfpoly
+from ._primes import minimal_period, require_prime
 from ._record import record
 from .errors import EigenvalueViolation, Lemma1Violation, PeriodNotFound, SplittingViolation
-from .gfpoly import InexactDivision, divide_exact, mul, roots
-from .hecke import charpoly, dim_cusp
+from .hecke import charpoly, dim_cusp, flag_matrix
+from .traceformula import traces
 
 # Row labels of the published mod-5 and mod-7 tables: the smallest prime
 # in each nonzero residue class, in the printed order.
@@ -54,16 +64,6 @@ ROW_PRIMES = {5: (11, 2, 3, 19), 7: (29, 2, 3, 11, 5, 13)}
 KCLASSES = {5: (0, 2), 7: (0, 2, 4), 13: (0, 2, 4, 6, 8, 10)}
 DEFAULT_MAX_WEIGHT = {5: 110, 7: 200, 13: 370}
 SINGLE_PERIOD_MAX_WEIGHT = 190
-
-# table_rows forks only for walks whose top weight is FORK_FROM_WEIGHT or
-# more; below it a fork costs about what it saves.  Cold table_rows,
-# median of 11 in process on a 2-vCPU Xeon, CPython 3.11, one worker
-# against two, in ms, single-period walks to weight: mod 5: 50: 9.2 / 9.0,
-# 70: 14.0 / 14.9, 90: 23.1 / 20.5; mod 7: 50: 13.5 / 13.0, 70: 25.3 /
-# 24.1, 90: 40.7 / 39.1; mod 13: 50: 3.9 / 8.7, 70: 6.2 / 9.2, 90: 12.1 /
-# 12.5, 110: 13.3 / 13.2.  The default walks, median of 7: mod 5 (110):
-# 38.7 / 34.3, mod 7 (200): 235.5 / 208.1, mod 13 (370): 176.7 / 120.3.
-FORK_FROM_WEIGHT = 100
 
 
 def _validate(p: int, ell: int):
@@ -130,18 +130,17 @@ def root_sequence(
     kclass: int,
     max_weight=None,
     require_two_periods: bool = True,
-    seed: int = 0,
 ) -> RootSequence:
     """Walk a weight class and collect the new root at each dimension jump.
 
-    Each polynomial is divided exactly by the previous one in the class
-    (see the module docstring), and the quotient must split completely
-    in F_ell, into roots in `serre_eigenvalue_set` when ell < 13; a
-    failure raises.  Period detection demands that every term equal the
-    one a period later across the whole window, with two full periods in
-    it; when require_two_periods is set and no period emerges,
-    PeriodNotFound is raised.  A window that ends below the class's
-    first weight checks nothing and is a ValueError.
+    The terms are the diagonal of T_p on the flag of the class, checked
+    by triangularity, Serre's set (ell < 13), the trace formula at every
+    weight and the top weight's own charpoly; a failure raises (see the
+    module docstring).  Period detection demands that every term equal
+    the one a period later across the whole window, with two full
+    periods in it; when require_two_periods is set and no period
+    emerges, PeriodNotFound is raised.  A window that ends below the
+    class's first weight checks nothing and is a ValueError.
     """
     if ell not in (5, 7, 13):
         raise ValueError("root sequences are defined for ell in {5, 7, 13}")
@@ -155,37 +154,45 @@ def root_sequence(
             "no weight of class %d mod %d up to weight %d: the class starts at weight %d"
             % (kclass, ell - 1, max_weight, k0)
         )
+    weights = range(k0, max_weight + 1, ell - 1)
+    flag = []  # kappa_1, kappa_2, ...: the weight at which each g_j enters
+    for k in weights:
+        flag += [k] * (dim_cusp(k) - len(flag))
+    matrix = flag_matrix(p, flag, ell)
     allowed = serre_eigenvalue_set(p, ell) if ell < 13 else frozenset(range(ell))
     terms = []
-    term_weights = []
-    prev = (1,)  # the polynomial one step below k0 has degree 0
-    k = k0
-    while k <= max_weight:
-        f = charpoly_mod(p, k, ell)
-        try:
-            quotient = divide_exact(f, prev, ell)
-        except InexactDivision as exc:
+    for j, (k, column) in enumerate(zip(flag, zip(*matrix))):
+        off = next((i for i in range(j + 1, len(flag)) if column[i]), None)
+        if off is not None:
             raise Lemma1Violation(
-                "T_%d at weight %d does not divide weight %d mod %d (remainder %s)"
-                % (p, k - ell + 1, k, ell, poly_str(exc.remainder))
-            ) from exc
-        new = roots(quotient, ell, seed=seed)
-        d = dim_cusp(k)
-        if len(terms) + len(new) != d:
-            raise SplittingViolation(
-                "T_%d at weight %d mod %d has %d roots in F_%d, dimension is %d"
-                % (p, k, ell, len(terms) + len(new), ell, d)
+                "T_%d g_%d at weight %d has coordinate %d on g_%d of weight %d mod %d"
+                % (p, j + 1, k, column[off], off + 1, flag[off], ell)
             )
-        stray = sorted(set(new) - allowed)
-        if stray:
+        if column[j] not in allowed:
             raise EigenvalueViolation(
                 "T_%d at weight %d mod %d has root %d outside {p^m + p^n mod %d} = {%s}"
-                % (p, k, ell, stray[0], ell, ", ".join(map(str, sorted(allowed))))
+                % (p, k, ell, column[j], ell, ", ".join(map(str, sorted(allowed))))
             )
-        terms.extend(new)
-        term_weights.extend([k] * len(new))
-        prev = f
-        k += ell - 1
+        terms.append(column[j])
+    for k, trace in traces(p, weights).items():
+        d = dim_cusp(k)
+        if (trace - sum(terms[:d])) % ell:
+            raise Lemma1Violation(
+                "T_%d at weight %d mod %d has trace %d, but the walk's first %d terms sum to %d"
+                % (p, k, ell, trace % ell, d, sum(terms[:d]) % ell)
+            )
+    top = charpoly_mod(p, weights[-1], ell)
+    if top != _product(terms, ell):
+        found = gfpoly.roots(top, ell)
+        if len(found) != len(terms):
+            raise SplittingViolation(
+                "T_%d at weight %d mod %d has %d roots in F_%d, dimension is %d"
+                % (p, weights[-1], ell, len(found), ell, len(terms))
+            )
+        raise Lemma1Violation(
+            "T_%d at weight %d mod %d has roots (%s), not the walk's terms (%s)"
+            % (p, weights[-1], ell, ", ".join(map(str, found)), ", ".join(map(str, sorted(terms))))
+        )
     period = minimal_period(terms)
     if period is None and require_two_periods:
         raise PeriodNotFound(
@@ -197,10 +204,18 @@ def root_sequence(
         ell=ell,
         kclass=kclass,
         terms=tuple(terms),
-        term_weights=tuple(term_weights),
+        term_weights=tuple(flag),
         period=period,
         max_weight=max_weight,
     )
+
+
+def _product(terms, ell: int) -> tuple:
+    """The product of x - a over the terms mod ell, coefficients ascending."""
+    out = (1,)
+    for a in terms:
+        out = tuple((low - a * high) % ell for low, high in zip((0,) + out, out + (0,)))
+    return out
 
 
 def table_rows(ell, max_weight=None, single_period=False):
@@ -212,32 +227,16 @@ def table_rows(ell, max_weight=None, single_period=False):
     is 2 and the rows are the six weight classes mod 12.  In
     single-period mode the walk stops early and periods are left
     unverified rather than guessed.
-
-    The cells share no work, so they are walked on every usable CPU
-    (see the module docstring); the result and any failure are those of
-    one walk in table order.
     """
     if ell not in (5, 7, 13):
         raise ValueError("tables exist for ell in {5, 7, 13}")
     if single_period and max_weight is None:
         max_weight = SINGLE_PERIOD_MAX_WEIGHT
-    cells = [(p, kclass) for p in ROW_PRIMES.get(ell, (2,)) for kclass in KCLASSES[ell]]
-
-    def walk(i):
-        p, kclass = cells[i]
-        return root_sequence(p, ell, kclass, max_weight=max_weight, require_two_periods=not single_period)
-
-    # A cell costs about p + 20: mod 7 a cell took 8 ms at p = 2 .. 13 and
-    # 20 ms at p = 29 (2-vCPU Xeon, CPython 3.11).  A worker walks its cells
-    # costliest, so largest p, first: its first cell builds its largest
-    # factor table and the rest read from it.  Mod 7 the two workers made
-    # 153 and 159 products this way, against 559 and 449 in ascending p.
-    top = DEFAULT_MAX_WEIGHT[ell] if max_weight is None else max_weight
-    costs = [p + 20 for p, _ in cells]
-    sent = _forked.run(lambda i: vars(walk(i)), costs) if top >= FORK_FROM_WEIGHT else {}
-    # no cell before the earliest failing one is missing, so walking the missing
-    # cells here in table order raises the failure one walk would have raised
-    return [RootSequence(**sent[i]) if i in sent else walk(i) for i in range(len(cells))]
+    return [
+        root_sequence(p, ell, kclass, max_weight=max_weight, require_two_periods=not single_period)
+        for p in ROW_PRIMES.get(ell, (2,))
+        for kclass in KCLASSES[ell]
+    ]
 
 
 def small_ell_rule(p: int, k: int, ell: int) -> tuple:
@@ -249,12 +248,8 @@ def small_ell_rule(p: int, k: int, ell: int) -> tuple:
     if ell not in (2, 3):
         raise ValueError("closed forms cover ell in {2, 3} only")
     _validate(p, ell)
-    d = dim_cusp(k)
-    base = (0, 1) if ell == 2 or p % 3 == 2 else (-2 % ell, 1)
-    out = (1,)
-    for _ in range(d):
-        out = mul(out, base, ell)
-    return out
+    root = 0 if ell == 2 or p % 3 == 2 else 2
+    return _product([root] * dim_cusp(k), ell)
 
 
 def congruence_class_invariance(p: int, q: int, ell: int, k: int) -> bool:

@@ -15,6 +15,12 @@ form (a, b, c) of discriminant -n with b >= 0 has b = n (mod 2),
 3 b^2 <= n and a c = (b^2 + n)/4 with b <= a <= c, so for each such b
 the loop keeps the a up to sqrt((b^2 + n)/4) that divide (b^2 + n)/4.
 
+`traces(n, weights)` gives the traces of one T_n at many weights.  The
+class numbers do not depend on k, so each is counted once, and one run
+of the recursion per t passes U_(k-1) for every weight on its way up;
+`trace(n, k)` is its one-weight case.  The root walks of `modfactor`
+check every weight of a class against it.
+
 Everything is summed as the integer 24 * trace; a total that 24 does
 not divide is raised as a falsification, never rounded.  This module
 deliberately shares no code with the Hecke-matrix path so the two can
@@ -66,29 +72,48 @@ def weight_poly(k: int, t: int, n: int) -> int:
     return u
 
 
-def _terms24(n: int, k: int):
-    """24 times the elliptic and the hyperbolic part of the trace, as integers."""
+def _terms24(n: int, weights) -> dict:
+    """k -> 24 times the elliptic and the hyperbolic part of the trace, as integers.
+
+    Each class number is counted once for all the weights, and one
+    recursion per t passes U_(k-1) for every k on its way up.
+    """
     if n < 1:
         raise ValueError("Hecke index must be >= 1")
-    if k < 4 or k % 2:
-        raise ValueError("weight must be even and >= 4, got %d" % k)
-    elliptic = 0
+    for k in weights:
+        if k < 4 or k % 2:
+            raise ValueError("weight must be even and >= 4, got %d" % k)
+    ks = sorted(set(weights))
+    elliptic = dict.fromkeys(ks, 0)
     # for even k both factors are even in t, so -t repeats the term of t
     for t in range(math.isqrt(4 * n) + 1):
-        h = _hurwitz12(4 * n - t * t)
-        if h:
-            elliptic += weight_poly(k, t, n) * h * (2 if t else 1)
-    hyperbolic = sum(min(d, n // d) ** (k - 1) for d in divisors(n))
-    return -elliptic, -12 * hyperbolic
+        h = _hurwitz12(4 * n - t * t) * (2 if t else 1)
+        if not h:
+            continue
+        u_prev, u, j = 0, 1, 1  # U_(j-1), U_j
+        for k in ks:
+            for _ in range(k - 1 - j):
+                u_prev, u = u, t * u - n * u_prev
+            j = k - 1
+            elliptic[k] += u * h
+    divs = [min(d, n // d) for d in divisors(n)]
+    return {k: (-elliptic[k], -12 * sum(m ** (k - 1) for m in divs)) for k in ks}
+
+
+def traces(n: int, weights) -> dict:
+    """k -> exact trace of T_n on the weight-k cusp space, for every k in `weights`."""
+    out = {}
+    for k, (elliptic, hyperbolic) in _terms24(n, weights).items():
+        total = elliptic + hyperbolic
+        if total % 24:
+            g = math.gcd(total, 24)
+            raise NonIntegralTrace(
+                "trace formula gave %d/%d for n=%d k=%d" % (total // g, 24 // g, n, k)
+            )
+        out[k] = total // 24
+    return out
 
 
 def trace(n: int, k: int) -> int:
     """Exact trace of T_n on the weight-k cusp space."""
-    elliptic, hyperbolic = _terms24(n, k)
-    total = elliptic + hyperbolic
-    if total % 24:
-        g = math.gcd(total, 24)
-        raise NonIntegralTrace(
-            "trace formula gave %d/%d for n=%d k=%d" % (total // g, 24 // g, n, k)
-        )
-    return total // 24
+    return traces(n, (k,))[k]

@@ -200,8 +200,8 @@ def test_planted_records_are_rejected_on_both_sides_of_the_crossover(tmp_path, m
     assert CharpolyCache(str(tmp_path)).charpoly(p, k) == good
     assert path.read_text() == record_line(p, k, tuple(bad)) + record_line(p, k, good)
     fill = ("charpoly", p, k)
-    if past:  # compared with a fresh exact charpoly; the fill computes it again
-        assert events == [fill, fill]
+    if past:  # compared with a fresh exact charpoly, which the fill then writes
+        assert events == [fill]
     elif wrong == -3:
         assert events == [("_agrees_with_traces",), fill]
     else:  # c_0 passes the traces and fails the kernel

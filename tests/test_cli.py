@@ -120,12 +120,15 @@ def test_table_mod7_full_output(capsys, fmt):
 
 @pytest.mark.parametrize("ell", [5, 7, 13])
 def test_table_output_does_not_depend_on_the_number_of_workers(monkeypatch, capsys, ell):
-    from heckemod import _forked
+    def fork():
+        raise AssertionError("forked")
 
+    monkeypatch.setattr(os, "fork", fork)
     for fmt in ("text", "json", "csv"):
         runs = []
         for count in (1, 2, 3):
-            monkeypatch.setattr(_forked, "_usable_cpus", lambda: count)
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: count)
             runs.append(run_cli(capsys, "table", "--ell", str(ell), "--format", fmt))
         assert runs[0][0] == 0 and runs[0] == runs[1] == runs[2], fmt
 
@@ -533,13 +536,16 @@ def test_krylov_non_integral_failure_exits_3(capsys, monkeypatch):
 def test_eigenvalue_failure_exits_3(capsys, monkeypatch):
     from heckemod import modfactor
 
-    real = modfactor.charpoly
+    real = modfactor.flag_matrix
 
-    def planted(p, k, modulus=None):
-        # 11 = 1 mod 5 allows only the root 2
-        return (-3, 1) if (p, k, modulus) == (11, 12, 5) else real(p, k, modulus)
+    def planted(n, weights, modulus):
+        # 11 = 1 mod 5 allows only the root 2; plant 3 as the term of g_1, of weight 12
+        matrix = [list(row) for row in real(n, weights, modulus)]
+        if (n, weights[0], modulus) == (11, 12, 5):
+            matrix[0][0] = 3
+        return matrix
 
-    monkeypatch.setattr(modfactor, "charpoly", planted)
+    monkeypatch.setattr(modfactor, "flag_matrix", planted)
     code, out, err = run_cli(capsys, "table", "--ell", "5")
     assert (code, out) == (3, "")
     assert err == "falsification: T_11 at weight 12 mod 5 has root 3 outside {p^m + p^n mod 5} = {2}\n"
@@ -623,10 +629,11 @@ def test_package_reads_each_public_name_from_its_module():
         ("trace --n 2 --weight 24", {"traceformula"},
          {"cache", "galois", "gfpoly", "hecke", "modfactor", "qseries"}),
         ("charpoly --prime 2 --weight 24", {"cache", "hecke"}, {"galois", "gfpoly", "modfactor", "_krylov"}),
-        ("table --ell 5", {"modfactor", "_forked"}, {"cache", "galois", "traceformula", "_krylov"}),
+        ("table --ell 5", {"modfactor", "traceformula"}, {"cache", "galois", "gfpoly", "_krylov"}),
+        ("period --prime 2 --ell 13 --kclass 0", {"modfactor"}, {"cache", "galois", "gfpoly"}),
         ("certify --prime 2 --weight 24", {"galois", "cache"}, {"modfactor"}),
         ("charpoly --prime 29 --weight 96", {"hecke", "_krylov"}, {"galois", "gfpoly", "modfactor"}),
-        ("deduce --target-prime 3 --weight 24", {"galois", "modfactor"}, {"_forked"}),
+        ("deduce --target-prime 3 --weight 24", {"galois", "modfactor", "traceformula"}, {"_krylov"}),
     ],
 )
 def test_a_cold_command_runs_only_the_modules_it_calls(argv, runs, skips):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from heckemod import _forked, _kron, _krylov, hecke, qseries, traceformula
+from heckemod import _kron, _krylov, hecke, qseries, traceformula
 from heckemod._primes import poly_str
 from heckemod.errors import InsufficientPrecision, SpanViolation
 from heckemod.gfpoly import reduce_mod
@@ -396,13 +396,7 @@ def test_shared_table_results_do_not_depend_on_call_order(monkeypatch):
     assert charpoly(2, 370, 13) == before
 
 
-@pytest.fixture
-def one_worker(monkeypatch):
-    """table_rows walks every cell in this process, so what a test counts is the whole walk."""
-    monkeypatch.setattr(_forked, "_usable_cpus", lambda: 1)
-
-
-def test_factor_tables_are_sized_to_the_request(monkeypatch, one_worker):
+def test_factor_tables_are_sized_to_the_request(monkeypatch):
     monkeypatch.setattr(hecke, "_SHARED", {})
     fresh = table_rows(5)
     hecke._SHARED.clear()
@@ -421,17 +415,19 @@ def test_factor_tables_are_sized_to_the_request(monkeypatch, one_worker):
     assert longest and max(longest) <= 4 * top
 
 
-def test_factor_tables_make_no_more_products_than_one_growing_table(monkeypatch, one_worker):
+def test_factor_tables_make_no_more_products_than_one_growing_table(monkeypatch):
     real_mul = qseries.mul
-    for ell, products in ((5, 156), (13, 333)):  # with one table per ell, doubled on demand
+    # one table per ell, doubled on demand; each walk reads its flag and its
+    # top weight from one table of p dim(top) + 1 coefficients
+    for ell, products in ((5, 22), (13, 208)):
         monkeypatch.setattr(hecke, "_SHARED", {})
         calls = []
         monkeypatch.setattr(qseries, "mul", lambda *args: calls.append(args) or real_mul(*args))
         table_rows(ell)
-        assert 0 < len(calls) <= products, ell
+        assert len(calls) == products, ell
 
 
-def test_a_factor_that_is_one_is_never_multiplied(monkeypatch, one_worker):
+def test_a_factor_that_is_one_is_never_multiplied(monkeypatch):
     # E4 = 1 mod 5, so mod 5 every tail is 1 or E6
     real_mul = qseries.mul
 
@@ -451,9 +447,9 @@ def test_a_factor_that_is_one_is_never_multiplied(monkeypatch, one_worker):
     cells, made = products(False)
     every, calls = products(True)
     assert every == cells
-    # of the 119 products, the 85 with an operand of 1 are left out
-    assert (len(calls), sum(is_one(f) or is_one(g) for f, g in calls)) == (119, 85)
-    assert len(made) == 34 and not any(is_one(f) or is_one(g) for f, g in made)
+    # of the 58 products, the 36 with an operand of 1 are left out
+    assert (len(calls), sum(is_one(f) or is_one(g) for f, g in calls)) == (58, 36)
+    assert len(made) == 22 and not any(is_one(f) or is_one(g) for f, g in made)
 
 
 def split_products(run) -> tuple:
@@ -478,7 +474,7 @@ def split_products(run) -> tuple:
     return paths.count(2), len(paths)
 
 
-def test_only_large_products_are_split(monkeypatch, one_worker):
+def test_only_large_products_are_split(monkeypatch):
     def direct():  # the Krylov path reads no products of this size
         monkeypatch.setattr(hecke, "KRYLOV_FROM", float("inf"))
         charpoly(97, 60)
@@ -491,7 +487,7 @@ def test_only_large_products_are_split(monkeypatch, one_worker):
     assert total > 0 and split <= 8
 
 
-def test_mod_ell_kernel_reduces_and_packs_each_value_once(monkeypatch, one_worker):
+def test_mod_ell_kernel_reduces_and_packs_each_value_once(monkeypatch):
     monkeypatch.setattr(hecke, "_SHARED", {})
     depth, actions, reduced, built = [0], [0], [], Counter()
     real_action, real_reduce = hecke.hecke_action, qseries.reduce
@@ -551,11 +547,22 @@ def test_mod_ell_matrices_are_the_integer_matrices_reduced():
                     assert hecke_matrix(p, k, ell) == reduced, (p, k, ell)
 
 
-def test_weighted_reads_keep_only_the_current_matrix(one_worker):
+def test_a_flag_of_one_weight_is_the_hecke_matrix(monkeypatch):
+    for n, k, ell in ((2, 24, 5), (3, 96, 7), (29, 200, 7), (2, 370, 13)):
+        monkeypatch.setattr(hecke, "_SHARED", {})
+        assert hecke.flag_matrix(n, [k] * dim_cusp(k), ell) == hecke_matrix(n, k, ell), (n, k, ell)
+    assert hecke.flag_matrix(2, [], 5) == ()
+
+
+def test_weighted_reads_keep_only_the_current_matrix():
     hecke._weighted_reads.cache_clear()
     table_rows(5)
     info = hecke._weighted_reads.cache_info()
-    assert info.currsize == 1 and info.hits > info.misses > 1
+    # a flag matrix applies T_p at each g's own weight, so each of its columns
+    # misses: 9 a cell of class 0 mod 4 (top 108), 8 of class 2 (top 110).  The
+    # top weight's matrix hits on every column, except the first at 110: the
+    # last g of class 2 has weight 98.
+    assert (info.currsize, info.hits, info.misses) == (1, 4 * 9 + 4 * 7, 4 * 9 + 4 * 9)
 
 
 def test_integer_results_do_not_depend_on_call_order_or_table_size(monkeypatch):

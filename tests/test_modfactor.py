@@ -1,9 +1,10 @@
 import os
 import threading
+from functools import reduce
 
 import pytest
 
-from heckemod import _forked, modfactor
+from heckemod import hecke, modfactor
 from heckemod.cli import main
 from heckemod.errors import (
     EigenvalueViolation,
@@ -14,7 +15,6 @@ from heckemod.errors import (
 from heckemod.gfpoly import divide_exact, mul, roots
 from heckemod.hecke import dim_cusp
 from heckemod.modfactor import (
-    FORK_FROM_WEIGHT,
     charpoly_mod,
     congruence_class_invariance,
     first_weight_in_class,
@@ -95,10 +95,10 @@ def test_root_sequence_mod7():
 
 
 def test_root_sequence_accumulates_exact_root_multisets():
-    # in every table cell mod 5 and mod 13, the first dim(k) terms are
+    # in every table cell mod 5, 7 and 13, the first dim(k) terms are
     # exactly the roots of T_p mod ell at each weight k the walk visits,
-    # found by factoring the whole polynomial, which the walk does not
-    for ell in (5, 13):
+    # found by factoring the whole polynomial; the walk factors none
+    for ell in (5, 7, 13):
         for seq in table_rows(ell):
             k0 = first_weight_in_class(seq.kclass, ell)
             for k in range(k0, seq.max_weight + 1, ell - 1):
@@ -129,7 +129,7 @@ def test_table_rows_mod5():
 
 
 def poison(monkeypatch, key, poly):
-    """Plant a wrong polynomial for one (p, k) in the kernel modfactor calls."""
+    """Plant a wrong polynomial for one (p, k) in the kernel charpoly_mod calls."""
     real = modfactor.charpoly
 
     def planted(p, k, modulus=None):
@@ -140,44 +140,248 @@ def poison(monkeypatch, key, poly):
     monkeypatch.setattr(modfactor, "charpoly", planted)
 
 
+def plant_matrix(monkeypatch, p, entries):
+    """Plant entries {(row, column): value} in the flag matrix of T_p."""
+    real = modfactor.flag_matrix
+
+    def planted(n, weights, modulus):
+        matrix = [list(row) for row in real(n, weights, modulus)]
+        if n == p:
+            for (i, j), value in entries.items():
+                matrix[i][j] = value
+        return matrix
+
+    monkeypatch.setattr(modfactor, "flag_matrix", planted)
+
+
+def plant_trace(monkeypatch, p, k, offset):
+    """Move the trace formula's trace of T_p at weight k by `offset`."""
+    real = modfactor.traces
+
+    def planted(n, weights):
+        out = real(n, weights)
+        if n == p:
+            out[k] += offset
+        return out
+
+    monkeypatch.setattr(modfactor, "traces", planted)
+
+
+def test_a_walk_makes_one_flag_matrix_and_one_charpoly(monkeypatch):
+    calls = []
+    for name in ("flag_matrix", "charpoly"):
+        real = getattr(modfactor, name)
+        monkeypatch.setattr(modfactor, name, lambda *args, real=real: calls.append(args) or real(*args))
+    seq = root_sequence(2, 13, 0)
+    # g_j = delta^j enters at weight 12 j, and only the top weight is factored
+    assert seq.term_weights == tuple(range(12, 361, 12))
+    assert calls == [(2, list(seq.term_weights), 13), (2, 360, 13)]
+
+
 def test_splitting_violation_detected(monkeypatch):
-    # (x - 1)(x^2 + 2): weight 20's x - 1 divides it, but x^2 + 2 has no
-    # roots mod 5, and the dimension at 24 is 2
+    # (x - 1)(x^2 + 2) at the top weight: x^2 + 2 has no roots mod 5, and the
+    # dimension at 24 is 2
     poison(monkeypatch, (2, 24), mul((4, 1), (2, 0, 1), 5))
     with pytest.raises(SplittingViolation):
-        root_sequence(2, 5, 0)
+        root_sequence(2, 5, 0, max_weight=24, require_two_periods=False)
 
 
 def test_nesting_violation_detected(monkeypatch):
-    # root 2 at weight 16 would drop the root 1 seen at weight 12: the
-    # walk's exact division by weight 12's x - 1 is the Lemma 1 check
-    poison(monkeypatch, (2, 16), (-2, 1))
+    # T_2 g_1 with a coordinate on g_2: the form of weight 12 would not span a
+    # T_2-stable line inside weight 24, which Lemma 1 guarantees
+    plant_matrix(monkeypatch, 2, {(1, 0): 1})
     with pytest.raises(Lemma1Violation):
         root_sequence(2, 5, 0)
 
 
+# root_sequence(p, 5, 0, max_weight=24): g_1 enters at 12 and g_2 at 24, terms 1, 4 for p = 2
 @pytest.mark.parametrize(
-    "key, poly, error, message",
+    "plant, error, message",
     [
-        ((2, 16), (2, 0, 1), Lemma1Violation,
-         "T_2 at weight 12 does not divide weight 16 mod 5 (remainder 3)"),
-        ((2, 16), (-2, 1), Lemma1Violation,
-         "T_2 at weight 12 does not divide weight 16 mod 5 (remainder 4)"),
-        # (x - 1)(x^2 + 2): the previous root 1 divides, the quotient does not split
-        ((2, 24), mul((4, 1), (2, 0, 1), 5), SplittingViolation,
+        (lambda mp: poison(mp, (2, 24), (2, 0, 1)), SplittingViolation,
+         "T_2 at weight 24 mod 5 has 0 roots in F_5, dimension is 2"),
+        # (x - 2)(x - 4) splits, but has lost the root 1 of weight 12
+        (lambda mp: poison(mp, (2, 24), (3, 4, 1)), Lemma1Violation,
+         "T_2 at weight 24 mod 5 has roots (2, 4), not the walk's terms (1, 4)"),
+        # (x - 1)(x^2 + 2): the root 1 divides, the rest does not split
+        (lambda mp: poison(mp, (2, 24), mul((4, 1), (2, 0, 1), 5)), SplittingViolation,
          "T_2 at weight 24 mod 5 has 1 roots in F_5, dimension is 2"),
-        # 11 = 1 mod 5 allows only the root 1 + 1 = 2; x - 3 divides and splits
-        ((11, 12), (-3, 1), EigenvalueViolation,
+        # 11 = 1 mod 5 allows only the root 1 + 1 = 2
+        (lambda mp: plant_matrix(mp, 11, {(0, 0): 3}), EigenvalueViolation,
          "T_11 at weight 12 mod 5 has root 3 outside {p^m + p^n mod 5} = {2}"),
+        (lambda mp: plant_matrix(mp, 2, {(1, 0): 3}), Lemma1Violation,
+         "T_2 g_1 at weight 12 has coordinate 3 on g_2 of weight 24 mod 5"),
+        (lambda mp: plant_trace(mp, 2, 20, 1), Lemma1Violation,
+         "T_2 at weight 20 mod 5 has trace 2, but the walk's first 1 terms sum to 1"),
     ],
-    ids=("no-root", "lost-root", "quotient-does-not-split", "root-outside-serre-set"),
+    ids=("no-root", "lost-root", "quotient-does-not-split", "root-outside-serre-set",
+         "off-the-flag", "trace"),
 )
-def test_violation_messages(monkeypatch, key, poly, error, message):
-    poison(monkeypatch, key, poly)
+def test_violation_messages(monkeypatch, plant, error, message):
+    plant(monkeypatch)
+    p = 11 if error is EigenvalueViolation else 2
     with pytest.raises(error) as info:
-        root_sequence(key[0], 5, 0)
+        root_sequence(p, 5, 0, max_weight=24, require_two_periods=False)
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+def lead_off(monkeypatch):
+    """Plant a wrong q^2 coefficient in every read of delta^2 E4^b E6^c."""
+    real_read = hecke._Factors.read
+
+    def read(table, a, b, c, top, exponents=None):
+        f = real_read(table, a, b, c, top, exponents)
+        if a == 2:
+            f[2] += 1
+        return f
+
+    monkeypatch.setattr(hecke, "_SHARED", {})
+    monkeypatch.setattr(hecke._Factors, "read", read)
+
+
+# Each kind of failure a walk raises, through `table --ell 5`, whose first
+# cell is T_11 on class 0 mod 4: g_1, g_2, ... enter at 12, 24, 36, ...,
+# every term is 2, and the top weight is 108, of dimension 9.  The
+# eigenvalue failure is test_cli.py::test_eigenvalue_failure_exits_3.
+@pytest.mark.parametrize(
+    "plant, message",
+    [
+        (lambda mp: plant_matrix(mp, 11, {(2, 1): 4}),
+         "T_11 g_2 at weight 24 has coordinate 4 on g_3 of weight 36 mod 5"),
+        (lambda mp: plant_trace(mp, 11, 12, 1),
+         "T_11 at weight 12 mod 5 has trace 3, but the walk's first 1 terms sum to 2"),
+        # (x - 2)^7 (x^2 + 2)
+        (lambda mp: poison(mp, (11, 108), reduce(lambda f, g: mul(f, g, 5), [(3, 1)] * 7 + [(2, 0, 1)])),
+         "T_11 at weight 108 mod 5 has 7 roots in F_5, dimension is 9"),
+        (lead_off, "basis element 1 at k=24 does not lead with q^2"),
+        (lambda mp: mp.setattr(modfactor, "minimal_period", lambda terms: None),
+         "no period for p=11 ell=5 class 0 up to weight 110 (9 terms)"),
+    ],
+    ids=("lemma1-flag", "lemma1-trace", "splitting", "span", "period"),
+)
+def test_a_failing_walk_exits_3(monkeypatch, capsys, plant, message):
+    plant(monkeypatch)
+    assert main(["table", "--ell", "5"]) == 3
+    assert capsys.readouterr() == ("", "falsification: %s\n" % message)
+
+
+def cpus(monkeypatch, count):
+    """Report `count` usable CPUs to anything that asks the os module."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("ell", [5, 7, 13])
+def test_cells_do_not_depend_on_the_number_of_workers(monkeypatch, ell):
+    forks, real_fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    cpus(monkeypatch, 1)
+    one = table_rows(ell)
+    assert one == [
+        root_sequence(p, ell, kclass)
+        for p in modfactor.ROW_PRIMES.get(ell, (2,))
+        for kclass in modfactor.KCLASSES[ell]
+    ]
+    for count in (2, 3):
+        cpus(monkeypatch, count)
+        assert table_rows(ell) == one, count
+    assert forks == []
+    assert_no_child_left()
+
+
+def test_small_walks_and_threaded_callers_run_in_this_process(monkeypatch):
+    def fork():
+        raise AssertionError("forked")
+
+    cpus(monkeypatch, 2)
+    monkeypatch.setattr(os, "fork", fork)
+    assert len(table_rows(5, 40, single_period=True)) == 8
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert len(table_rows(5, single_period=True)) == 8
+        assert len(table_rows(5)) == 8
+    finally:
+        stop.set()
+        thread.join(10)
+    assert not thread.is_alive()
+
+
+def plant_cell(monkeypatch, cells):
+    """Plant {(p, first weight of the flag): {(row, column): value}} in flag matrices."""
+    real = modfactor.flag_matrix
+
+    def planted(n, weights, modulus):
+        matrix = [list(row) for row in real(n, weights, modulus)]
+        for (i, j), value in cells.get((n, weights[0]), {}).items():
+            matrix[i][j] = value
+        return matrix
+
+    monkeypatch.setattr(modfactor, "flag_matrix", planted)
+
+
+# The cells of `table --ell 5`, in order: (11, 0), (11, 2), (2, 0), (2, 2), ...
+# Class 0 mod 4 starts its flag at weight 12, class 2 at weight 18, and g_2
+# enters at 24 and 30.  The ids keep the names of the days when class 0 was
+# walked in the parent and class 2 in a forked child; a table is now walked in
+# one process, cell by cell, and stops at the earliest failing cell.
+PLANTS = {
+    # 11 = 1 mod 5 allows only the root 2
+    "child-eigenvalue": ({(11, 18): {(0, 0): 3}}, (11, 2)),
+    "child-lemma1": ({(2, 18): {(1, 0): 1}}, (2, 2)),
+    "parent-lemma1": ({(2, 12): {(1, 0): 1}}, (2, 0)),
+    "earliest-in-child": ({(11, 18): {(0, 0): 3}, (2, 12): {(1, 0): 1}}, (11, 2)),
+    "earliest-in-parent": ({(11, 12): {(0, 0): 3}, (2, 18): {(1, 0): 1}}, (11, 0)),
+}
+MESSAGES = {
+    (11, 2): (EigenvalueViolation, "T_11 at weight 18 mod 5 has root 3 outside {p^m + p^n mod 5} = {2}"),
+    (11, 0): (EigenvalueViolation, "T_11 at weight 12 mod 5 has root 3 outside {p^m + p^n mod 5} = {2}"),
+    (2, 2): (Lemma1Violation, "T_2 g_1 at weight 18 has coordinate 1 on g_2 of weight 30 mod 5"),
+    (2, 0): (Lemma1Violation, "T_2 g_1 at weight 12 has coordinate 1 on g_2 of weight 24 mod 5"),
+}
+
+
+@pytest.mark.parametrize("plants", PLANTS.values(), ids=PLANTS)
+def test_a_failing_cell_fails_as_with_one_worker(monkeypatch, capsys, plants):
+    cells, (p, kclass) = plants
+    plant_cell(monkeypatch, cells)
+    error, message = MESSAGES[(p, kclass)]
+    # the earliest failing cell fails on its own as it fails the table
+    with pytest.raises(error) as info:
+        root_sequence(p, 5, kclass)
+    assert str(info.value) == message
+    runs = []
+    for count in (1, 2):
+        cpus(monkeypatch, count)
+        runs.append((main(["table", "--ell", "5"]), *capsys.readouterr()))
+    assert runs[0] == runs[1] == (3, "", "falsification: %s\n" % message)
+    assert_no_child_left()
+
+
+def test_an_interrupted_walk_kills_its_children(monkeypatch):
+    real = modfactor.flag_matrix
+    walked = []
+
+    def interrupted(n, weights, modulus):
+        walked.append((n, weights[0]))
+        if (n, weights[0]) == (2, 18):
+            raise KeyboardInterrupt
+        return real(n, weights, modulus)
+
+    cpus(monkeypatch, 2)
+    monkeypatch.setattr(modfactor, "flag_matrix", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        table_rows(5)
+    # the interrupt ends the walk at the fourth cell, (2, 2), and leaves no process behind
+    assert walked == [(11, 12), (11, 18), (2, 12), (2, 18)]
+    assert_no_child_left()
 
 
 def test_quotient_sequence_reassembles():
@@ -226,121 +430,3 @@ def test_serre_classification_sample():
         for ell, p in ((7, 2), (5, 3)):
             allowed = serre_eigenvalue_set(p, ell)
             assert set(roots(charpoly_mod(p, k, ell), ell)) <= allowed
-
-
-def workers(monkeypatch, count):
-    """Make table_rows see `count` usable CPUs."""
-    monkeypatch.setattr(_forked, "_usable_cpus", lambda: count)
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.mark.parametrize("ell", [5, 7, 13])
-def test_cells_do_not_depend_on_the_number_of_workers(monkeypatch, ell):
-    forks, real_fork = [], os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
-    workers(monkeypatch, 1)
-    one = table_rows(ell)
-    assert forks == []
-    for count in (2, 3):
-        workers(monkeypatch, count)
-        assert table_rows(ell) == one, count
-        assert len(forks) == count - 1
-        forks.clear()
-        assert_no_child_left()
-
-
-def test_jobs_are_shared_by_cost_and_run_costliest_first():
-    costs = [p + 20 for p in modfactor.ROW_PRIMES[7] for _ in modfactor.KCLASSES[7]]
-    groups = _forked._groups(costs, 2)
-    assert sorted(sum(groups, [])) == list(range(18))
-    for group in groups:
-        assert [costs[i] for i in group] == sorted((costs[i] for i in group), reverse=True)
-    loads = [sum(costs[i] for i in group) for group in groups]
-    assert abs(loads[0] - loads[1]) <= max(costs)
-
-
-def test_small_walks_and_threaded_callers_run_in_this_process(monkeypatch):
-    def fork():
-        raise AssertionError("forked")
-
-    workers(monkeypatch, 2)
-    monkeypatch.setattr(os, "fork", fork)
-    assert len(table_rows(5, FORK_FROM_WEIGHT - 2, single_period=True)) == 8
-    stop = threading.Event()
-    thread = threading.Thread(target=stop.wait)
-    thread.start()
-    try:
-        assert len(table_rows(5, FORK_FROM_WEIGHT, single_period=True)) == 8
-    finally:
-        stop.set()
-        thread.join(10)
-    assert not thread.is_alive()
-
-
-def test_cells_no_child_sends_are_walked_in_this_process(monkeypatch):
-    workers(monkeypatch, 1)
-    one = table_rows(5)
-    workers(monkeypatch, 2)
-    parent, real_run_group = os.getpid(), _forked._run_group
-
-    def dying(job, group):
-        if os.getpid() != parent:
-            os._exit(1)  # a child that dies before it sends
-        return real_run_group(job, group)
-
-    with monkeypatch.context() as mp:
-        mp.setattr(_forked, "_run_group", dying)
-        assert table_rows(5) == one
-    assert_no_child_left()
-
-    def no_fork():
-        raise BlockingIOError(11, "Resource temporarily unavailable")
-
-    monkeypatch.setattr(os, "fork", no_fork)
-    assert table_rows(5) == one
-
-
-# With two workers mod 5, the cells of class 0 mod 4 (cells 0, 2, 4, 6) run
-# in this process and those of class 2 (cells 1, 3, 5, 7) in the child.
-PLANTS = {
-    "child-eigenvalue": {(11, 18): (-3, 1)},  # 11 = 1 mod 5 allows only the root 2
-    "child-lemma1": {(2, 22): (2, 0, 1)},  # x^2 + 2 has no root mod 5
-    "parent-lemma1": {(2, 16): (2, 0, 1)},
-    "earliest-in-child": {(11, 18): (-3, 1), (2, 16): (2, 0, 1)},  # cell 1 before cell 2
-    "earliest-in-parent": {(11, 12): (-3, 1), (2, 22): (2, 0, 1)},  # cell 0 before cell 3
-}
-
-
-@pytest.mark.parametrize("plants", PLANTS.values(), ids=PLANTS)
-def test_a_failing_cell_fails_as_with_one_worker(monkeypatch, capsys, plants):
-    costs = [p + 20 for p in modfactor.ROW_PRIMES[5] for _ in modfactor.KCLASSES[5]]
-    assert _forked._groups(costs, 2)[1] == [7, 1, 5, 3]
-    real = modfactor.charpoly
-    monkeypatch.setattr(modfactor, "charpoly", lambda p, k, m=None: plants.get((p, k)) or real(p, k, m))
-    runs = []
-    for count in (1, 2):
-        workers(monkeypatch, count)
-        code = main(["table", "--ell", "5"])
-        runs.append((code, *capsys.readouterr()))
-        assert_no_child_left()
-    assert runs[0] == runs[1]
-    assert runs[0][:2] == (3, "") and runs[0][2].startswith("falsification: T_")
-
-
-def test_an_interrupted_walk_kills_its_children(monkeypatch):
-    parent, real = os.getpid(), modfactor.charpoly
-
-    def interrupted(p, k, m=None):
-        if os.getpid() == parent and (p, k) == (2, 60):
-            raise KeyboardInterrupt
-        return real(p, k, m)
-
-    workers(monkeypatch, 2)
-    monkeypatch.setattr(modfactor, "charpoly", interrupted)
-    with pytest.raises(KeyboardInterrupt):
-        table_rows(5)
-    assert_no_child_left()

@@ -8,7 +8,7 @@ from heckemod import traceformula
 from heckemod.cli import main
 from heckemod.errors import NonIntegralTrace
 from heckemod.hecke import charpoly, dim_cusp, hecke_matrix
-from heckemod.traceformula import _hurwitz12, _terms24, trace, weight_poly
+from heckemod.traceformula import _hurwitz12, _terms24, trace, traces, weight_poly
 
 
 def hurwitz_class_number(n):
@@ -138,8 +138,7 @@ def full_trace_terms(n, k):
 
 
 def test_trace_terms_match_the_full_sum_with_one_class_number_per_t(monkeypatch):
-    grid = [(n, k) for n in list(range(1, 31)) + [49, 64, 97, 100] for k in (4, 12, 24, 50)]
-    expected = {(n, k): full_trace_terms(n, k) for n, k in grid}
+    weights = (4, 12, 24, 50)
     arguments = []
     counted = traceformula._hurwitz12
 
@@ -148,11 +147,24 @@ def test_trace_terms_match_the_full_sum_with_one_class_number_per_t(monkeypatch)
         return counted(m)
 
     monkeypatch.setattr(traceformula, "_hurwitz12", counting)
-    for n, k in grid:
+    for n in list(range(1, 31)) + [49, 64, 97, 100]:
         arguments.clear()
-        assert tuple(Fraction(x, 24) for x in _terms24(n, k)) == expected[n, k]
+        terms = _terms24(n, (50, 12, 4, 24, 12))  # in any order, repeats once
+        assert list(terms) == sorted(weights)
+        for k in weights:
+            assert tuple(Fraction(x, 24) for x in terms[k]) == full_trace_terms(n, k), (n, k)
+        # one class number per t, for all the weights together
         assert len(arguments) == math.isqrt(4 * n) + 1
         assert len(set(arguments)) == len(arguments)
+
+
+def test_traces_at_many_weights_are_the_traces_one_at_a_time():
+    weights = range(4, 204, 2)
+    for n in (1, 2, 3, 4, 9, 11, 19, 29, 97, 841):
+        assert traces(n, weights) == {k: trace(n, k) for k in weights}, n
+    assert traces(2, ()) == {}
+    with pytest.raises(ValueError):
+        traces(2, (24, 13))
 
 
 def test_trace_is_the_full_sum():
