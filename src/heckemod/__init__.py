@@ -41,7 +41,7 @@ _OWNER = {
         ("cache", "CharpolyCache"),
         ("errors", "ComputationError EigenvalueViolation FalsificationError "
          "InsufficientPrecision Lemma1Violation NonIntegralTrace PeriodNotFound "
-         "SpanViolation SplittingViolation"),
+         "SpanViolation"),
         ("galois", "Certificate CycleType NotFound SquarefreeFailure certify "
          "certify_full_symmetric certify_irreducible corollary_conclusion "
          "cycle_type deduce theorem1_conclusion"),

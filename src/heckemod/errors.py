@@ -9,15 +9,13 @@ to different exit codes:
     ComputationError;
   * falsification events: FalsificationError.  These fire when a value
     the theory says must hold fails to hold (a Hecke image outside the
-    cusp space, an inexact quotient where divisibility is guaranteed, a
-    polynomial that does not split where complete splitting is
-    guaranteed, a root outside the set Serre's classification allows,
-    a period that never appears, T_p mod 2 or 3 off its closed form).  A
-    root walk reads the roots of a whole weight class off one triangular
-    matrix, T_p on the flag of Lemma 1, and checks it three ways: its
-    triangularity and Serre's set, the trace formula at every weight,
-    and the top weight's own polynomial (see `modfactor`).
-    They are never caught and papered over.
+    cusp space, a form of a weight class off the flag of Lemma 1, a
+    root outside the set Serre's classification allows, a period that
+    never appears, T_p mod 2 or 3 off its closed form).  A root walk
+    reads the roots of a whole weight class off one triangular matrix,
+    T_p on the flag of Lemma 1, and checks it two ways: its
+    triangularity and Serre's set, and the trace formula at every
+    weight (see `modfactor`).  They are never caught and papered over.
 """
 
 from __future__ import annotations
@@ -52,13 +50,8 @@ class Lemma1Violation(FalsificationError):
     """The forms of a weight class mod ell failed to make one T_p-stable flag.
 
     T_p g_j had a coordinate past g_j, or the walk's terms disagreed with
-    the trace formula at some weight or with the roots of the top
-    weight's polynomial.
+    the trace formula at some weight.
     """
-
-
-class SplittingViolation(FalsificationError):
-    """A Hecke polynomial did not split completely mod ell where it must."""
 
 
 class EigenvalueViolation(FalsificationError):

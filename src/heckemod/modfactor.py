@@ -30,7 +30,7 @@ forms of weight k mod ell.  On the g's, T_p (applied to each g_j at
 kappa_j, `hecke.flag_matrix`) is triangular, and its diagonal is the
 sequence: coordinate j of T_p g_j is the term that enters at kappa_j.
 
-Three checks go with the matrix, and a failure raises, never smoothed
+Two checks go with the matrix, and a failure raises, never smoothed
 over:
 
   * Lemma 1 at every level at once: a coordinate of T_p g_j past j is a
@@ -39,22 +39,20 @@ over:
   * each weight on its own: the trace formula, which shares no code
     with the kernel, must give the sum of the first dim S_k terms mod
     ell at every weight of the walk (`traceformula.traces`), else
-    Lemma1Violation;
-  * the top weight: its own charpoly mod ell, from the monomial basis
-    of S_K, must be the product of the x - a_j.  With fewer than dim
-    roots in F_ell it is a SplittingViolation, with others a
-    Lemma1Violation.
+    Lemma1Violation.  A step raises the dimension by at most one, so
+    the traces at kappa_j and kappa_j - ell + 1 pin the term a_j alone.
 
 A window without two periods raises PeriodNotFound where periods are
-required.
+required, unless the window ends before the default one: a window the
+caller chose short shows no period without contradicting the tables,
+so it is a ValueError.
 """
 
 from __future__ import annotations
 
-from . import gfpoly
 from ._primes import minimal_period, require_prime
 from ._record import record
-from .errors import EigenvalueViolation, Lemma1Violation, PeriodNotFound, SplittingViolation
+from .errors import EigenvalueViolation, Lemma1Violation, PeriodNotFound
 from .hecke import charpoly, dim_cusp, flag_matrix
 from .traceformula import traces
 
@@ -134,13 +132,14 @@ def root_sequence(
     """Walk a weight class and collect the new root at each dimension jump.
 
     The terms are the diagonal of T_p on the flag of the class, checked
-    by triangularity, Serre's set (ell < 13), the trace formula at every
-    weight and the top weight's own charpoly; a failure raises (see the
-    module docstring).  Period detection demands that every term equal
-    the one a period later across the whole window, with two full
-    periods in it; when require_two_periods is set and no period
-    emerges, PeriodNotFound is raised.  A window that ends below the
-    class's first weight checks nothing and is a ValueError.
+    by triangularity, Serre's set (ell < 13) and the trace formula at
+    every weight; a failure raises (see the module docstring).  Period
+    detection demands that every term equal the one a period later
+    across the whole window, with two full periods in it; when
+    require_two_periods is set and no period emerges, PeriodNotFound is
+    raised, or ValueError when max_weight ends before the default
+    window.  A window that ends below the class's first weight checks
+    nothing and is a ValueError.
     """
     if ell not in (5, 7, 13):
         raise ValueError("root sequences are defined for ell in {5, 7, 13}")
@@ -181,24 +180,14 @@ def root_sequence(
                 "T_%d at weight %d mod %d has trace %d, but the walk's first %d terms sum to %d"
                 % (p, k, ell, trace % ell, d, sum(terms[:d]) % ell)
             )
-    top = charpoly_mod(p, weights[-1], ell)
-    if top != _product(terms, ell):
-        found = gfpoly.roots(top, ell)
-        if len(found) != len(terms):
-            raise SplittingViolation(
-                "T_%d at weight %d mod %d has %d roots in F_%d, dimension is %d"
-                % (p, weights[-1], ell, len(found), ell, len(terms))
-            )
-        raise Lemma1Violation(
-            "T_%d at weight %d mod %d has roots (%s), not the walk's terms (%s)"
-            % (p, weights[-1], ell, ", ".join(map(str, found)), ", ".join(map(str, sorted(terms))))
-        )
     period = minimal_period(terms)
     if period is None and require_two_periods:
-        raise PeriodNotFound(
-            "no period for p=%d ell=%d class %d up to weight %d (%d terms)"
-            % (p, ell, kclass, max_weight, len(terms))
-        )
+        message = "no period for p=%d ell=%d class %d up to weight %d (%d terms)" % (
+            p, ell, kclass, max_weight, len(terms))
+        if max_weight < DEFAULT_MAX_WEIGHT[ell]:
+            raise ValueError(message + "; pass --single-period, or walk to the default weight %d"
+                             % DEFAULT_MAX_WEIGHT[ell])
+        raise PeriodNotFound(message)
     return RootSequence(
         p=p,
         ell=ell,

@@ -59,19 +59,6 @@ def _hurwitz12(n: int) -> int:
     return total
 
 
-def weight_poly(k: int, t: int, n: int) -> int:
-    """U_(k-1)(t, n) from U_0 = 0, U_1 = 1, U_j = t U_(j-1) - n U_(j-2).
-
-    For t^2 = 4n this degenerates to (k-1) (t/2)^(k-2).
-    """
-    if k < 2:
-        raise ValueError("weight must be >= 2")
-    u_prev, u = 0, 1
-    for _ in range(k - 2):
-        u_prev, u = u, t * u - n * u_prev
-    return u
-
-
 def _terms24(n: int, weights) -> dict:
     """k -> 24 times the elliptic and the hyperbolic part of the trace, as integers.
 

@@ -143,12 +143,31 @@ def test_period_output(capsys):
     assert obj["period"] == 2 and obj["terms"][:4] == [1, 4, 1, 4]
 
 
-def test_period_not_found_is_exit_3(capsys):
-    code, _, err = run_cli(
-        capsys, "period", "--prime", "2", "--ell", "5", "--kclass", "0", "--max-weight", "20"
-    )
-    assert code == 3
-    assert "falsification" in err
+def test_period_not_found_is_exit_3(monkeypatch, capsys):
+    from heckemod import modfactor
+
+    # the default window, or a longer one, must show two periods
+    monkeypatch.setattr(modfactor, "minimal_period", lambda terms: None)
+    for window, message in (((), "110 (9 terms)"), (("--max-weight", "400"), "400 (33 terms)")):
+        code, out, err = run_cli(capsys, "period", "--prime", "2", "--ell", "5", "--kclass", "0", *window)
+        assert (code, out) == (3, "")
+        assert err == "falsification: no period for p=2 ell=5 class 0 up to weight %s\n" % message
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        (("table", "--ell", "5"), "no period for p=11 ell=5 class 0 up to weight 20 (1 terms)"),
+        (("period", "--prime", "2", "--ell", "5", "--kclass", "0"),
+         "no period for p=2 ell=5 class 0 up to weight 20 (1 terms)"),
+    ],
+    ids=("table", "period"),
+)
+def test_a_short_window_without_a_period_is_a_usage_error(capsys, command, message):
+    # a window shorter than the default one cannot contradict the published tables
+    code, out, err = run_cli(capsys, *command, "--max-weight", "20")
+    assert (code, out) == (1, "")
+    assert err == "error: %s; pass --single-period, or walk to the default weight 110\n" % message
 
 
 @pytest.mark.parametrize(
@@ -596,12 +615,12 @@ def test_cold_cli_import_loads_neither_dataclasses_nor_inspect():
     assert "fractions" not in added and "json" not in added
 
 
-# the 41 public names of `heckemod`
+# the 40 public names of `heckemod`
 PUBLIC_NAMES = """
     CharpolyCache Certificate ComputationError CycleType EigenvalueViolation
     FactorMultiset FalsificationError InsufficientPrecision
     Lemma1Violation NonIntegralTrace NotFound PeriodNotFound QExpansion
-    SpanViolation SplittingViolation SquarefreeFailure certify
+    SpanViolation SquarefreeFailure certify
     certify_full_symmetric certify_irreducible charpoly charpoly_mod
     congruence_class_invariance corollary_conclusion cycle_type deduce delta
     dim_cusp eisenstein4 eisenstein6 factor hecke_matrix
@@ -613,7 +632,7 @@ PUBLIC_NAMES = """
 def test_package_reads_each_public_name_from_its_module():
     import heckemod
 
-    assert len(PUBLIC_NAMES) == 41 and sorted(heckemod.__all__) == sorted(PUBLIC_NAMES)
+    assert len(PUBLIC_NAMES) == 40 and sorted(heckemod.__all__) == sorted(PUBLIC_NAMES)
     for name in PUBLIC_NAMES:
         obj = getattr(heckemod, name)
         assert obj.__module__.startswith("heckemod.")
@@ -680,7 +699,10 @@ print(json.dumps([sorted(missing), code, out.getvalue(), table_calls, dict(trace
     assert missing == []
     assert (code, traced) == run_cli(capsys, "table", "--ell", "5", "--single-period")[:2]
     # the table runs through the spans whose self time the benchmark reports
-    for span in ("qseries.mul", "hecke.hecke_matrix", "hecke.hecke_action", "hecke.charpoly"):
+    for span in ("qseries.mul", "hecke.hecke_action", "modfactor.root_sequence"):
         assert calls.get(span, 0) > 0, span
-    for span in ("galois.cycle_type", "cache.get", "traceformula.trace"):
+    # a walk reads its terms off the flag, so no weight's own matrix or polynomial
+    for span in ("hecke.hecke_matrix", "hecke.charpoly", "modfactor.charpoly_mod"):
+        assert calls.get(span, 0) == 0, span
+    for span in ("hecke.hecke_matrix", "hecke.charpoly", "galois.cycle_type", "cache.get", "traceformula.trace"):
         assert later_calls.get(span, 0) > 0, span

@@ -417,9 +417,9 @@ def test_factor_tables_are_sized_to_the_request(monkeypatch):
 
 def test_factor_tables_make_no_more_products_than_one_growing_table(monkeypatch):
     real_mul = qseries.mul
-    # one table per ell, doubled on demand; each walk reads its flag and its
-    # top weight from one table of p dim(top) + 1 coefficients
-    for ell, products in ((5, 22), (13, 208)):
+    # one table per ell, doubled on demand; each walk reads its flag from
+    # one table of p dim(top) + 1 coefficients
+    for ell, products in ((5, 22), (13, 36)):
         monkeypatch.setattr(hecke, "_SHARED", {})
         calls = []
         monkeypatch.setattr(qseries, "mul", lambda *args: calls.append(args) or real_mul(*args))
@@ -447,8 +447,8 @@ def test_a_factor_that_is_one_is_never_multiplied(monkeypatch):
     cells, made = products(False)
     every, calls = products(True)
     assert every == cells
-    # of the 58 products, the 36 with an operand of 1 are left out
-    assert (len(calls), sum(is_one(f) or is_one(g) for f, g in calls)) == (58, 36)
+    # of the 28 products, the 6 with an operand of 1 are left out
+    assert (len(calls), sum(is_one(f) or is_one(g) for f, g in calls)) == (28, 6)
     assert len(made) == 22 and not any(is_one(f) or is_one(g) for f, g in made)
 
 
@@ -559,10 +559,13 @@ def test_weighted_reads_keep_only_the_current_matrix():
     table_rows(5)
     info = hecke._weighted_reads.cache_info()
     # a flag matrix applies T_p at each g's own weight, so each of its columns
-    # misses: 9 a cell of class 0 mod 4 (top 108), 8 of class 2 (top 110).  The
-    # top weight's matrix hits on every column, except the first at 110: the
-    # last g of class 2 has weight 98.
-    assert (info.currsize, info.hits, info.misses) == (1, 4 * 9 + 4 * 7, 4 * 9 + 4 * 9)
+    # misses: 9 a cell of class 0 mod 4 (top 108), 8 of class 2 (top 110)
+    assert (info.currsize, info.hits, info.misses) == (1, 0, 4 * 9 + 4 * 8)
+    # a matrix at one weight hits on every column after the first
+    hecke._weighted_reads.cache_clear()
+    hecke_matrix(11, 108, 5)
+    info = hecke._weighted_reads.cache_info()
+    assert (info.currsize, info.hits, info.misses) == (1, dim_cusp(108) - 1, 1)
 
 
 def test_integer_results_do_not_depend_on_call_order_or_table_size(monkeypatch):

@@ -1,6 +1,5 @@
 import os
 import threading
-from functools import reduce
 
 import pytest
 
@@ -10,7 +9,6 @@ from heckemod.errors import (
     EigenvalueViolation,
     Lemma1Violation,
     PeriodNotFound,
-    SplittingViolation,
 )
 from heckemod.gfpoly import divide_exact, mul, roots
 from heckemod.hecke import dim_cusp
@@ -113,8 +111,10 @@ def test_root_sequence_short_window():
     assert seq.one_period() == (1, 4)
     with pytest.raises(ValueError):
         seq.first_terms(3)
-    with pytest.raises(PeriodNotFound):
+    # a window shorter than the default one need not show two periods
+    with pytest.raises(ValueError, match="up to weight 20 .*--single-period") as info:
         root_sequence(2, 5, 0, max_weight=20)
+    assert not isinstance(info.value, PeriodNotFound)
     with pytest.raises(ValueError):
         root_sequence(2, 11, 0)
 
@@ -126,18 +126,6 @@ def test_table_rows_mod5():
         assert cell.one_period() == TABLE_5[(cell.p, cell.kclass)]
         assert cell.period == len(cell.one_period())
         assert cell.ell == 5
-
-
-def poison(monkeypatch, key, poly):
-    """Plant a wrong polynomial for one (p, k) in the kernel charpoly_mod calls."""
-    real = modfactor.charpoly
-
-    def planted(p, k, modulus=None):
-        if (p, k) == key:
-            return poly
-        return real(p, k, modulus)
-
-    monkeypatch.setattr(modfactor, "charpoly", planted)
 
 
 def plant_matrix(monkeypatch, p, entries):
@@ -173,17 +161,35 @@ def test_a_walk_makes_one_flag_matrix_and_one_charpoly(monkeypatch):
         real = getattr(modfactor, name)
         monkeypatch.setattr(modfactor, name, lambda *args, real=real: calls.append(args) or real(*args))
     seq = root_sequence(2, 13, 0)
-    # g_j = delta^j enters at weight 12 j, and only the top weight is factored
+    # g_j = delta^j enters at weight 12 j, and no weight's polynomial is computed
     assert seq.term_weights == tuple(range(12, 361, 12))
-    assert calls == [(2, list(seq.term_weights), 13), (2, 360, 13)]
+    assert calls == [(2, list(seq.term_weights), 13)]
 
 
-def test_splitting_violation_detected(monkeypatch):
-    # (x - 1)(x^2 + 2) at the top weight: x^2 + 2 has no roots mod 5, and the
-    # dimension at 24 is 2
-    poison(monkeypatch, (2, 24), mul((4, 1), (2, 0, 1), 5))
-    with pytest.raises(SplittingViolation):
-        root_sequence(2, 5, 0, max_weight=24, require_two_periods=False)
+def test_the_trace_formula_pins_every_term_on_its_own():
+    # For p = 2 Serre's set mod 5 is all of F_5, so only the trace check
+    # can catch a wrong term; it must catch each at the weight it enters.
+    seq = root_sequence(2, 5, 0)
+    assert len(seq.terms) == 9 and serre_eigenvalue_set(2, 5) == frozenset(range(5))
+    for j, (term, k) in enumerate(zip(seq.terms, seq.term_weights)):
+        for planted in set(range(5)) - {term}:
+            with pytest.MonkeyPatch.context() as mp:
+                plant_matrix(mp, 2, {(j, j): planted})
+                with pytest.raises(Lemma1Violation) as info:
+                    root_sequence(2, 5, 0)
+            assert str(info.value) == (
+                "T_2 at weight %d mod 5 has trace %d, but the walk's first %d terms sum to %d"
+                % (k, sum(seq.terms[: j + 1]) % 5, j + 1, (sum(seq.terms[:j]) + planted) % 5)
+            ), (j, planted)
+
+
+def test_the_walk_reads_no_weights_polynomial(monkeypatch, capsys):
+    assert main(["table", "--ell", "5"]) == 0
+    clean = capsys.readouterr()
+    # x^2 + 2 has no root mod 5
+    monkeypatch.setattr(modfactor, "charpoly", lambda p, k, modulus=None: (2, 0, 1))
+    assert main(["table", "--ell", "5"]) == 0
+    assert capsys.readouterr() == clean
 
 
 def test_nesting_violation_detected(monkeypatch):
@@ -198,14 +204,6 @@ def test_nesting_violation_detected(monkeypatch):
 @pytest.mark.parametrize(
     "plant, error, message",
     [
-        (lambda mp: poison(mp, (2, 24), (2, 0, 1)), SplittingViolation,
-         "T_2 at weight 24 mod 5 has 0 roots in F_5, dimension is 2"),
-        # (x - 2)(x - 4) splits, but has lost the root 1 of weight 12
-        (lambda mp: poison(mp, (2, 24), (3, 4, 1)), Lemma1Violation,
-         "T_2 at weight 24 mod 5 has roots (2, 4), not the walk's terms (1, 4)"),
-        # (x - 1)(x^2 + 2): the root 1 divides, the rest does not split
-        (lambda mp: poison(mp, (2, 24), mul((4, 1), (2, 0, 1), 5)), SplittingViolation,
-         "T_2 at weight 24 mod 5 has 1 roots in F_5, dimension is 2"),
         # 11 = 1 mod 5 allows only the root 1 + 1 = 2
         (lambda mp: plant_matrix(mp, 11, {(0, 0): 3}), EigenvalueViolation,
          "T_11 at weight 12 mod 5 has root 3 outside {p^m + p^n mod 5} = {2}"),
@@ -214,8 +212,7 @@ def test_nesting_violation_detected(monkeypatch):
         (lambda mp: plant_trace(mp, 2, 20, 1), Lemma1Violation,
          "T_2 at weight 20 mod 5 has trace 2, but the walk's first 1 terms sum to 1"),
     ],
-    ids=("no-root", "lost-root", "quotient-does-not-split", "root-outside-serre-set",
-         "off-the-flag", "trace"),
+    ids=("root-outside-serre-set", "off-the-flag", "trace"),
 )
 def test_violation_messages(monkeypatch, plant, error, message):
     plant(monkeypatch)
@@ -242,8 +239,8 @@ def lead_off(monkeypatch):
 
 # Each kind of failure a walk raises, through `table --ell 5`, whose first
 # cell is T_11 on class 0 mod 4: g_1, g_2, ... enter at 12, 24, 36, ...,
-# every term is 2, and the top weight is 108, of dimension 9.  The
-# eigenvalue failure is test_cli.py::test_eigenvalue_failure_exits_3.
+# and every term is 2.  The eigenvalue failure is
+# test_cli.py::test_eigenvalue_failure_exits_3.
 @pytest.mark.parametrize(
     "plant, message",
     [
@@ -251,14 +248,11 @@ def lead_off(monkeypatch):
          "T_11 g_2 at weight 24 has coordinate 4 on g_3 of weight 36 mod 5"),
         (lambda mp: plant_trace(mp, 11, 12, 1),
          "T_11 at weight 12 mod 5 has trace 3, but the walk's first 1 terms sum to 2"),
-        # (x - 2)^7 (x^2 + 2)
-        (lambda mp: poison(mp, (11, 108), reduce(lambda f, g: mul(f, g, 5), [(3, 1)] * 7 + [(2, 0, 1)])),
-         "T_11 at weight 108 mod 5 has 7 roots in F_5, dimension is 9"),
         (lead_off, "basis element 1 at k=24 does not lead with q^2"),
         (lambda mp: mp.setattr(modfactor, "minimal_period", lambda terms: None),
          "no period for p=11 ell=5 class 0 up to weight 110 (9 terms)"),
     ],
-    ids=("lemma1-flag", "lemma1-trace", "splitting", "span", "period"),
+    ids=("lemma1-flag", "lemma1-trace", "span", "period"),
 )
 def test_a_failing_walk_exits_3(monkeypatch, capsys, plant, message):
     plant(monkeypatch)

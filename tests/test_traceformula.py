@@ -8,7 +8,21 @@ from heckemod import traceformula
 from heckemod.cli import main
 from heckemod.errors import NonIntegralTrace
 from heckemod.hecke import charpoly, dim_cusp, hecke_matrix
-from heckemod.traceformula import _hurwitz12, _terms24, trace, traces, weight_poly
+from heckemod.traceformula import _hurwitz12, _terms24, trace, traces
+
+
+def weight_poly(k: int, t: int, n: int) -> int:
+    """U_(k-1)(t, n) from U_0 = 0, U_1 = 1, U_j = t U_(j-1) - n U_(j-2), one weight at a time.
+
+    The reference the multi-weight recursion of `_terms24` is checked
+    against.  For t^2 = 4n this degenerates to (k-1) (t/2)^(k-2).
+    """
+    if k < 2:
+        raise ValueError("weight must be >= 2")
+    u_prev, u = 0, 1
+    for _ in range(k - 2):
+        u_prev, u = u, t * u - n * u_prev
+    return u
 
 
 def hurwitz_class_number(n):
