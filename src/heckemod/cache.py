@@ -10,7 +10,7 @@ Coefficients are canonical decimal strings, ascending by degree, so
 records survive any JSON number-precision concerns and recomputation
 reproduces them byte for byte.  A format string writes the line and one
 regular expression reads it, with no json module and no int-string
-limit.  A cache constructed with directory None memoizes in memory only.
+limit.
 
 Only that canonical line is accepted.  The first `get` of (p, k) parses
 only the lines that end in its `"k": K, "p": P}` tail.  Of those it skips
@@ -20,54 +20,52 @@ any whose two top coefficients disagree with the trace formula: for
 x^d + c_(d-1) x^(d-1) + c_(d-2) x^(d-2) + ..., trace(T_p) = -c_(d-1)
 and, since T_p^2 = T_(p^2) + p^(k-1), trace(T_(p^2)) + p^(k-1) d =
 c_(d-1)^2 - 2 c_(d-2).  A record that passes both is then compared,
-every coefficient, with the Hecke kernel run mod KERNEL_CHECK_PRIME,
-which catches a wrong low coefficient that the traces cannot see.  At
-large p the trace of T_(p^2) and the kernel cost more than the exact
-charpoly, so from RECOMPUTE_FROM on a record must instead equal a fresh
-`hecke.charpoly(p, k)`, every coefficient, which is stronger than both;
-that charpoly is computed once, and written if every record is rejected.
-The last line left wins; with none, the polynomial is recomputed and
-appended (on a fresh line after a torn tail) by a single write on an
-O_APPEND descriptor.  Only `charpoly`, `certify` and the anchor of
-`deduce` use the cache; tables work mod ell and never open it.
+every coefficient, with the Hecke kernel run mod a prime q, which catches
+a wrong low coefficient that the traces cannot see.  q is drawn at random
+from [2^27, 2^28) once per process, when a record is first checked, so a
+record off by a multiple of q passes only if q happens to divide the
+difference (a Karp-Rabin fingerprint).  The last line left wins; with
+none, the polynomial is recomputed and appended (on a fresh line after a
+torn tail) by a single write on an O_APPEND descriptor.
+
+From RECOMPUTE_FROM on (see there) `charpoly` neither reads nor writes
+the file.  Only `charpoly`, `certify` and the anchor of `deduce` use the
+cache, and only with --cache-dir; tables work mod ell and never open it.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import re
 
-from ._primes import from_decimal, to_decimal
+from ._primes import from_decimal, is_prime, to_decimal
 from .errors import ComputationError
 from .hecke import charpoly, dim_cusp
 from .traceformula import trace
 
-# the prime of the mod-ell kernel check on records read from disk
-KERNEL_CHECK_PRIME = 1000003
-
-# A record of T_p, p > 2, on S_k of dimension d is checked against a fresh
-# exact charpoly once p >= RECOMPUTE_FROM d^4, and by its traces and the
-# kernel below that.  The smallest p at which the recompute beat the two
-# checks, in process on a 2-vCPU Xeon, CPython 3.11, best of 3 below d = 15:
-# d = 2 and 4: 5 to 7; 6: 5 to 11; 10: 13; 15: 53 to 97; 20: 97 to 199;
-# 25: 199 to 499.  Below d = 7 both take under 2 ms.  At the ends: (997, 120)
-# 0.38 s against 18.8 s, (499, 120) 0.10 s against 2.2 s, (29, 240) 0.35 s
-# against 0.035 s, (199, 300) 3.2 s against 1.1 s.  T_2 records, which
-# `certify` and the anchor of `deduce` read, keep the checks: for them the
-# recompute is the Berkowitz charpoly that a hit saves.
+# T_p, p > 2, on S_k of dimension d is cached only below p = RECOMPUTE_FROM d^4:
+# from there on a fresh exact charpoly costs less than the two checks a record
+# needs (the trace of T_(p^2) and the kernel), so a hit could save nothing.
+# The smallest p at which the recompute beat the two checks, in process on a
+# 2-vCPU Xeon, CPython 3.11, best of 3 below d = 15: d = 2 and 4: 5 to 7; 6: 5
+# to 11; 10: 13; 15: 53 to 97; 20: 97 to 199; 25: 199 to 499.  Below d = 7 both
+# take under 2 ms.  At the ends: (997, 120) 0.38 s against 18.8 s, (499, 120)
+# 0.10 s against 2.2 s, (29, 240) 0.35 s against 0.035 s, (199, 300) 3.2 s
+# against 1.1 s.  T_2 records, which `certify` and the anchor of `deduce` read,
+# keep the checks: for them the recompute is the Berkowitz charpoly that a hit
+# saves.
 RECOMPUTE_FROM = 0.0012
 
 
 class CharpolyCache:
-    def __init__(self, directory=None):
+    def __init__(self, directory):
         self.directory = directory
         self._mem = {}  # records that passed every check
         self._lines = {}  # p -> the lines of p<p>.jsonl, read once
         self._read = set()  # (p, k) whose lines have been checked
-        self._fresh = {}  # (p, k) -> the exact charpoly a rejected record was compared with
         self._torn = set()
-        if directory is not None:
-            os.makedirs(directory, exist_ok=True)
+        os.makedirs(directory, exist_ok=True)
 
     def _path(self, p: int) -> str:
         return os.path.join(self.directory, "p%d.jsonl" % p)
@@ -75,7 +73,7 @@ class CharpolyCache:
     def _file_lines(self, p: int) -> list:
         if p not in self._lines:
             text = ""
-            if self.directory is not None and os.path.exists(self._path(p)):
+            if os.path.exists(self._path(p)):
                 with open(self._path(p), "r", encoding="ascii", errors="replace") as fh:
                     text = fh.read()
             if text and not text.endswith("\n"):
@@ -93,9 +91,8 @@ class CharpolyCache:
                 if rec is None:
                     continue
                 poly = rec[1]
-                if _passes_checks(p, k, poly, self._fresh):
+                if _agrees_with_traces(p, k, poly) and _agrees_with_kernel(p, k, poly):
                     self._mem[(p, k)] = poly
-                    self._fresh.pop((p, k), None)
                     break
         return self._mem.get((p, k))
 
@@ -103,43 +100,29 @@ class CharpolyCache:
         if self.get(p, k) is not None:
             return
         self._mem[(p, k)] = poly
-        if self.directory is not None:
-            data = (("\n" if p in self._torn else "") + record_line(p, k, poly)).encode("ascii")
-            fd = os.open(self._path(p), os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
-            try:
-                written = os.write(fd, data)
-            finally:
-                os.close(fd)
-            if written != len(data):
-                self._torn.add(p)  # the file now ends inside this record
-                raise ComputationError(
-                    "cache write to %s stopped after %d of %d bytes"
-                    % (self._path(p), written, len(data))
-                )
-            self._torn.discard(p)
+        data = (("\n" if p in self._torn else "") + record_line(p, k, poly)).encode("ascii")
+        fd = os.open(self._path(p), os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+        try:
+            written = os.write(fd, data)
+        finally:
+            os.close(fd)
+        if written != len(data):
+            self._torn.add(p)  # the file now ends inside this record
+            raise ComputationError(
+                "cache write to %s stopped after %d of %d bytes"
+                % (self._path(p), written, len(data))
+            )
+        self._torn.discard(p)
 
     def charpoly(self, p: int, k: int) -> tuple:
-        """Cached characteristic polynomial of T_p at weight k."""
+        """Characteristic polynomial of T_p at weight k, through the file below RECOMPUTE_FROM."""
+        if p > 2 and p >= RECOMPUTE_FROM * dim_cusp(k) ** 4:
+            return charpoly(p, k)
         found = self.get(p, k)
         if found is None:
-            found = self._fresh.pop((p, k), None)
-            if found is None:
-                found = charpoly(p, k)
+            found = charpoly(p, k)
             self.put(p, k, found)
         return found
-
-
-def _passes_checks(p: int, k: int, poly: tuple, fresh: dict) -> bool:
-    """A record from disk against a fresh charpoly from RECOMPUTE_FROM on, else traces and kernel.
-
-    The fresh charpoly is computed once per (p, k) and kept in `fresh`, so
-    the fill after a rejected record writes it without computing it again.
-    """
-    if p > 2 and p >= RECOMPUTE_FROM * dim_cusp(k) ** 4:
-        if (p, k) not in fresh:
-            fresh[p, k] = charpoly(p, k)
-        return poly == fresh[p, k]
-    return _agrees_with_traces(p, k, poly) and _agrees_with_kernel(p, k, poly)
 
 
 def _agrees_with_traces(p: int, k: int, c: tuple) -> bool:
@@ -153,9 +136,18 @@ def _agrees_with_traces(p: int, k: int, c: tuple) -> bool:
 
 
 def _agrees_with_kernel(p: int, k: int, poly: tuple) -> bool:
-    """Every coefficient of `poly` against T_p's charpoly mod KERNEL_CHECK_PRIME."""
-    reduced = tuple(c % KERNEL_CHECK_PRIME for c in poly)
-    return reduced == charpoly(p, k, KERNEL_CHECK_PRIME)
+    """Every coefficient of `poly` against T_p's charpoly mod the prime `_kernel_prime` draws."""
+    q = _kernel_prime()
+    return tuple(c % q for c in poly) == charpoly(p, k, q)
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel_prime() -> int:
+    """An odd prime in [2^27, 2^28) from os.urandom, drawn once per process on first use."""
+    while True:
+        q = int.from_bytes(os.urandom(4), "big") >> 5 | 1 << 27 | 1
+        if is_prime(q):
+            return q
 
 
 # the one line `record_line` writes, which is json.dumps(record, sort_keys=True)

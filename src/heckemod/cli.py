@@ -7,8 +7,9 @@ a unique prefix of a name will do and the last repeat wins.  Every
 command takes --format text|csv|json plus --cache-dir/--seed.
 --help lists the commands, and <command> --help its options.  The
 cache holds integer polynomials for charpoly, certify and deduce's
-anchor; table and period compute mod ell and never open it.  charpoly
---ell 2 or 3 also checks the reduction against its closed form.
+anchor, and runs only with --cache-dir; table and period compute mod
+ell and never open it.  charpoly --ell 2 or 3 also checks the
+reduction against its closed form.
 
 Exit codes: 0 success, 1 usage or invalid argument, 2 computation or OS
 error, 3 falsification event (a checked mathematical invariant failed,
@@ -56,6 +57,11 @@ def _require_even_weight(k):
         raise ValueError("weight must be a nonnegative even integer, got %d" % k)
 
 
+def _cache(args):
+    """The disk cache that --cache-dir names, else None: without it no command runs `cache`."""
+    return None if args.cache_dir is None else cache.CharpolyCache(args.cache_dir)
+
+
 def cmd_charpoly(args) -> None:
     require_prime(args.prime, "p")
     _require_even_weight(args.weight)
@@ -63,7 +69,7 @@ def cmd_charpoly(args) -> None:
         require_prime(args.ell, "ell")
         if args.ell == args.prime:
             raise ValueError("p and ell must be distinct, both %d" % args.prime)
-    f = cache.CharpolyCache(args.cache_dir).charpoly(args.prime, args.weight)
+    f = (_cache(args) or hecke).charpoly(args.prime, args.weight)
     d = len(f) - 1
     fm = None
     if args.ell is not None:
@@ -139,7 +145,7 @@ def cmd_certify(args) -> None:
     require_prime(args.prime, "p")
     _require_even_weight(args.weight)
     p, k = args.prime, args.weight
-    irr, full = galois.certify(p, k, bound=args.bound, cache=cache.CharpolyCache(args.cache_dir))
+    irr, full = galois.certify(p, k, bound=args.bound, cache=_cache(args))
     text = "\n".join(("T_%d at weight %d, degree %d" % (p, k, hecke.dim_cusp(k)),
                       _cert_text("irreducible", irr), _cert_text("full symmetric group", full)))
     obj = {"p": p, "k": k, "bound": args.bound, "irreducible": irr.to_dict(),
@@ -156,8 +162,7 @@ def cmd_deduce(args) -> None:
     require_prime(args.target_prime, "p")
     _require_even_weight(args.weight)
     p, k = args.target_prime, args.weight
-    result = galois.deduce(p, k, anchor_n=args.anchor, bound=args.bound,
-                           cache=cache.CharpolyCache(args.cache_dir))
+    result = galois.deduce(p, k, anchor_n=args.anchor, bound=args.bound, cache=_cache(args))
     target = result.target
     found = isinstance(target, galois.Certificate)
     table_rows = [ev for ev in target.evidence if ev.get("kind") == "table-row"] if found else []

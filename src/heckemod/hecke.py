@@ -179,14 +179,11 @@ def basis_expansions(k: int, prec: int, modulus=None) -> list:
     return [qseries.reduce(f, modulus) for f in expansions]
 
 
-@functools.lru_cache(maxsize=1)  # reused only within one hecke_matrix call
-def _weighted_reads(n: int, k: int, out_prec: int, modulus=None) -> tuple:
-    """(m, e^(k-1) mod `modulus`, m n / e^2) for m < out_prec and 1 < e | gcd(m, n).
-
-    These are what (T_n f)_m reads of f past f_(m n).
-    """
-    weights = [(e, pow(e, k - 1, modulus)) for e in range(2, n + 1) if n % e == 0]
-    return tuple((m, w, m * n // (e * e)) for e, w in weights for m in range(0, out_prec, e))
+@functools.lru_cache(maxsize=1)  # reused by every column of one matrix, whatever its weights
+def _weighted_reads(n: int, out_prec: int) -> tuple:
+    """(e, ((m, m n / e^2) for m < out_prec, e | m)) for 1 < e | n: what (T_n f)_m reads past f_(m n)."""
+    divisors = [e for e in range(2, n + 1) if n % e == 0]
+    return tuple((e, tuple((m, m * n // (e * e)) for m in range(0, out_prec, e))) for e in divisors)
 
 
 def hecke_action(coeffs, n: int, k: int, out_prec: int, modulus=None) -> qseries.QExpansion:
@@ -199,8 +196,10 @@ def hecke_action(coeffs, n: int, k: int, out_prec: int, modulus=None) -> qseries
         raise ValueError("Hecke index must be >= 1")
     try:
         out = [coeffs[t] for t in range(0, n * out_prec, n)]
-        for m, w, t in _weighted_reads(n, k, out_prec, modulus):
-            out[m] += w * coeffs[t]
+        for e, reads in _weighted_reads(n, out_prec):
+            w = pow(e, k - 1, modulus)
+            for m, t in reads:
+                out[m] += w * coeffs[t]
     except (IndexError, KeyError):
         msg = "T_%d to %d coefficients needs coefficients up to q^%d"
         raise InsufficientPrecision(msg % (n, out_prec, n * (out_prec - 1))) from None
@@ -275,8 +274,7 @@ def _peeled_images(n: int, weights, table: _Factors, modulus=None) -> tuple:
     triples = [bases[k][i] for i, k in enumerate(weights)]
     exponents = None  # mod ell, every coefficient up to q^(n d) comes from one product
     if modulus is None:  # over Z, one dot product per coefficient that T_n reads
-        # the exponents T_n reads do not depend on the weight
-        exponents = {t for _, _, t in _weighted_reads(n, weights[0], d + 1, modulus)}
+        exponents = {t for _, reads in _weighted_reads(n, d + 1) for _, t in reads}
         exponents.update(range(d + 1), range(0, n * (d + 1), n))
     # the back-substitution rows come from the same reads as the images
     elements = [table.read(a, b, c, n * d, exponents) for a, b, c in triples]

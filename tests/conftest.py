@@ -1,13 +1,16 @@
+import functools
+from types import SimpleNamespace
+
 import pytest
 
-from heckemod.cache import CharpolyCache
+from heckemod.hecke import charpoly
 
 
 @pytest.fixture(scope="session")
 def shared_cache():
-    """In-memory charpoly cache shared by the whole session.
+    """Integer charpolys memoized for the whole session, passed to the library as `cache=`.
 
     Characteristic polynomials are deterministic, so reuse across test
     files only saves time and cannot couple outcomes.
     """
-    return CharpolyCache()
+    return SimpleNamespace(charpoly=functools.lru_cache(maxsize=None)(charpoly))

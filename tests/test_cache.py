@@ -5,6 +5,7 @@ import pytest
 from heckemod import cache as cache_module
 from heckemod import hecke
 from heckemod.cache import CharpolyCache, _parse_record, record_line
+from heckemod._primes import is_prime
 from heckemod.hecke import charpoly
 
 
@@ -61,12 +62,9 @@ def test_records_past_the_int_string_limit(sign):
     assert _parse_record(line[:-1], 2) == ((2, 24), f)
 
 
-def test_memory_cache_round_trip():
-    cache = CharpolyCache()
-    assert cache.get(2, 12) is None
-    f = cache.charpoly(2, 12)
-    assert f == (24, 1)
-    assert cache.get(2, 12) is f
+def test_a_cache_needs_a_directory():
+    with pytest.raises(TypeError):
+        CharpolyCache()
 
 
 def test_disk_cache_persists_and_reloads(tmp_path):
@@ -93,7 +91,7 @@ def test_disk_records_are_byte_identical_across_runs(tmp_path):
     b = str(tmp_path / "b")
     for directory in (a, b):
         cache = CharpolyCache(directory)
-        for k in (12, 24, 30):
+        for k in (96, 100, 108):  # below the crossover, so T_3 is cached
             cache.charpoly(3, k)
     pa = (tmp_path / "a" / "p3.jsonl").read_bytes()
     pb = (tmp_path / "b" / "p3.jsonl").read_bytes()
@@ -104,7 +102,7 @@ def test_files_split_by_prime(tmp_path):
     d = str(tmp_path)
     cache = CharpolyCache(d)
     cache.charpoly(2, 12)
-    cache.charpoly(3, 12)
+    cache.charpoly(3, 96)
     assert (tmp_path / "p2.jsonl").exists()
     assert (tmp_path / "p3.jsonl").exists()
 
@@ -132,7 +130,7 @@ def test_records_are_trace_checked_only_when_read(tmp_path, monkeypatch):
     assert cache.charpoly(2, 48) == charpoly(2, 48)
     assert cache.charpoly(2, 48) == charpoly(2, 48)
     assert calls == [(2, 48), (4, 48)]
-    assert kernel_calls == [(2, 48, cache_module.KERNEL_CHECK_PRIME)]
+    assert kernel_calls == [(2, 48, cache_module._kernel_prime())]
     assert path.read_text().count("\n") == 28
 
 
@@ -195,17 +193,37 @@ def test_planted_records_are_rejected_on_both_sides_of_the_crossover(tmp_path, m
 
         return call
 
-    for name in ("_agrees_with_traces", "_agrees_with_kernel", "charpoly"):
+    for name in ("_parse_record", "_agrees_with_traces", "_agrees_with_kernel", "charpoly"):
         monkeypatch.setattr(cache_module, name, spy(name, getattr(cache_module, name)))
     assert CharpolyCache(str(tmp_path)).charpoly(p, k) == good
-    assert path.read_text() == record_line(p, k, tuple(bad)) + record_line(p, k, good)
     fill = ("charpoly", p, k)
-    if past:  # compared with a fresh exact charpoly, which the fill then writes
+    if past:  # the file is neither read nor written: a hit could save nothing
         assert events == [fill]
-    elif wrong == -3:
-        assert events == [("_agrees_with_traces",), fill]
+        assert path.read_text() == record_line(p, k, tuple(bad))
+        path.unlink()
+        assert CharpolyCache(str(tmp_path)).charpoly(p, k) == good
+        assert list(tmp_path.iterdir()) == []  # a cold run creates no file
+        return
+    assert path.read_text() == record_line(p, k, tuple(bad)) + record_line(p, k, good)
+    if wrong == -3:
+        assert events == [("_parse_record",), ("_agrees_with_traces",), fill]
     else:  # c_0 passes the traces and fails the kernel
-        kernel = ("charpoly", p, k, cache_module.KERNEL_CHECK_PRIME)
-        assert events == [("_agrees_with_traces",), ("_agrees_with_kernel",), kernel, fill]
-    # the good record appended last passes whichever check its side runs
+        kernel = ("charpoly", p, k, cache_module._kernel_prime())
+        assert events == [("_parse_record",), ("_agrees_with_traces",), ("_agrees_with_kernel",), kernel, fill]
+    # the good record appended last passes both checks
     assert CharpolyCache(str(tmp_path)).get(p, k) == good
+
+
+def test_the_kernel_prime_is_drawn_once_per_process():
+    q = cache_module._kernel_prime()
+    assert 2**27 <= q < 2**28 and is_prime(q)
+    assert cache_module._kernel_prime() is q
+
+
+def test_the_kernel_check_reads_coefficients_mod_the_drawn_prime(tmp_path, monkeypatch):
+    # c_0 moved by 1000003 passes both traces, and the kernel check only when 1000003 is drawn
+    good = charpoly(2, 36)
+    forged = (good[0] + 1000003,) + good[1:]
+    (tmp_path / "p2.jsonl").write_text(record_line(2, 36, forged))
+    monkeypatch.setattr(cache_module, "_kernel_prime", lambda: 1000003)
+    assert CharpolyCache(str(tmp_path)).get(2, 36) == forged

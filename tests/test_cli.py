@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from heckemod import hecke
 from heckemod.cache import CharpolyCache, record_line
 from heckemod.cli import main
 from heckemod.errors import ComputationError
@@ -63,10 +64,10 @@ def test_charpoly_csv_fixed_columns(capsys):
 
 
 def test_charpoly_prints_coefficients_past_the_int_string_limit(capsys, monkeypatch):
-    # T_2 at weight 600 has such coefficients; a planted cache skips the computation
+    # T_2 at weight 600 has such coefficients; a planted charpoly skips the computation
     big = 10**5000 + 7
     text = "1" + "0" * 4999 + "7"
-    monkeypatch.setattr(CharpolyCache, "charpoly", lambda self, p, k: (-big, big, 1))
+    monkeypatch.setattr(hecke, "charpoly", lambda p, k: (-big, big, 1))
     args = ["charpoly", "--prime", "2", "--weight", "600"]
     assert run_cli(capsys, *args) == (0, "x^2 + %sx - %s\n" % (text, text), "")
     code, out, _ = run_cli(capsys, *args, "--format", "json")
@@ -306,6 +307,16 @@ def test_cache_record_with_a_wrong_low_coefficient_is_recomputed(tmp_path, capsy
     assert (tmp_path / "p2.jsonl").read_text() == record + record_line(2, 48, charpoly(2, 48))
 
 
+def test_a_record_off_by_a_multiple_of_1000003_is_recomputed(tmp_path, capsys):
+    # c_0 of T_2 at k = 36 raised by 1000003, which passes both traces and the kernel mod 1000003
+    right = charpoly(2, 36)
+    record = record_line(2, 36, (right[0] + 1000003,) + right[1:])
+    (tmp_path / "p2.jsonl").write_text(record)
+    code, out, _ = run_cli(capsys, "charpoly", "--prime", "2", "--weight", "36", "--cache-dir", str(tmp_path))
+    assert code == 0 and out == "x^3 - 139656x^2 - 59208339456x - 1467625047588864\n"
+    assert (tmp_path / "p2.jsonl").read_text() == record + record_line(2, 36, right)
+
+
 def test_unusable_cache_dir_exits_2(tmp_path, capsys):
     not_a_dir = tmp_path / "F"
     not_a_dir.write_text("")
@@ -457,10 +468,10 @@ def test_charpoly_mod_a_61_bit_prime_is_quick_and_larger_ell_is_refused(capsys):
 
 
 def test_computation_errors_exit_2(capsys, monkeypatch):
-    def boom(self, p, k):
+    def boom(p, k):
         raise ComputationError("planted")
 
-    monkeypatch.setattr("heckemod.cache.CharpolyCache.charpoly", boom)
+    monkeypatch.setattr(hecke, "charpoly", boom)
     code, _, err = run_cli(capsys, "charpoly", "--prime", "2", "--weight", "12")
     assert code == 2 and "planted" in err
 
@@ -572,7 +583,7 @@ def test_eigenvalue_failure_exits_3(capsys, monkeypatch):
 
 def test_closed_form_failure_exits_3(capsys, monkeypatch):
     # T_3 mod 2 at weight 24 must be x^2; plant x^2 + x + 1
-    monkeypatch.setattr(CharpolyCache, "charpoly", lambda self, p, k: (1, 1, 1))
+    monkeypatch.setattr(hecke, "charpoly", lambda p, k: (1, 1, 1))
     code, out, err = run_cli(capsys, "charpoly", "--prime", "3", "--weight", "24", "--ell", "2")
     assert (code, out) == (3, "")
     assert err.startswith("falsification: ") and "closed form" in err
@@ -647,12 +658,12 @@ def test_package_reads_each_public_name_from_its_module():
     [
         ("trace --n 2 --weight 24", {"traceformula"},
          {"cache", "galois", "gfpoly", "hecke", "modfactor", "qseries"}),
-        ("charpoly --prime 2 --weight 24", {"cache", "hecke"}, {"galois", "gfpoly", "modfactor", "_krylov"}),
+        ("charpoly --prime 2 --weight 24", {"hecke"}, {"cache", "galois", "gfpoly", "modfactor", "_krylov"}),
         ("table --ell 5", {"modfactor", "traceformula"}, {"cache", "galois", "gfpoly", "_krylov"}),
         ("period --prime 2 --ell 13 --kclass 0", {"modfactor"}, {"cache", "galois", "gfpoly"}),
-        ("certify --prime 2 --weight 24", {"galois", "cache"}, {"modfactor"}),
+        ("certify --prime 2 --weight 24", {"galois", "hecke"}, {"cache", "modfactor"}),
         ("charpoly --prime 29 --weight 96", {"hecke", "_krylov"}, {"galois", "gfpoly", "modfactor"}),
-        ("deduce --target-prime 3 --weight 24", {"galois", "modfactor", "traceformula"}, {"_krylov"}),
+        ("deduce --target-prime 3 --weight 24", {"galois", "modfactor", "traceformula"}, {"cache", "_krylov"}),
     ],
 )
 def test_a_cold_command_runs_only_the_modules_it_calls(argv, runs, skips):
@@ -673,7 +684,7 @@ print(json.dumps([code, ran, "argparse" in sys.modules]))
     assert runs <= set(ran) and not skips & set(ran), ran
 
 
-def test_benchmark_tracer_wraps_every_target_and_keeps_table_output(capsys):
+def test_benchmark_tracer_wraps_every_target_and_keeps_table_output(capsys, tmp_path):
     # bench/tracing.py rebinds module attributes, so it runs in a fresh process
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     script = """
@@ -689,10 +700,10 @@ with contextlib.redirect_stdout(out):
 table_calls = dict(tracer.calls)
 # certify and trace call into modules the table never ran
 with contextlib.redirect_stdout(io.StringIO()):
-    assert cli.main(["certify", "--prime", "2", "--weight", "24"]) == 0
+    assert cli.main(["certify", "--prime", "2", "--weight", "24", "--cache-dir", %r]) == 0
     assert cli.main(["trace", "--n", "2", "--weight", "24"]) == 0
 print(json.dumps([sorted(missing), code, out.getvalue(), table_calls, dict(tracer.calls)]))
-""" % (os.path.join(root, "src"), os.path.join(root, "bench"))
+""" % (os.path.join(root, "src"), os.path.join(root, "bench"), str(tmp_path))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     missing, code, traced, calls, later_calls = json.loads(proc.stdout)

@@ -21,7 +21,7 @@ def test_readme_python_example_runs():
 
 def test_readme_console_examples_print_what_the_readme_shows(capsys):
     # each "$ heckemod ..." line of the console block, through main() with
-    # the in-memory cache, must print exactly the lines under it
+    # no cache, must print exactly the lines under it
     with open(README, encoding="utf-8") as fh:
         blocks = re.findall(r"^```\n(\$ heckemod .*?)^```$", fh.read(), re.M | re.S)
     assert len(blocks) == 1
