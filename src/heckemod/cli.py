@@ -94,7 +94,7 @@ def cmd_charpoly(args) -> None:
 
 
 def cmd_table(args) -> None:
-    cells = modfactor.table_rows(args.ell, args.max_weight, args.single_period)
+    cells = modfactor.table_rows(args.ell, args.max_weight)
     ell, max_weight = args.ell, cells[0].max_weight
     lines = ["roots of T_p mod %d along even weight classes (weights <= %d)" % (ell, max_weight)]
     if ell == 13:
@@ -122,8 +122,7 @@ def cmd_trace(args) -> None:
 
 
 def cmd_period(args) -> None:
-    seq = modfactor.root_sequence(args.prime, args.ell, args.kclass, max_weight=args.max_weight,
-                                  require_two_periods=not args.single_period)
+    seq = modfactor.root_sequence(args.prime, args.ell, args.kclass, max_weight=args.max_weight)
     text = seq.period
     if seq.period is None:
         text = "no period verified up to weight %d (%d terms)" % (seq.max_weight, len(seq.terms))
@@ -193,7 +192,7 @@ def cmd_deduce(args) -> None:
 
 REQUIRED = object()  # the default of an option that must be given
 
-# option -> (kind, help); kind is int, str, a tuple of choices, or None for a flag
+# option -> (kind, help); kind is int, str or a tuple of choices
 OPTIONS = {
     "--prime": (int, "Hecke index p (prime)"),
     "--target-prime": (int, "Hecke index p (prime)"),
@@ -202,7 +201,6 @@ OPTIONS = {
     "--ell": (int, "prime modulus ell (table: 5, 7 or 13; charpoly: also factor mod ell)"),
     "--kclass": (int, "weight class mod (ell - 1)"),
     "--max-weight": (int, "largest weight to walk"),
-    "--single-period": (None, "shorter window; reports terms without verifying the period"),
     "--bound": (int, "largest ell scanned"),
     "--anchor": (int, "prime anchoring the assumption"),
     "--format": (("text", "csv", "json"), "output format"),
@@ -216,12 +214,11 @@ COMMANDS = {
     "charpoly": (cmd_charpoly, "characteristic polynomial of T_p",
                  {"--prime": REQUIRED, "--weight": REQUIRED, "--ell": None}),
     "table": (cmd_table, "periodic root table mod ell",
-              {"--ell": REQUIRED, "--max-weight": None, "--single-period": False}),
+              {"--ell": REQUIRED, "--max-weight": None}),
     "trace": (cmd_trace, "trace of T_n from the trace formula",
               {"--n": REQUIRED, "--weight": REQUIRED}),
     "period": (cmd_period, "root sequence period for one class",
-               {"--prime": REQUIRED, "--ell": REQUIRED, "--kclass": REQUIRED,
-                "--max-weight": None, "--single-period": False}),
+               {"--prime": REQUIRED, "--ell": REQUIRED, "--kclass": REQUIRED, "--max-weight": None}),
     "certify": (cmd_certify, "unconditional Galois certificates",
                 {"--prime": REQUIRED, "--weight": REQUIRED, "--bound": 200}),
     "deduce": (cmd_deduce, "table-backed verdict for T_p",
@@ -241,7 +238,7 @@ def _usage(command) -> str:
         kind = OPTIONS[name][0]
         if isinstance(kind, tuple):
             name += " {%s}" % ",".join(kind)
-        elif kind is not None:
+        else:
             name += " " + name[2:].upper().replace("-", "_")
         parts.append(name if default is REQUIRED else "[%s]" % name)
     return "usage: heckemod %s [-h] %s" % (command, " ".join(parts))
@@ -255,8 +252,8 @@ def _help(command) -> str:
         return "\n".join(lines)
     lines += [COMMANDS[command][1], "", "options:", "  %-16s %s" % ("-h, --help", "print this help")]
     for name, default in _defaults(command).items():
-        kind, text = OPTIONS[name]
-        if kind is not None and default not in (None, REQUIRED):
+        text = OPTIONS[name][1]
+        if default not in (None, REQUIRED):
             text += " (default %s)" % default
         lines.append("  %-16s %s" % (name, text))
     return "\n".join(lines)
@@ -307,11 +304,6 @@ def parse_args(argv):
         if name not in values:
             _fail(command, "unrecognized arguments: %s" % token)
         kind = OPTIONS[name][0]
-        if kind is None:
-            if eq:
-                _fail(command, "argument %s: ignored explicit argument %r" % (name, value))
-            values[name] = True
-            continue
         if not eq:
             if not rest or _is_option(rest[0]):
                 _fail(command, "argument %s: expected one argument" % name)

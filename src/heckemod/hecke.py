@@ -52,7 +52,7 @@ import operator
 
 from . import _krylov, qseries
 from ._kron import pack, unpack, unpack_mod, width
-from ._primes import require_prime
+from ._primes import divisors, require_prime
 from .errors import InsufficientPrecision, SpanViolation
 
 
@@ -182,8 +182,8 @@ def basis_expansions(k: int, prec: int, modulus=None) -> list:
 @functools.lru_cache(maxsize=1)  # reused by every column of one matrix, whatever its weights
 def _weighted_reads(n: int, out_prec: int) -> tuple:
     """(e, ((m, m n / e^2) for m < out_prec, e | m)) for 1 < e | n: what (T_n f)_m reads past f_(m n)."""
-    divisors = [e for e in range(2, n + 1) if n % e == 0]
-    return tuple((e, tuple((m, m * n // (e * e)) for m in range(0, out_prec, e))) for e in divisors)
+    return tuple((e, tuple((m, m * n // (e * e)) for m in range(0, out_prec, e)))
+                 for e in divisors(n)[1:])
 
 
 def hecke_action(coeffs, n: int, k: int, out_prec: int, modulus=None) -> qseries.QExpansion:

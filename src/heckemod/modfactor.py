@@ -42,10 +42,11 @@ over:
     Lemma1Violation.  A step raises the dimension by at most one, so
     the traces at kappa_j and kappa_j - ell + 1 pin the term a_j alone.
 
-A window without two periods raises PeriodNotFound where periods are
-required, unless the window ends before the default one: a window the
-caller chose short shows no period without contradicting the tables,
-so it is a ValueError.
+The window decides whether a walk must show its period.  One that
+reaches the default top weight of ell must show two full periods, else
+PeriodNotFound.  One the caller chose shorter may end before the
+tables' periods repeat without contradicting them, so its terms come
+back with period None, unverified.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ from .traceformula import traces
 ROW_PRIMES = {5: (11, 2, 3, 19), 7: (29, 2, 3, 11, 5, 13)}
 KCLASSES = {5: (0, 2), 7: (0, 2, 4), 13: (0, 2, 4, 6, 8, 10)}
 DEFAULT_MAX_WEIGHT = {5: 110, 7: 200, 13: 370}
-SINGLE_PERIOD_MAX_WEIGHT = 190
 
 
 def _validate(p: int, ell: int):
@@ -97,7 +97,7 @@ class RootSequence:
 
     terms[j] enters at term_weights[j], the first weight whose cusp
     space has dimension j + 1 within the class.  period is None when
-    the window did not show two full periods (single-period runs).
+    a window shorter than the default one did not show two full periods.
     """
 
     p: int
@@ -122,24 +122,18 @@ class RootSequence:
         return tuple(self.terms[i % self.period] for i in range(count))
 
 
-def root_sequence(
-    p: int,
-    ell: int,
-    kclass: int,
-    max_weight=None,
-    require_two_periods: bool = True,
-) -> RootSequence:
+def root_sequence(p: int, ell: int, kclass: int, max_weight=None) -> RootSequence:
     """Walk a weight class and collect the new root at each dimension jump.
 
     The terms are the diagonal of T_p on the flag of the class, checked
     by triangularity, Serre's set (ell < 13) and the trace formula at
     every weight; a failure raises (see the module docstring).  Period
     detection demands that every term equal the one a period later
-    across the whole window, with two full periods in it; when
-    require_two_periods is set and no period emerges, PeriodNotFound is
-    raised, or ValueError when max_weight ends before the default
-    window.  A window that ends below the class's first weight checks
-    nothing and is a ValueError.
+    across the whole window, with two full periods in it.  When none
+    emerges, a window that reaches the default one raises
+    PeriodNotFound and a shorter one returns period None.  A window that
+    ends below the class's first weight checks nothing and is a
+    ValueError.
     """
     if ell not in (5, 7, 13):
         raise ValueError("root sequences are defined for ell in {5, 7, 13}")
@@ -181,13 +175,9 @@ def root_sequence(
                 % (p, k, ell, trace % ell, d, sum(terms[:d]) % ell)
             )
     period = minimal_period(terms)
-    if period is None and require_two_periods:
-        message = "no period for p=%d ell=%d class %d up to weight %d (%d terms)" % (
-            p, ell, kclass, max_weight, len(terms))
-        if max_weight < DEFAULT_MAX_WEIGHT[ell]:
-            raise ValueError(message + "; pass --single-period, or walk to the default weight %d"
-                             % DEFAULT_MAX_WEIGHT[ell])
-        raise PeriodNotFound(message)
+    if period is None and max_weight >= DEFAULT_MAX_WEIGHT[ell]:
+        raise PeriodNotFound("no period for p=%d ell=%d class %d up to weight %d (%d terms)"
+                             % (p, ell, kclass, max_weight, len(terms)))
     return RootSequence(
         p=p,
         ell=ell,
@@ -207,22 +197,20 @@ def _product(terms, ell: int) -> tuple:
     return out
 
 
-def table_rows(ell, max_weight=None, single_period=False):
+def table_rows(ell, max_weight=None):
     """The RootSequence of every cell of the periodic root table, ell in {5, 7, 13}.
 
     For ell in {5, 7} the rows run over the published representative
     primes (smallest in each class, printed order) and the columns over
     even weight classes.  For ell = 13 the single published row prime
-    is 2 and the rows are the six weight classes mod 12.  In
-    single-period mode the walk stops early and periods are left
+    is 2 and the rows are the six weight classes mod 12.  A window
+    shorter than the default one leaves periods it does not show
     unverified rather than guessed.
     """
     if ell not in (5, 7, 13):
         raise ValueError("tables exist for ell in {5, 7, 13}")
-    if single_period and max_weight is None:
-        max_weight = SINGLE_PERIOD_MAX_WEIGHT
     return [
-        root_sequence(p, ell, kclass, max_weight=max_weight, require_two_periods=not single_period)
+        root_sequence(p, ell, kclass, max_weight)
         for p in ROW_PRIMES.get(ell, (2,))
         for kclass in KCLASSES[ell]
     ]

@@ -59,20 +59,6 @@ def mul(a: QExpansion, b: QExpansion, modulus=None) -> QExpansion:
     return expansion(product(a.coeffs, b.coeffs, min(a.prec, b.prec)), modulus)
 
 
-def power(a: QExpansion, e: int, modulus=None) -> QExpansion:
-    """a**e by repeated squaring, reduced mod `modulus` if given; e = 0 gives 1."""
-    if e < 0:
-        raise ValueError("negative exponent")
-    result, base = None, reduce(a, modulus)
-    while e:
-        if e & 1:  # the first set bit starts the result at that power of a
-            result = base if result is None else mul(result, base, modulus)
-        e >>= 1
-        if e:
-            base = mul(base, base, modulus)
-    return expansion((1,) + (0,) * (a.prec - 1), modulus) if result is None else result
-
-
 def eisenstein4(prec: int) -> QExpansion:
     return QExpansion((1, *[240 * s for s in divisor_power_sums(prec, 3)[1:]]))
 
@@ -84,5 +70,7 @@ def eisenstein6(prec: int) -> QExpansion:
 def delta(prec: int) -> QExpansion:
     """The weight-12 cusp form q prod (1-q^n)^24, tau coefficients."""
     jacobi = {m * (m + 1) // 2: (-1) ** m * (2 * m + 1) for m in range(prec)}
-    eta3 = QExpansion(tuple(jacobi.get(t, 0) for t in range(prec)))  # prod (1-q^n)^3
-    return QExpansion((0,) + power(eta3, 8).coeffs[:-1])
+    eta = QExpansion(tuple(jacobi.get(t, 0) for t in range(prec)))  # prod (1-q^n)^3
+    for _ in range(3):  # squared three times: prod (1-q^n)^24
+        eta = mul(eta, eta)
+    return QExpansion((0,) + eta.coeffs[:-1])

@@ -126,7 +126,7 @@ def test_criterion_03_table_mod13():
     ok = ok and full_elapsed < 1800
 
     start = time.perf_counter()
-    quick = table_rows(13, single_period=True)
+    quick = table_rows(13, 190)
     ok = ok and all(
         cell.period is None
         and cell.terms[:14] == TABLE_13[cell.kclass]

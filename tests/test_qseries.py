@@ -4,7 +4,7 @@ import pytest
 
 from heckemod import qseries
 from heckemod._primes import divisor_power_sums
-from heckemod.qseries import QExpansion, delta, eisenstein4, eisenstein6, mul, power
+from heckemod.qseries import QExpansion, delta, eisenstein4, eisenstein6, mul
 
 
 def add(a, b, sign=1):
@@ -66,7 +66,7 @@ def test_discriminant_identity():
     for prec in (24, 200):
         e4 = eisenstein4(prec)
         e6 = eisenstein6(prec)
-        lhs = add(power(e4, 3), power(e6, 2), -1)
+        lhs = add(mul(mul(e4, e4), e4), mul(e6, e6), -1)
         assert lhs.coeffs == tuple(1728 * c for c in delta(prec).coeffs)
 
 
@@ -131,19 +131,6 @@ def test_product_coefficients_at_the_slot_bound():
                 a = QExpansion(tuple(signs[i % len(signs)] * top for i in range(length)))
                 for sign in (1, -1):
                     assert_matches_schoolbook(a, QExpansion((sign * top,) * length))
-
-
-def test_power_matches_repeated_multiplication():
-    rng = random.Random(11)
-    a = QExpansion(tuple(rng.randint(-5, 5) for _ in range(10)))
-    acc = QExpansion((1,) + (0,) * 9)
-    for e in range(6):
-        assert power(a, e).coeffs == acc.coeffs
-        for m in (2, 5, 7, 13):
-            assert power(a, e, m).coeffs == tuple(x % m for x in acc.coeffs)
-        acc = mul(acc, a)
-    with pytest.raises(ValueError):
-        power(a, -1)
 
 
 def test_truncation_and_mixed_precision():
