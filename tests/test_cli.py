@@ -122,6 +122,21 @@ def test_table_mod7_full_output(capsys, fmt):
         assert run_cli(capsys, "table", *argv, "--format", fmt) == (0, expected, ""), name
 
 
+@pytest.mark.parametrize("ell", [5, 7, 13])
+def test_table_output_does_not_depend_on_the_number_of_workers(monkeypatch, capsys, ell):
+    def fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", fork)
+    for fmt in ("text", "json", "csv"):
+        runs = []
+        for count in (1, 2, 3):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: count)
+            runs.append(run_cli(capsys, "table", "--ell", str(ell), "--format", fmt))
+        assert runs[0][0] == 0 and runs[0] == runs[1] == runs[2], fmt
+
+
 def test_period_output(capsys):
     code, out, _ = run_cli(capsys, "period", "--prime", "2", "--ell", "5", "--kclass", "0")
     assert code == 0 and out == "2\n"

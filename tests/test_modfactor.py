@@ -1,4 +1,5 @@
 import os
+import threading
 
 import pytest
 
@@ -266,6 +267,26 @@ def test_cells_do_not_depend_on_the_number_of_workers(monkeypatch, ell):
         for p in modfactor.ROW_PRIMES.get(ell, (2,))
         for kclass in modfactor.KCLASSES[ell]
     ]
+
+
+def test_small_walks_and_threaded_callers_run_in_this_process(monkeypatch):
+    def fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "fork", fork)
+    assert len(table_rows(5, 40)) == 8
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert len(table_rows(5, 190)) == 8
+        assert len(table_rows(5)) == 8
+    finally:
+        stop.set()
+        thread.join(10)
+    assert not thread.is_alive()
 
 
 def plant_cell(monkeypatch, cells):
