@@ -21,11 +21,12 @@ each emitted as a Certificate listing exactly the evidence used:
     transposition when it has exactly one even part, equal to 2; it
     powers to a q-cycle when it contains q once and q exceeds d/2.
 
-Both verdicts come from one scan of the primes: the irreducibility
-verdict is handed out as soon as it is decided, and the scan resumes
-for the Jordan witnesses only when the caller asks, searching the cycle
-types already seen before reducing any new prime.  Each prime is
-reduced at most once per certificate.
+Both verdicts come from one scan of the primes, in increasing order.
+Each cycle type advances the irreducibility verdict until it is
+decided, and may become the first transposition or primitivity
+witness; the scan stops once both verdicts are decided, so each prime
+is reduced at most once and none past the last one either verdict
+needs.
 
 The second half of the module packages the deductions specific to
 Hecke polynomials: the residue-class criterion with its periodic
@@ -38,7 +39,6 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import reduce
-from itertools import chain
 from math import gcd as _gcd
 
 from . import modfactor  # through the module: certify never runs modfactor
@@ -173,18 +173,18 @@ def _type_evidence(ct: CycleType) -> dict:
 
 
 def certify_poly(f, bound: int, skip=(), subject=None):
-    """Irreducibility verdict, then full-symmetric verdict, from one scan.
+    """Irreducibility and full-symmetric verdicts, as a pair, from one scan.
 
-    A generator over a monic integer polynomial f (coefficients
-    ascending); next() gives irreducibility alone.  Walks the primes
-    ell <= bound (skipping `skip`) once.  A single irreducible reduction
-    settles irreducibility; otherwise the subset-sum sieve runs until
-    its intersection of candidate factor degrees empties.  The second verdict needs the first, and resumes
-    the scan only when asked: given irreducibility, degrees 1 and 2 need
-    nothing more; beyond that it takes the first transposition witness
-    and, unless the degree is prime, the first primitivity witness
-    (prime q-cycle, d/2 < q < d) in scan order, earlier cycle types
-    included.
+    f is a monic integer polynomial (coefficients ascending).  The scan
+    walks the primes ell <= bound (skipping `skip`) in order and reduces
+    each at most once.  A single irreducible reduction settles
+    irreducibility; otherwise the subset-sum sieve runs until its
+    intersection of candidate factor degrees empties.  Given
+    irreducibility, degrees 1 and 2 need nothing more; beyond that the
+    full symmetric group takes the first transposition witness and,
+    unless the degree is prime, the first primitivity witness (prime
+    q-cycle, d/2 < q < d) in scan order.  The scan stops once both
+    verdicts are decided, or at the bound.
     """
     d = len(f) - 1
     if subject is None:
@@ -197,57 +197,51 @@ def certify_poly(f, bound: int, skip=(), subject=None):
     seen = []
     surviving = None
     rule = None
+    transposition = None
+    primitivity = {"kind": "prime-degree", "degree": d} if is_prime(d) else None
     for ct in types:
-        seen.append(ct)
-        if ct.partition == (d,):
-            rule, used = RULE_IRREDUCIBLE_MOD_ELL, [ct]
+        if rule is None:
+            seen.append(ct)
+            if ct.partition == (d,):
+                rule, used = RULE_IRREDUCIBLE_MOD_ELL, [ct]
+            else:
+                sums = proper_degree_sums(ct.partition)
+                surviving = sums if surviving is None else surviving & sums
+                if not surviving:
+                    rule, used = RULE_DEGREE_SET_SIEVE, seen
+        if transposition is None and powers_to_transposition(ct.partition):
+            transposition = dict(_type_evidence(ct), kind="transposition-witness")
+        if primitivity is None:
+            q = powers_to_prime_cycle(ct.partition, d)
+            if q is not None:
+                primitivity = dict(_type_evidence(ct), kind="q-cycle-witness", q=q)
+        if rule is not None and (d <= 2 or transposition and primitivity):
             break
-        sums = proper_degree_sums(ct.partition)
-        surviving = sums if surviving is None else surviving & sums
-        if not surviving:
-            rule, used = RULE_DEGREE_SET_SIEVE, seen
-            break
-    if rule is not None:
-        irr = Certificate(CLAIM_IRREDUCIBLE, subject, d, rule, tuple(map(_type_evidence, used)))
-    else:
+
+    if rule is None:
         if surviving is None:
             reason = "no squarefree reduction below %d" % bound
         else:
             reason = "degrees %s survive the sieve below %d" % (sorted(surviving), bound)
         irr = NotFound(CLAIM_IRREDUCIBLE, subject, reason, tuple(map(_type_evidence, seen)))
-    yield irr
-
-    if rule is None:
-        reason = "irreducibility not established: %s" % irr.reason
-        yield NotFound(CLAIM_FULL_SYMMETRIC, subject, reason, irr.evidence)
-        return
+        reason = "irreducibility not established: %s" % reason
+        return irr, NotFound(CLAIM_FULL_SYMMETRIC, subject, reason, irr.evidence)
+    irr = Certificate(CLAIM_IRREDUCIBLE, subject, d, rule, tuple(map(_type_evidence, used)))
     if d == 1:
         evidence = ({"kind": "degree-1"},)
     else:
         evidence = ({"kind": "irreducibility", "certificate": irr.to_dict()},)
     if d > 2:
-        transposition = None
-        primitivity = {"kind": "prime-degree", "degree": d} if is_prime(d) else None
-        for ct in chain(seen, types):
-            if transposition is None and powers_to_transposition(ct.partition):
-                transposition = dict(_type_evidence(ct), kind="transposition-witness")
-            if primitivity is None:
-                q = powers_to_prime_cycle(ct.partition, d)
-                if q is not None:
-                    primitivity = dict(_type_evidence(ct), kind="q-cycle-witness", q=q)
-            if transposition is not None and primitivity is not None:
-                break
-        else:
-            missing = []
-            if transposition is None:
-                missing.append("transposition")
-            if primitivity is None:
-                missing.append("primitivity q-cycle")
+        missing = []
+        if transposition is None:
+            missing.append("transposition")
+        if primitivity is None:
+            missing.append("primitivity q-cycle")
+        if missing:
             reason = "no %s witness below %d" % (" or ".join(missing), bound)
-            yield NotFound(CLAIM_FULL_SYMMETRIC, subject, reason, evidence)
-            return
+            return irr, NotFound(CLAIM_FULL_SYMMETRIC, subject, reason, evidence)
         evidence += (primitivity, transposition)
-    yield Certificate(CLAIM_FULL_SYMMETRIC, subject, d, RULE_JORDAN, evidence)
+    return irr, Certificate(CLAIM_FULL_SYMMETRIC, subject, d, RULE_JORDAN, evidence)
 
 
 def _hecke_subject(p, k):
@@ -263,23 +257,22 @@ def _hecke_poly(p, k, cache):
 
 
 def certify(p: int, k: int, bound: int = 200, cache=None):
-    """Unconditional certificates for T_p at weight k from one prime scan.
+    """Unconditional (irreducibility, full symmetric group) verdicts for
+    T_p at weight k, from one scan of the primes ell <= bound other than p.
 
-    Returns a generator of two verdicts, irreducibility then full
-    symmetric group; taking only the first stops the scan where
-    irreducibility is decided.  Bad p or k raise at the call.
+    Bad p or k raise.
     """
     return certify_poly(_hecke_poly(p, k, cache), bound, (p,), _hecke_subject(p, k))
 
 
 def certify_irreducible(p: int, k: int, bound: int = 200, cache=None):
     """Unconditional irreducibility certificate for T_p at weight k."""
-    return next(certify(p, k, bound, cache))
+    return certify(p, k, bound, cache)[0]
 
 
 def certify_full_symmetric(p: int, k: int, bound: int = 200, cache=None):
     """Unconditional full-symmetric-group certificate for T_p at weight k."""
-    return tuple(certify(p, k, bound, cache))[1]
+    return certify(p, k, bound, cache)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -422,13 +415,10 @@ def deduce(p: int, k: int, anchor_n: int = 2, bound: int = 200, cache=None):
         cert = corollary_conclusion(p, k)
     if isinstance(cert, NotFound):
         return DeduceResult(target=cert)
-    anchor = certify(anchor_n, k, bound=bound, cache=cache)
-    anchor_irr = next(anchor)
-    anchor_full = None
-    discharged = isinstance(anchor_irr, Certificate)
-    if need_full_anchor and discharged:
-        anchor_full = next(anchor)
-        discharged = isinstance(anchor_full, Certificate)
+    anchor_irr, anchor_full = certify(anchor_n, k, bound=bound, cache=cache)
+    if not (need_full_anchor and isinstance(anchor_irr, Certificate)):
+        anchor_full = None
+    discharged = isinstance(anchor_full if need_full_anchor else anchor_irr, Certificate)
     if discharged:
         ev = {"kind": "anchor", "n": anchor_n, "discharges": list(cert.assumptions)}
         cert = Certificate(cert.claim, cert.subject, cert.degree, cert.rule, cert.evidence + (ev,))

@@ -60,16 +60,14 @@ def _hurwitz12(n: int) -> int:
 
 
 def _terms24(n: int, weights) -> dict:
-    """k -> 24 times the elliptic and the hyperbolic part of the trace, as integers.
+    """k -> 24 times the elliptic and the hyperbolic part of the trace, as
+    integers, for even weights k >= 4.
 
     Each class number is counted once for all the weights, and one
     recursion per t passes U_(k-1) for every k on its way up.
     """
     if n < 1:
         raise ValueError("Hecke index must be >= 1")
-    for k in weights:
-        if k < 4 or k % 2:
-            raise ValueError("weight must be even and >= 4, got %d" % k)
     ks = sorted(set(weights))
     elliptic = dict.fromkeys(ks, 0)
     # for even k both factors are even in t, so -t repeats the term of t
@@ -89,8 +87,11 @@ def _terms24(n: int, weights) -> dict:
 
 def traces(n: int, weights) -> dict:
     """k -> exact trace of T_n on the weight-k cusp space, for every k in `weights`."""
-    out = {}
-    for k, (elliptic, hyperbolic) in _terms24(n, weights).items():
+    for k in weights:
+        if k < 0 or k % 2:
+            raise ValueError("weight must be a nonnegative even integer, got %d" % k)
+    out = {k: 0 for k in weights if k < 4}  # S_0 and S_2 are zero
+    for k, (elliptic, hyperbolic) in _terms24(n, [k for k in weights if k >= 4]).items():
         total = elliptic + hyperbolic
         if total % 24:
             g = math.gcd(total, 24)

@@ -85,6 +85,18 @@ def test_trace_outputs(capsys):
     assert parse_csv(out) == [["n", "k", "trace"], ["2", "12", "-24"]]
 
 
+def test_trace_at_weights_0_and_2_is_zero(capsys):
+    # S_0 and S_2 are zero, as charpoly's "1 (dim 0)" says
+    for weight in ("0", "2"):
+        code, out, _ = run_cli(capsys, "trace", "--n", "2", "--weight", weight)
+        assert (code, out) == (0, "0\n")
+        code, out, _ = run_cli(capsys, "charpoly", "--prime", "2", "--weight", weight)
+        assert (code, out) == (0, "1 (dim 0)\n")
+    for weight in ("3", "-2"):
+        code, out, err = run_cli(capsys, "trace", "--n", "2", "--weight", weight)
+        assert code == 1 and out == "" and "nonnegative even" in err
+
+
 def test_table_text_mod5(capsys):
     code, out, _ = run_cli(capsys, "table", "--ell", "5")
     assert code == 0

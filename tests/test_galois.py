@@ -8,7 +8,7 @@ from math import gcd
 import pytest
 
 from heckemod import galois
-from heckemod._primes import from_decimal, primes_up_to
+from heckemod._primes import from_decimal, is_prime, primes_up_to
 from heckemod.galois import (
     CLAIM_FULL_SYMMETRIC,
     CLAIM_IRREDUCIBLE,
@@ -96,6 +96,15 @@ def test_squarefree_cycle_types_skip_the_strip_gcd(shared_cache):
             assert ct.partition == tuple(sorted(stripped, reverse=True)), (k, ell)
 
 
+def _cited_ells(node):
+    """Every "ell" a verdict's evidence names, nested certificates included."""
+    if isinstance(node, dict):
+        return ({node["ell"]} if "ell" in node else set()).union(*map(_cited_ells, node.values()))
+    if isinstance(node, list):
+        return set().union(*map(_cited_ells, node))
+    return set()
+
+
 def test_certify_reduces_each_prime_once(shared_cache, monkeypatch):
     scanned = []
     real = galois.cycle_type
@@ -108,14 +117,91 @@ def test_certify_reduces_each_prime_once(shared_cache, monkeypatch):
     for k in (12, 24, 36, 48, 200):
         scanned.clear()
         irr, full = certify(2, k, bound=200, cache=shared_cache)
-        assert len(scanned) == len(set(scanned)) and 2 not in scanned
+        assert scanned == sorted(set(scanned)) and 2 not in scanned
         assert isinstance(full, Certificate) == (k != 200)
-    assert isinstance(irr, NotFound) and set(scanned) == set(primes_up_to(200)) - {2}
+        if isinstance(full, Certificate):
+            # the scan stops at the last prime that either verdict needs
+            assert scanned[-1] == max(_cited_ells(irr.to_dict()) | _cited_ells(full.to_dict()))
+        else:
+            assert scanned == [ell for ell in primes_up_to(200) if ell != 2]
+    assert isinstance(irr, NotFound)
 
+    # irreducible but never full-symmetric: the witness search runs to the bound
     scanned.clear()
-    irr = next(certify(2, 48, cache=shared_cache))
-    assert isinstance(irr, Certificate)
-    assert max(scanned) == max(e["ell"] for e in irr.evidence)
+    irr, full = certify_poly(A4_QUARTIC, 50)
+    assert isinstance(irr, Certificate) and isinstance(full, NotFound)
+    assert scanned == primes_up_to(50)
+
+
+def test_one_pass_reads_each_verdict_from_the_first_types_that_decide_it(monkeypatch):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    scanned = []
+    real = galois.cycle_type
+
+    def spied(f, ell):
+        scanned.append(real(f, ell))
+        return scanned[-1]
+
+    monkeypatch.setattr(galois, "cycle_type", spied)
+
+    @hypothesis.settings(max_examples=200, deadline=None, database=None)
+    @hypothesis.given(
+        st.lists(st.integers(-30, 30), min_size=1, max_size=8), st.sampled_from((30, 100))
+    )
+    def check(low, bound):
+        f = tuple(low) + (1,)
+        d = len(low)
+        scanned.clear()
+        irr, full = certify_poly(f, bound)
+        primes = primes_up_to(bound)
+        assert [r.ell for r in scanned] == primes[: len(scanned)]
+        types = [r for r in scanned if isinstance(r, CycleType)]
+
+        # irreducibility: decided by the first irreducible reduction or the
+        # first type that empties the sieve, from exactly the types up to it
+        surviving, deciding = set(range(1, d)), None
+        for i, ct in enumerate(types):
+            surviving &= proper_degree_sums(ct.partition)
+            if ct.partition == (d,) or not surviving:
+                deciding = i
+                break
+        if deciding is None:
+            assert isinstance(irr, NotFound) and isinstance(full, NotFound)
+            assert irr.evidence == tuple(map(galois._type_evidence, types))
+            assert len(scanned) == len(primes)
+            return
+        ct = types[deciding]
+        if ct.partition == (d,):
+            assert irr.rule == "IrreducibleModEll"
+            assert irr.evidence == (galois._type_evidence(ct),)
+        else:
+            assert irr.rule == "DegreeSetSieve"
+            assert irr.evidence == tuple(map(galois._type_evidence, types[: deciding + 1]))
+        needed = [ct.ell]
+
+        # full symmetric group: the first witness of each kind in scan order
+        if d > 2:
+            expected = []
+            if not is_prime(d):
+                first_q = next((t for t in types if powers_to_prime_cycle(t.partition, d)), None)
+                if first_q is not None:
+                    q = powers_to_prime_cycle(first_q.partition, d)
+                    expected.append(dict(galois._type_evidence(first_q), kind="q-cycle-witness", q=q))
+            first_t = next((t for t in types if powers_to_transposition(t.partition)), None)
+            if first_t is not None:
+                expected.append(dict(galois._type_evidence(first_t), kind="transposition-witness"))
+            if len(expected) < 1 + (not is_prime(d)):
+                assert isinstance(full, NotFound)
+                assert len(scanned) == len(primes)
+                return
+            assert [e for e in full.evidence if e["kind"].endswith("-witness")] == expected
+            needed += [e["ell"] for e in expected]
+        assert isinstance(full, Certificate)
+        # no prime past the last one either verdict needs is reduced
+        assert scanned[-1].ell == max(needed)
+
+    check()
 
 
 def test_proper_degree_sums_against_subset_enumeration():
@@ -148,7 +234,7 @@ def test_power_witness_predicates():
 
 
 def test_certify_irreducible_poly_quadratic():
-    cert = next(certify_poly((-2, 0, 1), 100))  # x^2 - 2
+    cert = certify_poly((-2, 0, 1), 100)[0]  # x^2 - 2
     assert isinstance(cert, Certificate)
     assert cert.rule == "IrreducibleModEll"
     assert cert.evidence[0]["partition"] == [2]
@@ -157,21 +243,21 @@ def test_certify_irreducible_poly_quadratic():
 def test_sieve_never_certifies_x4_plus_1():
     # Galois group is the Klein four group: only cycle types 1+1+1+1 and
     # 2+2 can ever appear, so degree 2 survives the sieve at every ell
-    res = next(certify_poly(X4_PLUS_1, 500))
+    res = certify_poly(X4_PLUS_1, 500)[0]
     assert isinstance(res, NotFound)
     assert "2" in res.reason
     partitions = {tuple(e["partition"]) for e in res.evidence}
     assert partitions <= {(1, 1, 1, 1), (2, 2)}
     assert (4,) not in partitions
 
-    full = tuple(certify_poly(X4_PLUS_1, 500))[1]
+    full = certify_poly(X4_PLUS_1, 500)[1]
     assert isinstance(full, NotFound)
 
 
 def test_sieve_certifies_a4_quartic():
     # A4 has no 4-cycle, so no reduction is irreducible, but the cycle
     # types 3+1 and 2+2 allow proper factor degrees {1, 3} and {2}
-    cert = next(certify_poly(A4_QUARTIC, 50))
+    cert = certify_poly(A4_QUARTIC, 50)[0]
     assert isinstance(cert, Certificate)
     assert cert.rule == "DegreeSetSieve"
     partitions = {tuple(e["partition"]) for e in cert.evidence}
@@ -182,7 +268,7 @@ def test_sieve_gap_is_genuine():
     # (x^2 - 2)(x^2 - 8) realizes the same factor-degree data as x^4 + 1,
     # so no sound degree-based rule may clear either one
     reducible = (16, 0, -10, 0, 1)
-    res = next(certify_poly(reducible, 300))
+    res = certify_poly(reducible, 300)[0]
     assert isinstance(res, NotFound)
 
 
@@ -259,7 +345,7 @@ def test_certificates_serialize(shared_cache):
 
 def test_subject_coefficients_past_the_int_string_limit():
     big = 10**5000 + 7
-    verdict = next(certify_poly((-big, 1, 1), bound=30))  # x^2 + x - big
+    verdict = certify_poly((-big, 1, 1), bound=30)[0]  # x^2 + x - big
     coeffs = json.loads(json.dumps(verdict.to_dict()))["subject"]["coeffs"]
     assert coeffs == ["-1" + "0" * 4999 + "7", "1", "1"]
     assert [from_decimal(c) for c in coeffs] == [-big, 1, 1]

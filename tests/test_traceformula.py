@@ -209,4 +209,5 @@ def test_trace_input_validation():
     with pytest.raises(ValueError):
         trace(2, 13)
     with pytest.raises(ValueError):
-        trace(2, 2)
+        trace(2, -2)
+    assert trace(2, 2) == trace(2, 0) == 0  # S_2 and S_0 are zero
